@@ -1,67 +1,24 @@
-//! Future-event-list microbenchmarks: binary heap vs. calendar queue
-//! under push/pop mixes shaped like real runs — a steady-state hold
-//! (every pop schedules a successor, the simulator's common case), a
+//! Future-event-list microbenchmarks: the binary heap under push/pop
+//! mixes shaped like real runs — a steady-state hold (every pop
+//! schedules a successor, the simulator's common case), a
 //! fill-then-drain sweep, and a heavy-tie burst (group commits and
 //! control ticks land whole cohorts on one timestamp).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use simkit::{CalendarQueue, EventHeap, SimRng, SimTime};
+use simkit::{EventHeap, SimRng, SimTime};
 
 const LIVE: usize = 4_096;
 const OPS: usize = 10_000;
 
-/// Pre-generated inter-event gaps (exponential-ish via modulo mixing so
-/// the two queues replay the identical schedule).
+/// Pre-generated inter-event gaps.
 fn gaps(seed: u64) -> Vec<u64> {
     let mut rng = SimRng::new(seed);
     (0..OPS).map(|_| rng.below(200_000) + 1).collect()
 }
 
-macro_rules! bench_both {
-    ($group:expr, $make_heap:expr, $make_cal:expr, $body:expr) => {{
-        let g = &mut $group;
-        g.bench_function("heap", |b| {
-            b.iter(|| {
-                let mut q = $make_heap;
-                $body(&mut q)
-            })
-        });
-        g.bench_function("calendar", |b| {
-            b.iter(|| {
-                let mut q = $make_cal;
-                $body(&mut q)
-            })
-        });
-    }};
-}
-
-/// Shared driver trait so one closure exercises both queues.
-trait Fel {
-    fn push(&mut self, t: SimTime, v: usize);
-    fn pop(&mut self) -> Option<(SimTime, usize)>;
-}
-
-impl Fel for EventHeap<usize> {
-    fn push(&mut self, t: SimTime, v: usize) {
-        EventHeap::push(self, t, v)
-    }
-    fn pop(&mut self) -> Option<(SimTime, usize)> {
-        EventHeap::pop(self)
-    }
-}
-
-impl Fel for CalendarQueue<usize> {
-    fn push(&mut self, t: SimTime, v: usize) {
-        CalendarQueue::push(self, t, v)
-    }
-    fn pop(&mut self) -> Option<(SimTime, usize)> {
-        CalendarQueue::pop(self)
-    }
-}
-
 /// Steady state: `LIVE` events in flight, every pop schedules one
 /// successor — the shape of a saturated simulation run.
-fn steady_state<Q: Fel>(q: &mut Q) -> usize {
+fn steady_state(q: &mut EventHeap<usize>) -> usize {
     let gaps = gaps(1);
     for (i, &g) in gaps[..LIVE].iter().enumerate() {
         q.push(SimTime(g), i);
@@ -76,7 +33,7 @@ fn steady_state<Q: Fel>(q: &mut Q) -> usize {
 }
 
 /// Fill completely, then drain dry (arrival floods, end-of-run tails).
-fn fill_drain<Q: Fel>(q: &mut Q) -> usize {
+fn fill_drain(q: &mut EventHeap<usize>) -> usize {
     let gaps = gaps(2);
     let mut t = 0u64;
     for (i, &g) in gaps.iter().enumerate() {
@@ -92,8 +49,8 @@ fn fill_drain<Q: Fel>(q: &mut Q) -> usize {
 
 /// Heavy ties: cohorts of 64 events share each timestamp (group commit /
 /// control tick shape); FIFO order within a cohort is part of the
-/// contract both queues must honor.
-fn tie_burst<Q: Fel>(q: &mut Q) -> usize {
+/// contract the queue must honor.
+fn tie_burst(q: &mut EventHeap<usize>) -> usize {
     let gaps = gaps(3);
     let mut t = 0u64;
     for (i, &g) in gaps.iter().enumerate() {
@@ -111,34 +68,25 @@ fn tie_burst<Q: Fel>(q: &mut Q) -> usize {
 
 fn bench_steady_state(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue/steady_state_4k_live");
-    bench_both!(
-        g,
-        EventHeap::with_capacity(LIVE),
-        CalendarQueue::with_capacity(LIVE),
-        steady_state
-    );
+    g.bench_function("heap", |b| {
+        b.iter(|| steady_state(&mut EventHeap::with_capacity(LIVE)))
+    });
     g.finish();
 }
 
 fn bench_fill_drain(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue/fill_drain_10k");
-    bench_both!(
-        g,
-        EventHeap::with_capacity(OPS),
-        CalendarQueue::with_capacity(OPS),
-        fill_drain
-    );
+    g.bench_function("heap", |b| {
+        b.iter(|| fill_drain(&mut EventHeap::with_capacity(OPS)))
+    });
     g.finish();
 }
 
 fn bench_tie_burst(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue/tie_burst_10k");
-    bench_both!(
-        g,
-        EventHeap::with_capacity(OPS),
-        CalendarQueue::with_capacity(OPS),
-        tie_burst
-    );
+    g.bench_function("heap", |b| {
+        b.iter(|| tie_burst(&mut EventHeap::with_capacity(OPS)))
+    });
     g.finish();
 }
 

@@ -571,8 +571,7 @@ pub fn write_lab_csv(name: &str, rows: &[LabRow]) -> Option<PathBuf> {
         ",strategy,n_pes,join_resp_ms,oltp_resp_ms,avg_cpu_util,avg_disk_util,\
          avg_mem_util,avg_net_util,p95_cpu_util,p95_mem_util,p95_disk_util,\
          p95_net_util,avg_join_degree,policy_switches,events,\
-         stale_reads_p95_ms,false_suspicions,suspected_node_rounds,\
-         windows_formed,windowed_events,barrier_events"
+         stale_reads_p95_ms,false_suspicions,suspected_node_rounds"
     );
     for r in rows {
         let _ = write!(out, "{}", csv_escape(name));
@@ -593,7 +592,7 @@ pub fn write_lab_csv(name: &str, rows: &[LabRow]) -> Option<PathBuf> {
         let _ = writeln!(
             out,
             ",{},{},{:.3},{oltp},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.3},{},{},\
-             {:.1},{},{},{},{},{}",
+             {:.1},{},{}",
             csv_escape(&r.strategy),
             s.n_pes,
             s.join_resp_ms(),
@@ -611,9 +610,6 @@ pub fn write_lab_csv(name: &str, rows: &[LabRow]) -> Option<PathBuf> {
             s.stale_reads_p95_ms,
             s.false_suspicions,
             s.suspected_node_rounds,
-            s.windows_formed,
-            s.windowed_events,
-            s.barrier_events,
         );
     }
     let dir = PathBuf::from("results");

@@ -294,16 +294,6 @@ impl BufferManager {
         self.reservations.iter().position(|(j, _)| *j == job)
     }
 
-    /// Whether any working space currently holds pages above its
-    /// registered minimum — i.e. whether a priority (OLTP) fix *could*
-    /// steal here if the free list ran dry. The windowed executor uses
-    /// this as a formation-time hazard check: excess can only appear via
-    /// reserve/grow calls from query jobs, which never run inside a
-    /// window, so a `false` answer stays valid for the whole window.
-    pub fn has_stealable_excess(&self) -> bool {
-        self.reservations.iter().any(|(_, r)| r.pages > r.min)
-    }
-
     fn steal_victim(&self) -> Option<JobMemKey> {
         self.reservations
             .iter()

@@ -57,52 +57,13 @@ pub mod object {
     }
 }
 
-/// A window of the PE array indexed by **global** PE id.
-///
-/// Handlers address PEs by their simulator-wide id. The sequential
-/// executor hands them the full array (`base == 0`); the lane-parallel
-/// executor hands each worker thread only its chunk, with `base` set to
-/// the chunk's first global id, so the same handler code runs unchanged.
-/// Indexing outside the window panics — by construction a lane-safe
-/// handler only touches its own PE.
-pub struct PeSlice<'a> {
-    base: usize,
-    pes: &'a mut [Pe],
-}
-
-impl<'a> PeSlice<'a> {
-    /// The whole PE array (sequential execution).
-    pub fn full(pes: &'a mut [Pe]) -> Self {
-        PeSlice { base: 0, pes }
-    }
-
-    /// A chunk starting at global PE id `base` (lane execution).
-    pub fn window(base: usize, pes: &'a mut [Pe]) -> Self {
-        PeSlice { base, pes }
-    }
-}
-
-impl std::ops::Index<usize> for PeSlice<'_> {
-    type Output = Pe;
-    #[inline]
-    fn index(&self, pe: usize) -> &Pe {
-        &self.pes[pe - self.base]
-    }
-}
-
-impl std::ops::IndexMut<usize> for PeSlice<'_> {
-    #[inline]
-    fn index_mut(&mut self, pe: usize) -> &mut Pe {
-        &mut self.pes[pe - self.base]
-    }
-}
-
 /// Mutable state handed to every handler invocation.
 pub struct Ctx<'a> {
     pub now: SimTime,
     pub cfg: &'a EngineConfig,
     pub catalog: &'a Catalog,
-    pub pes: PeSlice<'a>,
+    /// Every PE, indexed by global PE id.
+    pub pes: &'a mut [Pe],
     pub rng: &'a mut SimRng,
     /// Actions for the simulator to execute, in order.
     pub out: &'a mut Vec<Action>,

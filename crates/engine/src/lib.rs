@@ -40,6 +40,6 @@ pub use api::{
     Action, EngineConfig, InKind, Input, JobId, JoinPhase, Msg, MsgKind, PeId, Step, TaskId, Token,
     COORD_TASK,
 };
-pub use ctx::{Ctx, PeSlice};
+pub use ctx::Ctx;
 pub use job::Job;
 pub use pe::Pe;

@@ -45,7 +45,7 @@ impl Driver {
             now: SimTime::ZERO,
             cfg: &self.cfg,
             catalog: &self.catalog,
-            pes: engine::ctx::PeSlice::full(&mut self.pes),
+            pes: &mut self.pes,
             rng: &mut self.rng,
             out: &mut self.actions,
             temp_counter: &mut self.temp,

@@ -68,11 +68,6 @@ impl<T> Cpu<T> {
         self.server.queued()
     }
 
-    /// Tags of all queued requests (see [`FcfsServer::queued_tags`]).
-    pub fn queued_tags(&self) -> impl Iterator<Item = &T> {
-        self.server.queued_tags()
-    }
-
     pub fn in_service(&self) -> u32 {
         self.server.in_service()
     }

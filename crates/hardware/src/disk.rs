@@ -92,12 +92,6 @@ impl<T> DiskSubsystem<T> {
         self.units.len() as u32
     }
 
-    /// Tags of all queued requests across every disk of the subsystem
-    /// (see [`FcfsServer::queued_tags`]).
-    pub fn queued_tags(&self) -> impl Iterator<Item = &T> {
-        self.units.iter().flat_map(|u| u.server.queued_tags())
-    }
-
     pub fn params(&self) -> &DiskParams {
         &self.params
     }

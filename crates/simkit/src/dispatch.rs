@@ -16,54 +16,12 @@
 //! rest of their state freely while scheduling; the dispatcher only ever
 //! touches the queue between handler invocations.
 
-use crate::calendar::CalendarQueue;
 use crate::heap::EventHeap;
 use crate::time::{SimDur, SimTime};
-use serde::{Deserialize, Serialize};
-
-/// Which future-event-list implementation backs an [`EventQueue`].
-///
-/// Both implement the identical `(time, seq)` total order, so whole-run
-/// results are bit-identical regardless of the choice; only the cost
-/// profile differs (O(log n) heap ops vs. expected-O(1) calendar ops).
-/// `tests/perf_parity.rs` enforces the equivalence on the scenario corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QueueKind {
-    /// Binary heap ([`EventHeap`]): O(log n), branch-predictable, compact.
-    #[default]
-    BinaryHeap,
-    /// Bucketed timing wheel ([`CalendarQueue`]): expected O(1) push/pop
-    /// when the live event count tracks the wheel size.
-    Calendar,
-}
-
-/// The future event list behind an [`EventQueue`].
-enum Fel<E> {
-    Heap(EventHeap<E>),
-    Calendar(CalendarQueue<E>),
-}
-
-impl<E> Fel<E> {
-    #[inline]
-    fn push(&mut self, t: SimTime, ev: E) {
-        match self {
-            Fel::Heap(h) => h.push(t, ev),
-            Fel::Calendar(c) => c.push(t, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            Fel::Heap(h) => h.pop(),
-            Fel::Calendar(c) => c.pop(),
-        }
-    }
-}
 
 /// Future event list + clock for one simulation.
 pub struct EventQueue<E> {
-    fel: Fel<E>,
+    fel: EventHeap<E>,
     now: SimTime,
     processed: u64,
 }
@@ -76,32 +34,14 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default(), 0)
+        Self::with_capacity(0)
     }
 
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_kind(QueueKind::default(), cap)
-    }
-
-    /// Build a queue backed by the chosen implementation. `cap` is a
-    /// capacity hint (heap) or an initial wheel-size hint (calendar).
-    pub fn with_kind(kind: QueueKind, cap: usize) -> Self {
-        let fel = match kind {
-            QueueKind::BinaryHeap => Fel::Heap(EventHeap::with_capacity(cap)),
-            QueueKind::Calendar => Fel::Calendar(CalendarQueue::with_capacity(cap)),
-        };
         EventQueue {
-            fel,
+            fel: EventHeap::with_capacity(cap),
             now: SimTime::ZERO,
             processed: 0,
-        }
-    }
-
-    /// Which implementation backs this queue.
-    pub fn kind(&self) -> QueueKind {
-        match self.fel {
-            Fel::Heap(_) => QueueKind::BinaryHeap,
-            Fel::Calendar(_) => QueueKind::Calendar,
         }
     }
 
@@ -125,10 +65,7 @@ impl<E> EventQueue<E> {
 
     /// Time of the next pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.fel {
-            Fel::Heap(h) => h.peek_time(),
-            Fel::Calendar(c) => c.peek_time(),
-        }
+        self.fel.peek_time()
     }
 
     /// Pop the next event, advancing the clock and the processed counter.
@@ -150,83 +87,12 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    // ----- windowed-executor API (see `crate::lanes`) ------------------
-    //
-    // The windowed executor pops a prefix of the event stream up front
-    // (window formation), executes it on per-lane state, then re-traverses
-    // it in global order (merge commit). These hooks expose the `(time,
-    // seq)` key material and bypass the single-pop clock bookkeeping so
-    // the commit pass can reproduce *exactly* the pushes and clock motion
-    // a sequential run would have performed.
-
-    /// Next pending event without popping it.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        match &self.fel {
-            Fel::Heap(h) => h.peek(),
-            Fel::Calendar(c) => c.peek(),
-        }
-    }
-
-    /// `(time, seq)` key of the next pending event without popping it.
-    /// The commit pass merges the FEL head against lane-log replays and
-    /// residual events by this key.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        match &self.fel {
-            Fel::Heap(h) => h.peek_key(),
-            Fel::Calendar(c) => c.peek_key(),
-        }
-    }
-
-    /// Pop the next event with its sequence number, advancing neither the
-    /// clock, the processed counter, nor the FEL causality watermark.
-    pub fn window_pop(&mut self) -> Option<(SimTime, u64, E)> {
-        match &mut self.fel {
-            Fel::Heap(h) => h.pop_raw(),
-            Fel::Calendar(c) => c.pop_raw(),
-        }
-    }
-
-    /// Reserve the next sequence number (commit-pass push replay).
-    pub fn alloc_seq(&mut self) -> u64 {
-        match &mut self.fel {
-            Fel::Heap(h) => h.alloc_seq(),
-            Fel::Calendar(c) => c.alloc_seq(),
-        }
-    }
-
-    /// Schedule `ev` under a sequence number from [`EventQueue::alloc_seq`].
-    pub fn push_with_seq(&mut self, t: SimTime, seq: u64, ev: E) {
-        match &mut self.fel {
-            Fel::Heap(h) => h.push_with_seq(t, seq, ev),
-            Fel::Calendar(c) => c.push_with_seq(t, seq, ev),
-        }
-    }
-
-    /// Count one event as dispatched (window items are counted as the
-    /// commit pass traverses them, or at formation for pre-executed ones).
-    #[inline]
-    pub fn note_processed(&mut self) {
-        self.processed += 1;
-    }
-
-    /// Set the clock without the monotonicity check. Windowed executor
-    /// only: the commit pass re-traverses an already-executed window, and
-    /// deferred per-item effects replay with the clock pinned to each
-    /// item's timestamp, which may rewind within the window.
-    #[inline]
-    pub fn window_set_now(&mut self, t: SimTime) {
-        self.now = t;
-    }
-
     pub fn len(&self) -> usize {
-        match &self.fel {
-            Fel::Heap(h) => h.len(),
-            Fel::Calendar(c) => c.len(),
-        }
+        self.fel.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.fel.is_empty()
     }
 }
 
@@ -334,23 +200,6 @@ mod tests {
         let n2 = Dispatcher::run_until(&mut sim, SimTime(60));
         assert_eq!(n2, 1);
         assert_eq!(sim.handled.last(), Some(&(50, 9)));
-    }
-
-    #[test]
-    fn calendar_backed_queue_replays_identically() {
-        let run = |kind: QueueKind| {
-            let mut sim = Ticker {
-                queue: EventQueue::with_kind(kind, 8),
-                handled: Vec::new(),
-                drains: 0,
-            };
-            sim.queue.at(SimTime(5), 0);
-            sim.queue.at(SimTime(5), 7);
-            sim.queue.at(SimTime(90), 9);
-            let n = Dispatcher::run_until(&mut sim, SimTime(100));
-            (n, sim.handled, sim.queue.processed())
-        };
-        assert_eq!(run(QueueKind::BinaryHeap), run(QueueKind::Calendar));
     }
 
     #[test]

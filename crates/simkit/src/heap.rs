@@ -100,49 +100,6 @@ impl<T> EventHeap<T> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Time and payload of the next event without popping it.
-    pub fn peek(&self) -> Option<(SimTime, &T)> {
-        self.heap.peek().map(|e| (e.time, &e.payload))
-    }
-
-    /// `(time, seq)` key of the next event without popping it.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
-    }
-
-    /// Pop the earliest event **without** advancing the causality
-    /// watermark, exposing its sequence number. Used by the windowed
-    /// executor, which re-traverses the popped prefix and must still be
-    /// able to push follow-ups timestamped inside it.
-    pub fn pop_raw(&mut self) -> Option<(SimTime, u64, T)> {
-        let e = self.heap.pop()?;
-        Some((e.time, e.seq, e.payload))
-    }
-
-    /// Reserve the next sequence number (the windowed executor replays
-    /// the sequential push order, so every push — even one whose event
-    /// was already consumed inside the window — must consume a number).
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Schedule `payload` under a sequence number obtained from
-    /// [`EventHeap::alloc_seq`] (windowed executor only: the caller is
-    /// reproducing the exact `(time, seq)` order a sequential run would
-    /// have assigned).
-    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, payload: T) {
-        debug_assert!(seq < self.next_seq, "seq must come from alloc_seq");
-        assert!(
-            time >= self.last_popped,
-            "event scheduled in the past: {} < {}",
-            time,
-            self.last_popped
-        );
-        self.heap.push(Entry { time, seq, payload });
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }

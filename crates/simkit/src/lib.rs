@@ -5,8 +5,8 @@
 //! Parallel Database Systems", VLDB 1995*:
 //!
 //! * [`SimTime`] / [`SimDur`] — nanosecond-resolution simulated clock,
-//! * [`EventHeap`] / [`CalendarQueue`] — future event lists with identical
-//!   deterministic tie-breaking, selectable per run via [`QueueKind`],
+//! * [`EventHeap`] — the future event list, with deterministic FIFO
+//!   tie-breaking, behind the [`Dispatcher`]'s [`EventQueue`],
 //! * [`FcfsServer`] — queueing resources (CPUs, disks, NICs) with busy-time
 //!   accounting and optional two-level priorities,
 //! * [`SimRng`] — a seedable random source with the variates the workload
@@ -19,11 +19,9 @@
 //! built on top is single-threaded, and two runs with equal seeds produce
 //! bit-identical results.
 
-pub mod calendar;
 pub mod dispatch;
 pub mod fxhash;
 pub mod heap;
-pub mod lanes;
 pub mod lru;
 pub mod rng;
 pub mod server;
@@ -31,11 +29,9 @@ pub mod slab;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
-pub use dispatch::{Dispatcher, EventQueue, QueueKind, Simulation};
+pub use dispatch::{Dispatcher, EventQueue, Simulation};
 pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use heap::EventHeap;
-pub use lanes::{merge_commit, ItemKey, LaneLog, MergeCursor, MergeStep};
 pub use lru::LruMap;
 pub use rng::SimRng;
 pub use server::{FcfsServer, Priority};

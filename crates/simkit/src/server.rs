@@ -146,17 +146,6 @@ impl<T> FcfsServer<T> {
         self.queue_high.len() + self.queue_normal.len()
     }
 
-    /// Tags of all queued (not yet granted) requests, high class first.
-    /// Read-only inspection for callers that must know what a future
-    /// `complete` could hand out — e.g. the windowed executor's formation
-    /// pass, which may not let a lane grant cross-lane work.
-    pub fn queued_tags(&self) -> impl Iterator<Item = &T> {
-        self.queue_high
-            .iter()
-            .chain(self.queue_normal.iter())
-            .map(|p| &p.tag)
-    }
-
     /// Total requests granted service so far.
     pub fn served(&self) -> u64 {
         self.served

@@ -136,15 +136,6 @@ impl<T> Slab<T> {
         self.get(key).is_some()
     }
 
-    /// A shareable view for lane-parallel access (see [`ParSlabView`]).
-    pub fn par_view(&mut self) -> ParSlabView<'_, T> {
-        ParSlabView {
-            slots: self.slots.as_mut_ptr(),
-            len: self.slots.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
     /// Iterate live entries.
     pub fn iter(&self) -> impl Iterator<Item = (SlabKey, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| match s {
@@ -160,82 +151,10 @@ impl<T> Slab<T> {
     }
 }
 
-/// A raw view over a [`Slab`] that several lane threads can share, each
-/// touching a **disjoint** set of keys.
-///
-/// The windowed executor partitions work by lane (one lane per PE) and
-/// every job is pinned to exactly one lane, so no two threads ever resolve
-/// the same key concurrently. That partitioning is the caller's invariant;
-/// the view only re-checks the generation tag, exactly like
-/// [`Slab::get_mut`].
-///
-/// Borrowing from `&mut Slab` keeps the slab itself untouchable (no
-/// insert/remove/reallocation) for the view's lifetime.
-pub struct ParSlabView<'a, T> {
-    slots: *mut Slot<T>,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut Slab<T>>,
-}
-
-// SAFETY: the view hands out `&mut T` for *disjoint* keys only (caller
-// invariant above); the backing storage cannot move or be freed while the
-// exclusive borrow on the slab is held.
-unsafe impl<T: Send> Send for ParSlabView<'_, T> {}
-unsafe impl<T: Send> Sync for ParSlabView<'_, T> {}
-
-impl<T> ParSlabView<'_, T> {
-    /// Resolve `key` to its live value, or `None` if stale.
-    ///
-    /// # Safety
-    /// No other thread may hold a reference obtained from this view for
-    /// the same slot index while the returned borrow is live.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, key: SlabKey) -> Option<&mut T> {
-        if key.index as usize >= self.len {
-            return None;
-        }
-        // SAFETY: index bounds-checked above; disjointness per the caller
-        // invariant makes the `&mut` exclusive.
-        let slot = unsafe { &mut *self.slots.add(key.index as usize) };
-        match slot {
-            Slot::Full { value, gen } if *gen == key.gen => Some(value),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn par_view_resolves_disjoint_keys_across_threads() {
-        let mut s = Slab::new();
-        let keys: Vec<SlabKey> = (0..64).map(|i| s.insert(i as u64)).collect();
-        let stale = keys[10];
-        s.remove(stale);
-        let keys: Vec<SlabKey> = keys.into_iter().filter(|k| *k != stale).collect();
-        let view = s.par_view();
-        std::thread::scope(|scope| {
-            for chunk in keys.chunks(16) {
-                let view = &view;
-                scope.spawn(move || {
-                    for k in chunk {
-                        // SAFETY: each thread owns a disjoint chunk of keys.
-                        let v = unsafe { view.get_mut(*k) }.expect("live key");
-                        *v += 1000;
-                    }
-                    // SAFETY: a stale key resolves to None, never a slot
-                    // another thread is using.
-                    assert!(unsafe { view.get_mut(stale) }.is_none());
-                });
-            }
-        });
-        for k in keys {
-            assert!(*s.get(k).unwrap() >= 1000);
-        }
-    }
 
     #[test]
     fn insert_get_remove() {

@@ -11,7 +11,7 @@ use lb_core::{
     ReadMode, RebalanceConfig, ResourceBroker, Strategy,
 };
 use serde::{Deserialize, Serialize};
-use simkit::{QueueKind, SimDur};
+use simkit::SimDur;
 use workload::WorkloadSpec;
 
 /// The data-placement layer's configuration: how the join relations are
@@ -95,29 +95,10 @@ pub struct SimConfig {
     /// kept for benchmarks and parity tests.
     #[serde(default)]
     pub broker_reads: ReadMode,
-    /// Which future-event-list implementation backs the run. Both obey
-    /// the same `(time, seq)` total order, so results are bit-identical.
-    #[serde(default)]
-    pub event_queue: QueueKind,
-    /// Worker threads for the per-PE sampling phase of each control tick
-    /// (0 or 1 = serial). The parallel phase only computes per-PE resource
-    /// vectors; reports merge serially in PE order, so results are
-    /// identical at any thread count.
-    #[serde(default)]
-    pub tick_threads: u32,
-    /// Worker threads for the lane-parallel event executor (0 = the
-    /// plain sequential dispatch loop, byte-identical lowering; 1 =
-    /// windowed executor on the calling thread; >1 = windows of
-    /// lane-local events run on scoped worker threads). Windows form on
-    /// pure-OLTP stretches *and* inside query operator phases: per-PE
-    /// operator completions between shuffle points ride the lanes,
-    /// while cross-PE events and spanning-job bookkeeping interleave
-    /// serially at commit. Every setting produces a bit-identical
-    /// [`crate::Summary`] on every workload — the commit replays the
-    /// sequential `(time, seq)` order exactly — so this is a pure
-    /// throughput knob; only the window-shape counters
-    /// (`windows_formed`, `windowed_events`, `barrier_events`) reveal
-    /// which executor ran.
+    /// Inert: nothing in the simulator reads it, and every run is one
+    /// sequential event loop. Kept only because the external `perfbench`
+    /// harness reads the field (it refuses configs with a non-zero
+    /// value); it goes when that harness is next revised.
     #[serde(default)]
     pub exec_threads: u32,
     /// Control-plane implementation and fault model (staleness, heartbeat
@@ -168,8 +149,6 @@ impl SimConfig {
             seed: 0xC0FFEE,
             control_pe: 0,
             broker_reads: ReadMode::default(),
-            event_queue: QueueKind::default(),
-            tick_threads: 0,
             exec_threads: 0,
             broker: BrokerConfig::default(),
             trace: obs::TraceConfig::default(),
@@ -297,24 +276,6 @@ impl SimConfig {
     /// Select the control node's ranking-read implementation.
     pub fn with_broker_reads(mut self, mode: ReadMode) -> SimConfig {
         self.broker_reads = mode;
-        self
-    }
-
-    /// Select the future-event-list implementation.
-    pub fn with_event_queue(mut self, kind: QueueKind) -> SimConfig {
-        self.event_queue = kind;
-        self
-    }
-
-    /// Set the control-tick sampling thread count (0 or 1 = serial).
-    pub fn with_tick_threads(mut self, threads: u32) -> SimConfig {
-        self.tick_threads = threads;
-        self
-    }
-
-    /// Set the lane-parallel executor thread count (0 = sequential loop).
-    pub fn with_exec_threads(mut self, threads: u32) -> SimConfig {
-        self.exec_threads = threads;
         self
     }
 

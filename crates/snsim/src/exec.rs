@@ -106,7 +106,7 @@ impl System {
                     now: self.events.now(),
                     cfg: &self.cfg.engine,
                     catalog: &self.catalog,
-                    pes: engine::ctx::PeSlice::full(&mut self.pes),
+                    pes: &mut self.pes,
                     rng: &mut self.rng_coord,
                     out: &mut self.actions,
                     temp_counter: &mut self.temp_counter,

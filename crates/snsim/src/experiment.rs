@@ -170,4 +170,31 @@ mod tests {
         assert!(t.lines().count() >= 4);
         assert!(t.contains("4.5"));
     }
+
+    /// Query spawns are timed: a small join run reports calls on the
+    /// `sub:query_planning` row, and profiling leaves the summary as is.
+    #[test]
+    fn profiled_join_run_times_query_planning() {
+        let cfg = SimConfig::paper_default(
+            8,
+            workload::WorkloadSpec::homogeneous_join(0.01, 0.2),
+            lb_core::Strategy::OptIoCpu,
+        )
+        .with_sim_time(
+            simkit::SimDur::from_secs(2),
+            simkit::SimDur::from_millis(500),
+        );
+        let (summary, report) = run_one_profiled(cfg.clone());
+        let calls = |phase: &str| {
+            report
+                .rows
+                .iter()
+                .find(|r| r.phase == phase)
+                .map(|r| r.calls)
+        };
+        assert!(calls("sub:query_planning").is_some_and(|n| n > 0));
+        assert_eq!(calls("sub:rebalance_planning"), Some(0), "no rebalancer");
+        let json = |s: &Summary| serde_json::to_string(s).expect("serialize");
+        assert_eq!(json(&summary), json(&run_one(cfg)));
+    }
 }

@@ -168,16 +168,6 @@ pub struct Metrics {
     /// Per-resource utilization histograms (index = `ResourceKind::index`),
     /// fed one sample per node per post-warmup report round.
     pub util_hists: Vec<UtilHist>,
-    /// Windows committed by the lane-parallel executor (≥ 1 lane item
-    /// each); 0 under sequential execution (`exec_threads == 0`).
-    pub windows_formed: u64,
-    /// Events executed inside window lanes (including follow-ups consumed
-    /// in-window).
-    pub windowed_events: u64,
-    /// Events handled by the ordinary sequential path while the windowed
-    /// executor was active: barriers between windows plus residual
-    /// cross-PE events interleaved into commits.
-    pub barrier_events: u64,
 }
 
 impl Metrics {
@@ -203,9 +193,6 @@ impl Metrics {
             util_hists: (0..ResourceKind::COUNT)
                 .map(|_| UtilHist::default())
                 .collect(),
-            windows_formed: 0,
-            windowed_events: 0,
-            barrier_events: 0,
         }
     }
 
@@ -348,15 +335,6 @@ pub struct Summary {
     /// Sum over report rounds of nodes under suspicion: the integral of
     /// placement capacity the control plane withheld.
     pub suspected_node_rounds: u64,
-    /// Windows committed by the lane-parallel executor; 0 when
-    /// `exec_threads == 0`. Not a model output: parity comparisons across
-    /// `exec_threads` settings must zero the three window counters first.
-    pub windows_formed: u64,
-    /// Events executed inside window lanes.
-    pub windowed_events: u64,
-    /// Events the windowed executor handled sequentially (barriers and
-    /// residual cross-PE events).
-    pub barrier_events: u64,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -520,9 +498,6 @@ mod tests {
             stale_reads_p95_ms: 0.0,
             false_suspicions: 0,
             suspected_node_rounds: 0,
-            windows_formed: 0,
-            windowed_events: 0,
-            barrier_events: 0,
         }
     }
 

@@ -14,8 +14,8 @@
 //!   follows every event. Their sum approximates the whole event loop.
 //! * **`sub:` phases** — overlapping breakdowns *inside* the dispatch
 //!   phases (broker sampling and merge inside the control tick, the
-//!   admission pump inside arrivals and completions, rebalance planning
-//!   and migration launches). They must not be added to the dispatch
+//!   admission pump inside arrivals and completions, query planning at
+//!   each query spawn, rebalance planning and migration launches). They must not be added to the dispatch
 //!   rows.
 
 use std::time::Duration;
@@ -47,7 +47,9 @@ pub enum Phase {
     /// sub: admission-scheduler pump (arrivals, completions, ticks).
     SubAdmissionPump,
     /// sub: rebalance planning (fragment snapshot + controller round).
-    SubPlanning,
+    SubRebalancePlanning,
+    /// sub: query planning (planner job fabrication at each query spawn).
+    SubQueryPlanning,
     /// sub: migration-job launches out of accepted plans.
     SubMigration,
     /// sub: job state-machine handlers inside the engine drain.
@@ -55,20 +57,10 @@ pub enum Phase {
     /// sub: hardware action execution (CPU/disk/log/net requests) inside
     /// the engine drain.
     SubExecActions,
-    /// Windowed executor: serial window formation (classification, raw
-    /// pops, arrival pre-execution).
-    WindowForm,
-    /// Windowed executor: lane execution (parallel when `exec_threads > 1`).
-    WindowLanes,
-    /// Windowed executor: serial merge commit + deferred effects.
-    WindowCommit,
-    /// Windowed executor: serial handling of residual (cross-PE) events
-    /// interleaved into the merge commit at their `(time, seq)` position.
-    WindowSerial,
 }
 
 impl Phase {
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 16;
 
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::Arrival,
@@ -82,14 +74,11 @@ impl Phase {
         Phase::SubBrokerSample,
         Phase::SubBrokerMerge,
         Phase::SubAdmissionPump,
-        Phase::SubPlanning,
+        Phase::SubRebalancePlanning,
+        Phase::SubQueryPlanning,
         Phase::SubMigration,
         Phase::SubEngineHandle,
         Phase::SubExecActions,
-        Phase::WindowForm,
-        Phase::WindowLanes,
-        Phase::WindowCommit,
-        Phase::WindowSerial,
     ];
 
     pub fn name(self) -> &'static str {
@@ -105,14 +94,11 @@ impl Phase {
             Phase::SubBrokerSample => "sub:broker_sampling",
             Phase::SubBrokerMerge => "sub:broker_merge",
             Phase::SubAdmissionPump => "sub:admission_pump",
-            Phase::SubPlanning => "sub:planning",
+            Phase::SubRebalancePlanning => "sub:rebalance_planning",
+            Phase::SubQueryPlanning => "sub:query_planning",
             Phase::SubMigration => "sub:migration",
             Phase::SubEngineHandle => "sub:engine_handle",
             Phase::SubExecActions => "sub:exec_actions",
-            Phase::WindowForm => "window:form",
-            Phase::WindowLanes => "window:lanes",
-            Phase::WindowCommit => "window:commit",
-            Phase::WindowSerial => "window:serial",
         }
     }
 

@@ -29,9 +29,6 @@ pub fn build_config(knobs: &Knobs) -> SimConfig {
         )
         .with_node_speed(knobs.node_speed.resolve(knobs.n_pes))
         .with_broker_reads(knobs.broker_reads)
-        .with_event_queue(knobs.event_queue)
-        .with_tick_threads(knobs.tick_threads)
-        .with_exec_threads(knobs.exec_threads)
         .with_broker(knobs.broker)
         .with_trace(knobs.trace);
     if let Some(policies) = knobs.policies {

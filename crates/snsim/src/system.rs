@@ -39,11 +39,6 @@ use std::collections::VecDeque;
 use workload::queries::CoordinatorPlacement;
 use workload::ArrivalSpec;
 
-/// Windowed lane-parallel executor (`exec_threads` knob). A child module
-/// so it can reach `System`'s private state without widening visibility.
-#[path = "lanes.rs"]
-mod lanes;
-
 /// Reference to a workload class (queries first, then OLTP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassRef {
@@ -158,22 +153,16 @@ pub struct System {
     pub(crate) disk_windows: Vec<UtilizationWindow>,
     pub(crate) net_windows: Vec<UtilizationWindow>,
     /// Per-PE resource vectors staged by the sampling phase of each
-    /// control tick (serial or parallel), then merged into the broker in
-    /// PE order. Pre-sized to `n_pes`: the tick allocates nothing.
+    /// control tick, then merged into the broker in PE order; staging
+    /// lets the profiler time hardware sampling and the broker's report
+    /// merge as separate rows. Pre-sized to `n_pes`: the tick allocates
+    /// nothing.
     tick_scratch: Vec<ResourceVector>,
     /// Jobs currently parked in MPL input queues, summed over all PEs.
     /// Maintained at the two queue transitions (`try_admit` miss, `finish`
     /// hand-off) so the per-arrival backlog watermark does not rescan
     /// every PE — at 1000 PEs that scan dominated the arrival path.
     queued_inputs: usize,
-    /// Whether any query class is closed-loop (single-user). Completing
-    /// such a query relaunches it immediately — placement RNG plus fresh
-    /// hardware requests on an arbitrary PE — so a `JobDone` replayed at
-    /// commit could touch a lane mid-window. The windowed executor stays
-    /// off for those workloads (they are tiny single-stream runs anyway).
-    has_single_user: bool,
-    /// Scratch state for the windowed executor (`exec_threads > 0`).
-    win: lanes::WindowState,
 
     pub(crate) rng_arrivals: Vec<SimRng>,
     pub(crate) rng_place: SimRng,
@@ -269,17 +258,12 @@ impl System {
             d
         };
 
-        let has_single_user = cfg
-            .workload
-            .queries
-            .iter()
-            .any(|q| q.arrival.is_single_user());
         let obs = cfg
             .trace
             .enabled
             .then(|| Box::new(obs::Recorder::new(cfg.trace, n)));
         let mut sys = System {
-            events: EventQueue::with_kind(cfg.event_queue, 1 << 16),
+            events: EventQueue::with_capacity(1 << 16),
             pes: (0..n)
                 .map(|i| {
                     Pe::new(
@@ -313,8 +297,6 @@ impl System {
             net_windows: vec![UtilizationWindow::default(); n],
             tick_scratch: vec![ResourceVector::default(); n],
             queued_inputs: 0,
-            has_single_user,
-            win: lanes::WindowState::new(n, cfg.exec_threads),
             rng_arrivals,
             rng_place: root.fork(1),
             rng_coord: root.fork(2),
@@ -403,12 +385,14 @@ impl System {
                 };
                 let seed_base = self.cfg.seed;
                 let mut counter = self.rng_seed_counter;
+                let t0 = self.prof_t0();
                 let job = self
                     .planner
                     .make_query_job(i, class_idx, coord, now, &mut || {
                         counter += 1;
                         seed_base ^ counter.wrapping_mul(0x2545_F491_4F6C_DD1D)
                     });
+                self.prof_add(t0, Phase::SubQueryPlanning);
                 self.rng_seed_counter = counter;
                 job
             }
@@ -590,11 +574,7 @@ impl System {
     /// Run until the configured horizon; returns the summary.
     pub fn run(&mut self) -> Summary {
         let end = SimTime::ZERO + self.cfg.sim_time;
-        if self.cfg.exec_threads > 0 {
-            self.run_windowed(end);
-        } else {
-            Dispatcher::run_until(self, end);
-        }
+        Dispatcher::run_until(self, end);
         self.finalize()
     }
 
@@ -894,17 +874,10 @@ impl System {
         let now = self.events.now();
         let measuring = now >= self.warmup_time;
         // Phase 1 — sample every PE into `tick_scratch` (and roll its
-        // buffer epoch). Each PE touches only its own windows and buffer,
-        // so the phase can fan out across threads without changing any
-        // result. Phase 2 — merge serially in PE order: the broker's
-        // report stream (and thus every downstream ranking) is identical
-        // at any thread count.
-        let threads = (self.cfg.tick_threads as usize).min(self.cfg.n_pes as usize);
+        // buffer epoch). Phase 2 — merge into the broker in PE order.
         let t_sample = self.prof_t0();
-        if threads > 1 {
-            self.sample_all_parallel(now, threads);
-        } else {
-            self.sample_all_serial(now);
+        for pe in 0..self.cfg.n_pes as usize {
+            self.tick_scratch[pe] = self.sample_pe(now, pe);
         }
         self.prof_add(t_sample, Phase::SubBrokerSample);
         let t_merge = self.prof_t0();
@@ -971,7 +944,7 @@ impl System {
             for plan in plans {
                 self.start_migration(plan);
             }
-            self.prof_add(t_plan, Phase::SubPlanning);
+            self.prof_add(t_plan, Phase::SubRebalancePlanning);
         }
         // Tracing: close the round with one cluster sample (the series is
         // clocked by these report rounds, not wall time).
@@ -1030,95 +1003,20 @@ impl System {
     }
 
     /// Sample one PE's windowed per-resource state into a vector, rolling
-    /// its buffer epoch. Shared reads (`cpus`/`disks`/`net`) come in by
-    /// reference so the parallel path can call this from worker threads;
-    /// the mutable pieces (`windows`, `pe`) are that PE's own.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_pe(
-        now: SimTime,
-        pe_idx: usize,
-        cpus: &[Cpu<Token>],
-        disks: &[DiskSubsystem<Option<Token>>],
-        net: &Network<Box<Msg>>,
-        cpu_w: &mut UtilizationWindow,
-        disk_w: &mut UtilizationWindow,
-        net_w: &mut UtilizationWindow,
-        pe: &mut Pe,
-    ) -> ResourceVector {
-        let integral = cpus[pe_idx].busy_integral(now);
-        let units = cpus[pe_idx].units();
-        let disk_integral = disks[pe_idx].busy_integral(now);
-        let disk_units = disks[pe_idx].disks();
-        let net_integral = net.link_busy_integral(now, pe_idx);
+    /// its buffer epoch.
+    fn sample_pe(&mut self, now: SimTime, pe: usize) -> ResourceVector {
+        let cpu = &self.cpus[pe];
+        let disks = &self.disks[pe];
+        let buffer = &mut self.pes[pe].buffer;
         let v = ResourceVector {
-            cpu: cpu_w.sample(now, integral, units),
-            mem: pe.buffer.utilization(),
-            disk: disk_w.sample(now, disk_integral, disk_units),
-            net: net_w.sample(now, net_integral, 1),
-            free_pages: pe.buffer.free_pages_reported(),
+            cpu: self.cpu_windows[pe].sample(now, cpu.busy_integral(now), cpu.units()),
+            mem: buffer.utilization(),
+            disk: self.disk_windows[pe].sample(now, disks.busy_integral(now), disks.disks()),
+            net: self.net_windows[pe].sample(now, self.net.link_busy_integral(now, pe), 1),
+            free_pages: buffer.free_pages_reported(),
         };
-        pe.buffer.roll_epoch();
+        buffer.roll_epoch();
         v
-    }
-
-    fn sample_all_serial(&mut self, now: SimTime) {
-        for pe in 0..self.cfg.n_pes as usize {
-            self.tick_scratch[pe] = Self::sample_pe(
-                now,
-                pe,
-                &self.cpus,
-                &self.disks,
-                &self.net,
-                &mut self.cpu_windows[pe],
-                &mut self.disk_windows[pe],
-                &mut self.net_windows[pe],
-                &mut self.pes[pe],
-            );
-        }
-    }
-
-    /// Fan the sampling phase out over `threads` scoped workers, each
-    /// owning a disjoint contiguous chunk of PEs (disjoint `&mut` slices
-    /// of the windows, buffers and scratch; shared `&` reads of the
-    /// servers). Purely a wall-clock optimization: the merge in
-    /// [`Self::control_tick`] stays serial and in PE order.
-    fn sample_all_parallel(&mut self, now: SimTime, threads: usize) {
-        let n = self.cfg.n_pes as usize;
-        let chunk = n.div_ceil(threads);
-        let cpus = &self.cpus;
-        let disks = &self.disks;
-        let net = &self.net;
-        let out_chunks = self.tick_scratch[..n].chunks_mut(chunk);
-        let cpu_chunks = self.cpu_windows.chunks_mut(chunk);
-        let disk_chunks = self.disk_windows.chunks_mut(chunk);
-        let net_chunks = self.net_windows.chunks_mut(chunk);
-        let pe_chunks = self.pes.chunks_mut(chunk);
-        std::thread::scope(|s| {
-            for (i, ((((out, cw), dw), nw), pes)) in out_chunks
-                .zip(cpu_chunks)
-                .zip(disk_chunks)
-                .zip(net_chunks)
-                .zip(pe_chunks)
-                .enumerate()
-            {
-                let base = i * chunk;
-                s.spawn(move || {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        *slot = Self::sample_pe(
-                            now,
-                            base + j,
-                            cpus,
-                            disks,
-                            net,
-                            &mut cw[j],
-                            &mut dw[j],
-                            &mut nw[j],
-                            &mut pes[j],
-                        );
-                    }
-                });
-            }
-        });
     }
 
     /// Launch one fragment migration as an engine job (real disk/network
@@ -1317,9 +1215,6 @@ impl System {
             stale_reads_p95_ms: fault_stats.stale_reads_p95_ms,
             false_suspicions: fault_stats.false_suspicions,
             suspected_node_rounds: fault_stats.suspected_node_rounds,
-            windows_formed: self.metrics.windows_formed,
-            windowed_events: self.metrics.windowed_events,
-            barrier_events: self.metrics.barrier_events,
         }
     }
 

@@ -43,7 +43,6 @@ use lb_core::{BrokerConfig, PolicyConfig, ReadMode, Strategy};
 use obs::TraceConfig;
 use sched::AdmissionConfig;
 use serde::{Deserialize, Serialize};
-use simkit::QueueKind;
 
 /// A placement strategy in a scenario file.
 ///
@@ -217,16 +216,6 @@ pub struct Knobs {
     /// How the broker serves ranking reads (`SortPerCall` = legacy
     /// baseline for benchmarks; results are identical either way).
     pub broker_reads: ReadMode,
-    /// Future-event-list implementation (heap vs. calendar wheel; results
-    /// are bit-identical either way).
-    pub event_queue: QueueKind,
-    /// Threads for the control tick's sampling phase (0/1 = serial;
-    /// results are identical at any count).
-    pub tick_threads: u32,
-    /// Threads for the windowed lane-parallel executor (0 = the plain
-    /// sequential dispatcher; ≥ 1 enables windowing, > 1 adds worker
-    /// threads). Results are bit-identical at any count.
-    pub exec_threads: u32,
     /// Control-plane implementation and fault model (report staleness,
     /// heartbeat loss, failure detection, rack aggregation). Absent in a
     /// spec = the clean central broker, byte-identical to pre-fault runs.
@@ -267,9 +256,6 @@ impl Default for Knobs {
             node_speed: NodeSpeed::Uniform,
             policies: None,
             broker_reads: ReadMode::default(),
-            event_queue: QueueKind::default(),
-            tick_threads: 0,
-            exec_threads: 0,
             broker: BrokerConfig::default(),
             trace: TraceConfig::default(),
             sim_secs: 40.0,
@@ -356,12 +342,6 @@ pub struct Patch {
     pub node_speed: Option<NodeSpeed>,
     /// Override [`Knobs::broker_reads`].
     pub broker_reads: Option<ReadMode>,
-    /// Override [`Knobs::event_queue`].
-    pub event_queue: Option<QueueKind>,
-    /// Override [`Knobs::tick_threads`].
-    pub tick_threads: Option<u32>,
-    /// Override [`Knobs::exec_threads`].
-    pub exec_threads: Option<u32>,
     /// Override [`Knobs::broker`].
     pub broker: Option<BrokerConfig>,
     /// Override [`Knobs::trace`].
@@ -405,9 +385,6 @@ impl Patch {
             admission,
             node_speed,
             broker_reads,
-            event_queue,
-            tick_threads,
-            exec_threads,
             broker,
             trace,
             sim_secs,
@@ -485,15 +462,6 @@ impl Patch {
         if let Some(v) = &self.broker_reads {
             parts.push(format!("reads={v:?}"));
         }
-        if let Some(v) = &self.event_queue {
-            parts.push(format!("queue={v:?}"));
-        }
-        if let Some(v) = self.tick_threads {
-            parts.push(format!("tick_threads={v}"));
-        }
-        if let Some(v) = self.exec_threads {
-            parts.push(format!("exec_threads={v}"));
-        }
         if let Some(v) = &self.broker {
             parts.push(format!("broker={}", v.label()));
         }
@@ -568,10 +536,6 @@ pub struct Sweep {
     pub mpl: Vec<u32>,
     /// Node-speed profiles.
     pub node_speed: Vec<NodeSpeed>,
-    /// Windowed-executor thread counts (0 = sequential dispatcher).
-    /// Sweeping this axis is a determinism check: every value must
-    /// produce the same results.
-    pub exec_threads: Vec<u32>,
     /// Control-plane configurations (broker kind + fault model) to
     /// compare.
     pub broker: Vec<BrokerConfig>,
@@ -649,7 +613,6 @@ impl ScenarioSpec {
             s.net_speed.len(),
             s.mpl.len(),
             s.node_speed.len(),
-            s.exec_threads.len(),
             s.broker.len(),
             s.trace.len(),
             s.seed.len(),
@@ -764,13 +727,6 @@ impl ScenarioSpec {
             &s.node_speed,
             NodeSpeed::label,
             |k, v| k.node_speed = v.clone(),
-        );
-        runs = expand(
-            runs,
-            "exec_threads",
-            &s.exec_threads,
-            u32::to_string,
-            |k, v| k.exec_threads = *v,
         );
         runs = expand(runs, "broker", &s.broker, BrokerConfig::label, |k, v| {
             k.broker = *v

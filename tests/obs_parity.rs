@@ -5,8 +5,8 @@
 //! computed, never draws from a sim RNG stream, and never feeds anything
 //! back into the model. Checked on the serialized summary (every counter
 //! and every float bit pattern), across the Fig. 6 strategy set, the
-//! windowed executor, the faulted broker with its failure detector, and
-//! the 1000-PE soak smoke. The allocation-level half of the inertness
+//! admission and rebalancing families, the faulted broker with its
+//! failure detector, and the 1000-PE soak smoke. The allocation-level half of the inertness
 //! claim (disabled layer = zero extra allocations) lives in
 //! `tests/obs_noalloc.rs`, which needs its own binary for the counting
 //! global allocator.
@@ -67,16 +67,6 @@ proptest! {
             assert_trace_parity(join_cfg(strat, n, rate, seed), strat.name());
         }
     }
-}
-
-/// The windowed executor and the trace layer must compose: lifecycle
-/// hooks fire from lane workers' merge commits in the same order as the
-/// serial path, and the summary stays byte-equal either way.
-#[test]
-fn windowed_executor_trace_parity() {
-    let base = join_cfg(Strategy::OptIoCpu, 12, 0.15, 7);
-    assert_trace_parity(base.clone().with_exec_threads(2), "exec_threads=2");
-    assert_trace_parity(base.with_exec_threads(8), "exec_threads=8");
 }
 
 /// Admission family: the malleable policy produces shrunk/rejected
