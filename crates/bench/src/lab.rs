@@ -77,12 +77,36 @@ impl LabRow {
 }
 
 /// Parse a scenario spec from JSON text, defaulting an empty `name` to
-/// `fallback_name` (the file stem).
+/// `fallback_name` (the file stem). Unknown keys are errors, and so is
+/// any run point the simulator cannot run: no PEs, or a run length
+/// outside `0 ≤ warmup_secs < sim_secs` (both finite).
 pub fn parse_spec(json: &str, fallback_name: &str) -> Result<ScenarioSpec, String> {
     let mut spec: ScenarioSpec =
         serde_json::from_str(json).map_err(|e| format!("invalid scenario spec: {e}"))?;
     if spec.name.is_empty() {
         spec.name = fallback_name.to_string();
+    }
+    for run in spec.runs() {
+        let k = &run.knobs;
+        let problem = if k.n_pes == 0 {
+            "n_pes must be at least 1".to_string()
+        } else if !(k.sim_secs.is_finite()
+            && k.warmup_secs.is_finite()
+            && 0.0 <= k.warmup_secs
+            && k.warmup_secs < k.sim_secs)
+        {
+            format!(
+                "needs 0 <= warmup_secs < sim_secs, got warmup_secs = {}, sim_secs = {}",
+                k.warmup_secs, k.sim_secs
+            )
+        } else {
+            continue;
+        };
+        return Err(format!(
+            "invalid scenario spec {}: run `{}`: {problem}",
+            spec.name,
+            run.label()
+        ));
     }
     Ok(spec)
 }
@@ -681,6 +705,49 @@ mod tests {
         assert_eq!(spec.name, "from-file");
         assert_eq!(spec.run_count(), 1);
         assert!(parse_spec("{", "x").is_err());
+    }
+
+    #[test]
+    fn unknown_spec_keys_are_rejected_by_name() {
+        for (json, key) in [
+            (r#"{ "base": { "qps_per_PE": 5.0 } }"#, "qps_per_PE"),
+            (r#"{ "sweeps": { "seed": [1, 2, 3] } }"#, "sweeps"),
+            (
+                r#"{ "base": { "broker_reads": "SortPerCall" } }"#,
+                "broker_reads",
+            ),
+        ] {
+            let err = parse_spec(json, "typo").unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{json}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_pe_run_points_are_rejected() {
+        let err = parse_spec(r#"{ "sweep": { "n_pes": [4, 0] } }"#, "zero").unwrap_err();
+        assert!(err.contains("run `n_pes=0`"), "{err}");
+        assert!(err.contains("n_pes must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn run_lengths_outside_warmup_below_sim_are_rejected() {
+        let bad = [
+            r#"{ "base": { "warmup_secs": 2.0, "sim_secs": 1.0 } }"#,
+            r#"{ "base": { "warmup_secs": 1.0, "sim_secs": 1.0 } }"#,
+            r#"{ "base": { "warmup_secs": -1.0 } }"#,
+            r#"{ "sweep": { "paired": [ { "sim_secs": 20.0 }, { "warmup_secs": 50.0 } ] } }"#,
+        ];
+        for json in bad {
+            let err = parse_spec(json, "len").unwrap_err();
+            assert!(err.contains("warmup_secs < sim_secs"), "{json}: {err}");
+        }
+        let err = parse_spec(bad[3], "len").unwrap_err();
+        assert!(err.contains("run `paired=warmup=50`"), "{err}");
+        assert!(parse_spec(
+            r#"{ "base": { "warmup_secs": 0.0, "sim_secs": 1.0 } }"#,
+            "ok"
+        )
+        .is_ok());
     }
 
     #[test]

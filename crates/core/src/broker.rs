@@ -233,13 +233,6 @@ impl CentralBroker {
         broker
     }
 
-    /// Select how the control node serves ranking reads (incremental
-    /// indices vs. the legacy sort-per-call baseline). Results are
-    /// identical either way; only the cost profile differs.
-    pub fn set_read_mode(&mut self, mode: crate::control::ReadMode) {
-        self.ctl.set_read_mode(mode);
-    }
-
     /// Mutable access to the control state for decorating brokers (the
     /// failure detector marks suspicion on the control node so the
     /// rebalancer and the adaptive averages can honour it).

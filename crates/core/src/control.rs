@@ -49,10 +49,10 @@
 //! ([`ControlNode::avail_memory`], O(n) copy, no sort, no allocation in
 //! steady state).
 //!
-//! The previous behaviour is preserved behind [`ReadMode::SortPerCall`]
-//! (fresh allocation + full sort per read) as the measurable baseline;
-//! both modes produce byte-identical rankings (see the equivalence
-//! proptest below and `tests/perf_parity.rs` at the workspace root).
+//! The equivalence proptest below checks every ranking against a naive
+//! oracle that allocates and fully sorts per read (the original port's
+//! behaviour); the `bench` crate's broker micro-bench times the same
+//! naive reference next to the indices.
 
 use crate::resources::{ResourceKind, ResourceVector, ResourceWeights};
 use serde::{Deserialize, Serialize};
@@ -68,19 +68,6 @@ pub struct NodeState {
     pub cpu_util: f64,
     /// Buffer pages a new join working space could claim.
     pub free_pages: u32,
-}
-
-/// How the control node serves its rankings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReadMode {
-    /// Maintained indices repaired in place on every report/assignment;
-    /// reads are allocation-free views (the default).
-    #[default]
-    Incremental,
-    /// The pre-index behaviour: every read allocates a fresh vector and
-    /// runs a full O(n log n) sort. Kept as the benchmark baseline and as
-    /// the reference implementation for the parity tests.
-    SortPerCall,
 }
 
 /// Where the data currently lives: tuples of each relation per node,
@@ -246,27 +233,6 @@ impl<K: Copy + PartialEq> Iterator for Ranked<'_, K> {
     }
 }
 
-/// Head-first view of one ranking: lazy over the maintained index in
-/// [`ReadMode::Incremental`], a drain of the freshly sorted scratch in
-/// [`ReadMode::SortPerCall`]. Either way the iteration order is identical.
-pub enum TopK<'a, K: Copy + PartialEq> {
-    /// Rotated walk over the canonical index.
-    Lazy(Ranked<'a, K>),
-    /// Iterator over a materialized (already rotated) view.
-    Slice(std::slice::Iter<'a, (u32, K)>),
-}
-
-impl<K: Copy + PartialEq> Iterator for TopK<'_, K> {
-    type Item = (u32, K);
-
-    fn next(&mut self) -> Option<(u32, K)> {
-        match self {
-            TopK::Lazy(it) => it.next(),
-            TopK::Slice(it) => it.next().copied(),
-        }
-    }
-}
-
 fn cmp_f64_asc(a: &f64, b: &f64) -> Ordering {
     a.partial_cmp(b).expect("finite")
 }
@@ -312,8 +278,6 @@ pub struct ControlNode {
     /// Registered data-locality view (fragment tuples per node), when the
     /// simulator has a placement layer to report.
     locality: Option<DataLocality>,
-    /// Index maintenance / read strategy.
-    read_mode: ReadMode,
     /// Canonical per-kind utilization rankings (ascending).
     util_idx: [RankIndex<f64>; ResourceKind::COUNT],
     /// Canonical weighted-bottleneck ranking (ascending).
@@ -342,7 +306,6 @@ impl ControlNode {
             weights: ResourceWeights::default(),
             rr: 0,
             locality: None,
-            read_mode: ReadMode::default(),
             util_idx: std::array::from_fn(|_| RankIndex::new(n, 0.0, cmp_f64_asc)),
             bott_idx: RankIndex::new(n, 0.0, cmp_f64_asc),
             mem_idx: RankIndex::new(n, 0, cmp_u32_desc),
@@ -350,36 +313,6 @@ impl ControlNode {
             scratch_f: Vec::with_capacity(n),
             scratch_m: Vec::with_capacity(n),
         }
-    }
-
-    /// Switch the index maintenance / read strategy (indices are rebuilt
-    /// from the current state when switching back to incremental).
-    pub fn set_read_mode(&mut self, mode: ReadMode) {
-        if self.read_mode == mode {
-            return;
-        }
-        self.read_mode = mode;
-        if mode == ReadMode::Incremental {
-            self.weights_snap = self.weights;
-            for id in 0..self.utils.len() as u32 {
-                let v = self.utils[id as usize];
-                for kind in ResourceKind::ALL {
-                    self.util_idx[kind.index()].key[id as usize] = v.get(kind);
-                }
-                self.bott_idx.key[id as usize] = v.bottleneck(&self.weights);
-                self.mem_idx.key[id as usize] = self.effective_free(id);
-            }
-            for idx in &mut self.util_idx {
-                idx.rebuild();
-            }
-            self.bott_idx.rebuild();
-            self.mem_idx.rebuild();
-        }
-    }
-
-    /// The active read strategy.
-    pub fn read_mode(&self) -> ReadMode {
-        self.read_mode
     }
 
     /// Register / refresh the data-locality view.
@@ -447,7 +380,7 @@ impl ControlNode {
     /// Re-key the bottleneck index if `weights` was mutated since the keys
     /// were computed (it is a public field, deliberately).
     fn sync_weights(&mut self) {
-        if self.read_mode == ReadMode::Incremental && self.weights != self.weights_snap {
+        if self.weights != self.weights_snap {
             self.weights_snap = self.weights;
             for id in 0..self.utils.len() {
                 self.bott_idx.key[id] = self.utils[id].bottleneck(&self.weights);
@@ -459,19 +392,17 @@ impl ControlNode {
     /// Periodic report from node `id`: the full resource vector.
     /// Outstanding promises decay by half: reservations placed since the
     /// previous report are now visible in the reported numbers.
-    /// Incremental mode repairs all six indices positionally — O(total
-    /// displacement), O(1) per index for the usual small drifts.
+    /// All six indices are repaired positionally — O(total displacement),
+    /// O(1) per index for the usual small drifts.
     pub fn report(&mut self, id: u32, state: ResourceVector) {
         self.utils[id as usize] = state;
         self.promised[id as usize] /= 2;
-        if self.read_mode == ReadMode::Incremental {
-            self.sync_weights();
-            for kind in ResourceKind::ALL {
-                self.util_idx[kind.index()].update(id, state.get(kind));
-            }
-            self.bott_idx.update(id, state.bottleneck(&self.weights));
-            self.mem_idx.update(id, self.effective_free(id));
+        self.sync_weights();
+        for kind in ResourceKind::ALL {
+            self.util_idx[kind.index()].update(id, state.get(kind));
         }
+        self.bott_idx.update(id, state.bottleneck(&self.weights));
+        self.mem_idx.update(id, self.effective_free(id));
     }
 
     /// Effective §3 state: reported CPU + free pages minus still-
@@ -561,27 +492,16 @@ impl ControlNode {
 
     /// The AVAIL-MEMORY array: `(node-ID, free)` sorted descending on free
     /// memory; ties broken by the rotating cursor (deterministic but not
-    /// id-biased). Incremental mode copies the maintained index into a
-    /// reusable scratch buffer — O(n), no sort, no allocation.
+    /// id-biased). Copies the maintained index into a reusable scratch
+    /// buffer — O(n), no sort, no allocation.
     pub fn avail_memory(&mut self) -> &[(u32, u32)] {
-        match self.read_mode {
-            ReadMode::Incremental => {
-                let s = self.cursor();
-                rotate_into(
-                    &self.mem_idx.order,
-                    &self.mem_idx.key,
-                    s,
-                    &mut self.scratch_m,
-                );
-            }
-            ReadMode::SortPerCall => {
-                let mut v: Vec<(u32, u32)> = (0..self.utils.len() as u32)
-                    .map(|i| (i, self.state(i).free_pages))
-                    .collect();
-                v.sort_by(|a, b| b.1.cmp(&a.1).then(self.rank(a.0).cmp(&self.rank(b.0))));
-                self.scratch_m = v;
-            }
-        }
+        let s = self.cursor();
+        rotate_into(
+            &self.mem_idx.order,
+            &self.mem_idx.key,
+            s,
+            &mut self.scratch_m,
+        );
         &self.scratch_m
     }
 
@@ -594,27 +514,9 @@ impl ControlNode {
     /// ties (the per-kind generalization behind LUC and `pmu-<kind>`
     /// diagnostics).
     pub fn by_util(&mut self, kind: ResourceKind) -> &[(u32, f64)] {
-        match self.read_mode {
-            ReadMode::Incremental => {
-                let s = self.cursor();
-                let idx = &self.util_idx[kind.index()];
-                rotate_into(&idx.order, &idx.key, s, &mut self.scratch_f);
-            }
-            ReadMode::SortPerCall => {
-                let mut v: Vec<(u32, f64)> = self
-                    .utils
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (i as u32, s.get(kind)))
-                    .collect();
-                v.sort_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .expect("finite")
-                        .then(self.rank(a.0).cmp(&self.rank(b.0)))
-                });
-                self.scratch_f = v;
-            }
-        }
+        let s = self.cursor();
+        let idx = &self.util_idx[kind.index()];
+        rotate_into(&idx.order, &idx.key, s, &mut self.scratch_f);
         &self.scratch_f
     }
 
@@ -622,35 +524,18 @@ impl ControlNode {
     /// rotating ties.
     pub fn by_bottleneck(&mut self) -> &[(u32, f64)] {
         self.sync_weights();
-        match self.read_mode {
-            ReadMode::Incremental => {
-                let s = self.cursor();
-                rotate_into(
-                    &self.bott_idx.order,
-                    &self.bott_idx.key,
-                    s,
-                    &mut self.scratch_f,
-                );
-            }
-            ReadMode::SortPerCall => {
-                let mut v: Vec<(u32, f64)> = self
-                    .utils
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (i as u32, s.bottleneck(&self.weights)))
-                    .collect();
-                v.sort_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .expect("finite")
-                        .then(self.rank(a.0).cmp(&self.rank(b.0)))
-                });
-                self.scratch_f = v;
-            }
-        }
+        let s = self.cursor();
+        rotate_into(
+            &self.bott_idx.order,
+            &self.bott_idx.key,
+            s,
+            &mut self.scratch_f,
+        );
         &self.scratch_f
     }
 
-    fn lazy_f64<'a>(idx: &'a RankIndex<f64>, s: u32) -> Ranked<'a, f64> {
+    /// Lazy rotated walk over one maintained index.
+    fn lazy<K: Copy + PartialEq>(idx: &RankIndex<K>, s: u32) -> Ranked<'_, K> {
         Ranked {
             key: &idx.key,
             rest: &idx.order,
@@ -663,50 +548,27 @@ impl ControlNode {
     }
 
     /// Head-first walk of the by-CPU ranking: O(log n) to the first item.
-    pub fn ranked_cpu(&mut self) -> TopK<'_, f64> {
+    pub fn ranked_cpu(&mut self) -> Ranked<'_, f64> {
         self.ranked_util(ResourceKind::Cpu)
     }
 
     /// Head-first walk of one per-kind utilization ranking.
-    pub fn ranked_util(&mut self, kind: ResourceKind) -> TopK<'_, f64> {
-        match self.read_mode {
-            ReadMode::Incremental => {
-                let s = self.cursor();
-                TopK::Lazy(Self::lazy_f64(&self.util_idx[kind.index()], s))
-            }
-            ReadMode::SortPerCall => TopK::Slice(self.by_util(kind).iter()),
-        }
+    pub fn ranked_util(&mut self, kind: ResourceKind) -> Ranked<'_, f64> {
+        let s = self.cursor();
+        Self::lazy(&self.util_idx[kind.index()], s)
     }
 
     /// Head-first walk of the weighted-bottleneck ranking (LUB head).
-    pub fn ranked_bottleneck(&mut self) -> TopK<'_, f64> {
+    pub fn ranked_bottleneck(&mut self) -> Ranked<'_, f64> {
         self.sync_weights();
-        match self.read_mode {
-            ReadMode::Incremental => {
-                let s = self.cursor();
-                TopK::Lazy(Self::lazy_f64(&self.bott_idx, s))
-            }
-            ReadMode::SortPerCall => TopK::Slice(self.by_bottleneck().iter()),
-        }
+        let s = self.cursor();
+        Self::lazy(&self.bott_idx, s)
     }
 
     /// Head-first walk of AVAIL-MEMORY (most free pages first).
-    pub fn ranked_memory(&mut self) -> TopK<'_, u32> {
-        match self.read_mode {
-            ReadMode::Incremental => {
-                let s = self.cursor();
-                TopK::Lazy(Ranked {
-                    key: &self.mem_idx.key,
-                    rest: &self.mem_idx.order,
-                    run: &[],
-                    s,
-                    split: 0,
-                    hi: 0,
-                    lo: 0,
-                })
-            }
-            ReadMode::SortPerCall => TopK::Slice(self.avail_memory().iter()),
-        }
+    pub fn ranked_memory(&mut self) -> Ranked<'_, u32> {
+        let s = self.cursor();
+        Self::lazy(&self.mem_idx, s)
     }
 
     /// Adaptive feedback after assigning a join to `nodes`, each expected
@@ -715,20 +577,15 @@ impl ControlNode {
     /// nodes' index entries are repaired; the cursor advance is free
     /// because rotation is applied at read time.
     pub fn note_assignment(&mut self, nodes: &[u32], pages_per_node: u32) {
-        let incremental = self.read_mode == ReadMode::Incremental;
-        if incremental {
-            self.sync_weights();
-        }
+        self.sync_weights();
         for &id in nodes {
             self.promised[id as usize] = self.promised[id as usize].saturating_add(pages_per_node);
             let s = &mut self.utils[id as usize];
             s.cpu = (s.cpu + self.luc_bump).min(1.0);
-            if incremental {
-                let v = self.utils[id as usize];
-                self.util_idx[ResourceKind::Cpu.index()].update(id, v.cpu);
-                self.bott_idx.update(id, v.bottleneck(&self.weights));
-                self.mem_idx.update(id, self.effective_free(id));
-            }
+            let v = *s;
+            self.util_idx[ResourceKind::Cpu.index()].update(id, v.cpu);
+            self.bott_idx.update(id, v.bottleneck(&self.weights));
+            self.mem_idx.update(id, self.effective_free(id));
         }
         // Rotate tie-breaking so the next placement starts elsewhere.
         self.rr = self.rr.wrapping_add(nodes.len().max(1) as u32);
@@ -923,11 +780,24 @@ mod tests {
         assert_eq!(full, lazy);
     }
 
+    /// Naive oracle: allocate, then fully sort `key` over the control
+    /// node's raw state (not its indices), breaking ties by rotating rank.
+    fn sorted<K: Copy>(
+        c: &ControlNode,
+        key: impl Fn(u32) -> K,
+        cmp: fn(&K, &K) -> Ordering,
+    ) -> Vec<(u32, K)> {
+        let mut v: Vec<(u32, K)> = (0..c.len() as u32).map(|i| (i, key(i))).collect();
+        v.sort_by(|a, b| cmp(&a.1, &b.1).then(c.rank(a.0).cmp(&c.rank(b.0))));
+        v
+    }
+
     proptest! {
-        /// Drive both read modes through an arbitrary interleaving of
-        /// reports and assignments; every ranking must stay byte-identical.
-        /// Keys are quantized to eighths/quarters so exact ties (the
-        /// rotation-sensitive case) occur constantly.
+        /// Drive the control node through an arbitrary interleaving of
+        /// reports and assignments; every ranking must stay byte-identical
+        /// to the naive sort-per-call oracle. Keys are quantized to
+        /// eighths/quarters so exact ties (the rotation-sensitive case)
+        /// occur constantly.
         #[test]
         fn prop_incremental_matches_sort_per_call(
             ops in proptest::collection::vec(
@@ -937,35 +807,30 @@ mod tests {
         ) {
             let n = 7u32;
             let mut inc = ControlNode::new(n as usize);
-            let mut legacy = ControlNode::new(n as usize);
-            legacy.set_read_mode(ReadMode::SortPerCall);
             for &(id, kind, raw, free, pages) in &ops {
                 if kind == 0 {
-                    let v = ResourceVector {
+                    inc.report(id, ResourceVector {
                         cpu: (raw * 8.0).round() / 8.0,
                         net: (raw * 4.0).round() / 4.0,
                         free_pages: free,
                         ..ResourceVector::default()
-                    };
-                    inc.report(id, v);
-                    legacy.report(id, v);
+                    });
                 } else {
                     // Assignment of 1–2 nodes derived deterministically.
                     let nodes: &[u32] =
                         if kind == 1 { &[id] } else { &[id, (id + 3) % n] };
                     inc.note_assignment(nodes, pages);
-                    legacy.note_assignment(nodes, pages);
                 }
-                prop_assert_eq!(inc.avail_memory().to_vec(), legacy.avail_memory().to_vec());
-                prop_assert_eq!(inc.by_cpu().to_vec(), legacy.by_cpu().to_vec());
-                prop_assert_eq!(
-                    inc.by_util(ResourceKind::Net).to_vec(),
-                    legacy.by_util(ResourceKind::Net).to_vec()
-                );
-                prop_assert_eq!(inc.by_bottleneck().to_vec(), legacy.by_bottleneck().to_vec());
+                let mem = sorted(&inc, |i| inc.state(i).free_pages, cmp_u32_desc);
+                let cpu = sorted(&inc, |i| inc.util(i, ResourceKind::Cpu), cmp_f64_asc);
+                let net = sorted(&inc, |i| inc.util(i, ResourceKind::Net), cmp_f64_asc);
+                let bott = sorted(&inc, |i| inc.bottleneck(i), cmp_f64_asc);
+                prop_assert_eq!(inc.avail_memory().to_vec(), mem);
+                prop_assert_eq!(inc.by_cpu().to_vec(), cpu);
+                prop_assert_eq!(inc.by_util(ResourceKind::Net).to_vec(), net);
+                prop_assert_eq!(inc.by_bottleneck().to_vec(), bott.clone());
                 let h: Vec<(u32, f64)> = inc.ranked_bottleneck().take(3).collect();
-                let l: Vec<(u32, f64)> = legacy.ranked_bottleneck().take(3).collect();
-                prop_assert_eq!(h, l);
+                prop_assert_eq!(h, bott[..3].to_vec());
             }
         }
     }

@@ -85,7 +85,7 @@ pub mod select;
 pub mod strategy;
 
 pub use broker::{CentralBroker, ResourceBroker};
-pub use control::{ControlNode, DataLocality, NodeState, Ranked, ReadMode, TopK};
+pub use control::{ControlNode, DataLocality, NodeState, Ranked};
 pub use costmodel::{AdmissionEstimate, CostModel, CostParams, JoinProfile};
 pub use degree::DegreePolicy;
 pub use faults::{BrokerConfig, BrokerFaultStats, BrokerKind, HierarchicalBroker, LaggedBroker};

@@ -11,7 +11,7 @@
 //! so libtest's own threads (spawns, the result channel) and the other
 //! test in this binary never leak into a measurement.
 
-use lb_core::{ControlNode, ReadMode, ResourceKind, ResourceVector};
+use lb_core::{ControlNode, ResourceKind, ResourceVector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -96,22 +96,6 @@ fn placement_path_is_allocation_free_after_warmup() {
     assert_eq!(
         steady, 0,
         "placement hot path allocated {steady} times over 50 rounds (warmup did {warmup})"
-    );
-}
-
-/// The legacy baseline really does allocate per read — guarding the
-/// benchmark's honesty: if `SortPerCall` ever became allocation-free the
-/// speedup headline would be measuring the wrong thing.
-#[test]
-fn sort_per_call_baseline_allocates_per_read() {
-    let n = 100;
-    let mut ctl = ControlNode::new(n);
-    ctl.set_read_mode(ReadMode::SortPerCall);
-    let _ = cycle_allocs(&mut ctl, n, 2);
-    let steady = cycle_allocs(&mut ctl, n, 10);
-    assert!(
-        steady >= 10,
-        "sort-per-call should allocate on every view read, saw {steady}"
     );
 }
 

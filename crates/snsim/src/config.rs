@@ -8,7 +8,7 @@ use hardware::HardwareParams;
 use lb_core::costmodel::CostParams;
 use lb_core::{
     BrokerConfig, BrokerKind, CentralBroker, HierarchicalBroker, LaggedBroker, PolicyConfig,
-    ReadMode, RebalanceConfig, ResourceBroker, Strategy,
+    RebalanceConfig, ResourceBroker, Strategy,
 };
 use serde::{Deserialize, Serialize};
 use simkit::SimDur;
@@ -90,11 +90,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// PE hosting the control node.
     pub control_pe: u32,
-    /// How the broker's control node serves ranking reads. Both modes
-    /// produce identical results; `SortPerCall` is the legacy baseline
-    /// kept for benchmarks and parity tests.
-    #[serde(default)]
-    pub broker_reads: ReadMode,
     /// Inert: nothing in the simulator reads it, and every run is one
     /// sequential event loop. Kept only because the external `perfbench`
     /// harness reads the field (it refuses configs with a non-zero
@@ -148,7 +143,6 @@ impl SimConfig {
             warmup: SimDur::from_secs(10),
             seed: 0xC0FFEE,
             control_pe: 0,
-            broker_reads: ReadMode::default(),
             exec_threads: 0,
             broker: BrokerConfig::default(),
             trace: obs::TraceConfig::default(),
@@ -181,13 +175,6 @@ impl SimConfig {
         self
     }
 
-    /// Configure the data-placement layer (fragment skew/count, online
-    /// rebalancing).
-    pub fn with_data_placement(mut self, placement: DataPlacementConfig) -> SimConfig {
-        self.placement = placement;
-        self
-    }
-
     /// Configure the admission layer (policy, budgets, priorities).
     pub fn with_admission(mut self, admission: sched::AdmissionConfig) -> SimConfig {
         self.admission = admission;
@@ -204,14 +191,6 @@ impl SimConfig {
     /// Build the admission scheduler this configuration describes.
     pub fn build_scheduler(&self) -> sched::Scheduler {
         self.admission.build(self.n_pes, self.buffer_pages)
-    }
-
-    /// Set per-PE CPU speed factors (heterogeneous node speeds). The
-    /// factor of PE `i` is `node_speed[i]`, defaulting to 1.0 beyond the
-    /// end of the vector.
-    pub fn with_node_speed(mut self, node_speed: Vec<f64>) -> SimConfig {
-        self.node_speed = node_speed;
-        self
     }
 
     /// Scale the interconnect's link bandwidth by `factor` (1.0 = the
@@ -244,14 +223,13 @@ impl SimConfig {
     /// 10+), so clean runs consume exactly the same random numbers with
     /// or without the decorator.
     pub fn build_broker(&self) -> Box<dyn ResourceBroker> {
-        let mut broker = CentralBroker::from_config(
+        let broker = CentralBroker::from_config(
             self.n_pes as usize,
             self.luc_bump,
             self.buffer_pages,
             self.strategy,
             &self.policies,
         );
-        broker.set_read_mode(self.broker_reads);
         let round_ms = self.control_interval.as_millis_f64();
         match self.broker.kind {
             BrokerKind::Central => Box::new(broker),
@@ -270,12 +248,6 @@ impl SimConfig {
     /// Select the control-plane implementation and fault model.
     pub fn with_broker(mut self, broker: BrokerConfig) -> SimConfig {
         self.broker = broker;
-        self
-    }
-
-    /// Select the control node's ranking-read implementation.
-    pub fn with_broker_reads(mut self, mode: ReadMode) -> SimConfig {
-        self.broker_reads = mode;
         self
     }
 

@@ -15,37 +15,35 @@ use lb_core::RebalanceConfig;
 use simkit::SimDur;
 use workload::scenario::{Knobs, ScenarioRun, ScenarioSpec};
 
-/// Lower one run point to the simulator configuration it describes.
+/// Lower one run point to the simulator configuration it describes:
+/// the one place a knob meets the simulator. Builders that carry logic
+/// (disks reach two layers, the buffer clamps the global floor, the net
+/// factor rescales wire time) are called; every other knob is a plain
+/// field assignment. Default knobs lower to the paper's defaults
+/// byte-identically.
 pub fn build_config(knobs: &Knobs) -> SimConfig {
     let mut cfg = SimConfig::paper_default(knobs.n_pes, knobs.workload_spec(), knobs.strategy.0)
         .with_disks(knobs.disks_per_pe)
         .with_buffer_pages(knobs.buffer_pages)
         .with_mpl(knobs.mpl)
-        .with_admission(knobs.admission.clone())
-        .with_seed(knobs.seed)
+        .with_net_speed(knobs.net_speed)
         .with_sim_time(
             SimDur::from_secs_f64(knobs.sim_secs),
             SimDur::from_secs_f64(knobs.warmup_secs),
-        )
-        .with_node_speed(knobs.node_speed.resolve(knobs.n_pes))
-        .with_broker_reads(knobs.broker_reads)
-        .with_broker(knobs.broker)
-        .with_trace(knobs.trace);
+        );
+    cfg.admission = knobs.admission.clone();
+    cfg.seed = knobs.seed;
+    cfg.node_speed = knobs.node_speed.resolve(knobs.n_pes);
+    cfg.broker = knobs.broker;
+    cfg.trace = knobs.trace;
     if let Some(policies) = knobs.policies {
-        cfg = cfg.with_policies(policies);
+        cfg.policies = policies;
     }
-    // Absent knobs lower to the paper's defaults byte-identically: the
-    // network is only touched when a spec actually slows (or speeds) it.
-    if knobs.net_speed != 1.0 {
-        cfg = cfg.with_net_speed(knobs.net_speed);
-    }
-    if knobs.data_skew != 0.0 || knobs.fragment_count != 0 || knobs.rebalance {
-        cfg = cfg.with_data_placement(DataPlacementConfig {
-            data_skew: knobs.data_skew,
-            fragment_count: knobs.fragment_count,
-            rebalance: knobs.rebalance.then(RebalanceConfig::default),
-        });
-    }
+    cfg.placement = DataPlacementConfig {
+        data_skew: knobs.data_skew,
+        fragment_count: knobs.fragment_count,
+        rebalance: knobs.rebalance.then(RebalanceConfig::default),
+    };
     cfg
 }
 

@@ -39,7 +39,7 @@ use crate::arrivals::Modulation;
 use crate::mix::WorkloadSpec;
 use crate::oltp::NodeFilter;
 use dbmodel::RelationId;
-use lb_core::{BrokerConfig, PolicyConfig, ReadMode, Strategy};
+use lb_core::{BrokerConfig, PolicyConfig, Strategy};
 use obs::TraceConfig;
 use sched::AdmissionConfig;
 use serde::{Deserialize, Serialize};
@@ -157,112 +157,269 @@ pub enum WorkloadShape {
     Mixed,
 }
 
-/// One concrete run point: every knob the scenario lab can turn.
+/// Declares every scenario knob once and generates [`Knobs`] (with its
+/// `Default`), [`Patch`] (with `apply` and `label`), [`Sweep`] and the
+/// expansion in [`ScenarioSpec::run_count`] / [`ScenarioSpec::runs`].
 ///
-/// `Default` is the paper's Fig. 4 configuration at 40 PEs with the
-/// OPT-IO-CPU strategy and CI-friendly run lengths; a spec's `base`
-/// object only needs the knobs it changes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct Knobs {
-    /// System size (the paper varies 10–80).
-    pub n_pes: u32,
+/// A row is `name: Type = default => kind`, where `kind` is one of
+///
+/// * `series(prefix, render)` — patchable and swept; a series dimension
+///   expanded before `paired` (one result series per value);
+/// * `sweep(prefix, render)` — patchable and swept, after `paired`;
+/// * `patch(prefix, render)` — patchable, never swept;
+/// * `base` — settable in `base` only.
+///
+/// `prefix` names the knob in [`Patch::label`] (`prefix=render(value)`);
+/// `render` also labels the value as a sweep axis. Row order is label
+/// order and, within each kind, expansion order. The rows are sorted
+/// into per-kind lists one at a time (`@sort`/`@push`), then each list
+/// feeds the items that need it (`@emit`).
+macro_rules! knob_table {
+    (@sort $all:tt $patch:tt $series:tt $sweep:tt) => {
+        knob_table!(@emit $all $patch $series $sweep);
+    };
+    (@sort $all:tt $patch:tt $series:tt $sweep:tt
+        $(#[$doc:meta])* $name:ident: $ty:ty = $default:expr =>
+            $kind:ident $(($prefix:literal, $render:expr))?, $($rest:tt)*) => {
+        knob_table!(@push $kind { $(#[$doc])* $name: $ty = $default $(, $prefix, $render)? }
+            $all $patch $series $sweep $($rest)*);
+    };
+    (@sort $all:tt $patch:tt $series:tt $sweep:tt $($bad:tt)*) => {
+        compile_error!(concat!("knob_table: malformed row: ", stringify!($($bad)*)));
+    };
+    (@push series $row:tt
+        [$($all:tt)*] [$($patch:tt)*] [$($series:tt)*] [$($sweep:tt)*] $($rest:tt)*) => {
+        knob_table!(@sort
+            [$($all)* $row] [$($patch)* $row] [$($series)* $row] [$($sweep)*] $($rest)*);
+    };
+    (@push sweep $row:tt
+        [$($all:tt)*] [$($patch:tt)*] [$($series:tt)*] [$($sweep:tt)*] $($rest:tt)*) => {
+        knob_table!(@sort
+            [$($all)* $row] [$($patch)* $row] [$($series)*] [$($sweep)* $row] $($rest)*);
+    };
+    (@push patch $row:tt
+        [$($all:tt)*] [$($patch:tt)*] [$($series:tt)*] [$($sweep:tt)*] $($rest:tt)*) => {
+        knob_table!(@sort
+            [$($all)* $row] [$($patch)* $row] [$($series)*] [$($sweep)*] $($rest)*);
+    };
+    (@push base $row:tt
+        [$($all:tt)*] [$($patch:tt)*] [$($series:tt)*] [$($sweep:tt)*] $($rest:tt)*) => {
+        knob_table!(@sort
+            [$($all)* $row] [$($patch)*] [$($series)*] [$($sweep)*] $($rest)*);
+    };
+    (@emit [$($all:tt)*] [$($patch:tt)*] [$($series:tt)*] [$($sweep:tt)*]) => {
+        knob_table!(@knobs $($all)*);
+        knob_table!(@patch $($patch)*);
+        knob_table!(@sweep [$($series)*] [$($sweep)*]);
+    };
+    (@knobs $({ $(#[$doc:meta])* $name:ident: $ty:ty = $default:expr $(, $p:literal, $r:expr)? })*) => {
+        /// One concrete run point: every knob the scenario lab can turn.
+        ///
+        /// `Default` is the paper's Fig. 4 configuration at 40 PEs with the
+        /// OPT-IO-CPU strategy and CI-friendly run lengths; a spec's `base`
+        /// object only needs the knobs it changes, and a key that names no
+        /// knob is an error.
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        #[serde(default, deny_unknown_fields)]
+        pub struct Knobs {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl Default for Knobs {
+            fn default() -> Self {
+                Knobs { $($name: $default,)* }
+            }
+        }
+
+        impl Knobs {
+            /// Every knob name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+        }
+    };
+    (@patch $({ $(#[$doc:meta])* $name:ident: $ty:ty = $default:expr, $prefix:literal, $render:expr })*) => {
+        /// A correlated override: sets several knobs together, forming one
+        /// value of the `paired` sweep axis (Fig. 8 pairs selectivity with
+        /// arrival rate, bursty scenarios pair a modulation with a rate, …).
+        #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+        #[serde(default, deny_unknown_fields)]
+        pub struct Patch {
+            /// Label used in run annotations; derived from the set fields
+            /// if omitted.
+            pub label: Option<String>,
+            $(
+                #[doc = concat!("Override [`Knobs::", stringify!($name), "`].")]
+                pub $name: Option<$ty>,
+            )*
+        }
+
+        impl Patch {
+            /// Every overridable knob name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// Apply every set field to `knobs`.
+            pub fn apply(&self, knobs: &mut Knobs) {
+                $(
+                    if let Some(v) = &self.$name {
+                        knobs.$name = v.clone();
+                    }
+                )*
+            }
+
+            /// Annotation label: explicit `label` or `field=value` pairs.
+            /// Every overridable field contributes, so two distinct
+            /// unlabelled patches never collapse to the same axis value
+            /// (which would merge their result rows).
+            pub fn label(&self) -> String {
+                if let Some(l) = &self.label {
+                    return l.clone();
+                }
+                let mut parts = Vec::new();
+                $(
+                    if let Some(v) = &self.$name {
+                        let render: fn(&$ty) -> String = $render;
+                        parts.push(format!("{}={}", $prefix, render(v)));
+                    }
+                )*
+                if parts.is_empty() {
+                    "patch".into()
+                } else {
+                    parts.join(",")
+                }
+            }
+        }
+    };
+    (@sweep
+        [$({ $(#[$sdoc:meta])* $series:ident: $sty:ty = $sdefault:expr, $sprefix:literal, $srender:expr })*]
+        [$({ $(#[$doc:meta])* $name:ident: $ty:ty = $default:expr, $prefix:literal, $render:expr })*]) => {
+        /// Sweep axes. Every non-empty axis contributes one dimension to
+        /// the cross-product; an empty axis keeps the base value.
+        #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+        #[serde(default, deny_unknown_fields)]
+        pub struct Sweep {
+            $(
+                #[doc = concat!("Values of [`Knobs::", stringify!($series), "`] to compare \
+                                 (one result series each).")]
+                pub $series: Vec<$sty>,
+            )*
+            /// Correlated multi-knob overrides (one axis, applied together).
+            pub paired: Vec<Patch>,
+            $(
+                #[doc = concat!("Values of [`Knobs::", stringify!($name), "`] to sweep.")]
+                pub $name: Vec<$ty>,
+            )*
+        }
+
+        impl Sweep {
+            /// Every axis name, in expansion order.
+            pub const AXES: &'static [&'static str] =
+                &[$(stringify!($series),)* "paired", $(stringify!($name)),*];
+        }
+
+        impl ScenarioSpec {
+            /// Number of runs the sweep expands to (product of non-empty
+            /// axes).
+            pub fn run_count(&self) -> usize {
+                let s = &self.sweep;
+                [$(s.$series.len(),)* s.paired.len(), $(s.$name.len()),*]
+                    .iter()
+                    .filter(|&&n| n > 0)
+                    .product::<usize>()
+                    .max(1)
+            }
+
+            /// Expand the sweep into concrete runs: the cross-product of
+            /// all non-empty axes in deterministic order — the series axes
+            /// (`strategy`, `admission`), then `paired`, then the other
+            /// sweep axes in table order ([`Sweep::AXES`]).
+            pub fn runs(&self) -> Vec<ScenarioRun> {
+                let mut runs = vec![ScenarioRun {
+                    axes: Vec::new(),
+                    knobs: self.base.clone(),
+                }];
+                let s = &self.sweep;
+                $(
+                    let render: fn(&$sty) -> String = $srender;
+                    runs = expand(runs, stringify!($series), &s.$series, render, |k, v| {
+                        k.$series = v.clone()
+                    });
+                )*
+                runs = expand(runs, "paired", &s.paired, Patch::label, |k, v| v.apply(k));
+                $(
+                    let render: fn(&$ty) -> String = $render;
+                    runs = expand(runs, stringify!($name), &s.$name, render, |k, v| {
+                        k.$name = v.clone()
+                    });
+                )*
+                runs
+            }
+        }
+    };
+    ($($rows:tt)*) => {
+        knob_table!(@sort [] [] [] [] $($rows)*);
+    };
+}
+
+knob_table! {
     /// Join placement strategy.
-    pub strategy: StrategySpec,
+    strategy: StrategySpec = StrategySpec::default() => series("strategy", StrategySpec::label),
     /// Workload shape (which classes exist).
-    pub workload: WorkloadShape,
+    workload: WorkloadShape = WorkloadShape::HomogeneousJoin => patch("workload", |v| format!("{v:?}")),
+    /// System size (the paper varies 10–80).
+    n_pes: u32 = 40 => sweep("n_pes", u32::to_string),
     /// Scan selectivity of the join inputs (0.01 = the paper's 1%).
-    pub selectivity: f64,
+    selectivity: f64 = 0.01 => sweep("sel", f64::to_string),
     /// Join arrivals per second per PE (open workloads).
-    pub qps_per_pe: f64,
+    qps_per_pe: f64 = 0.25 => sweep("qps", f64::to_string),
     /// Zipf theta of the join redistribution skew (0 = uniform).
-    pub skew_theta: f64,
+    skew_theta: f64 = 0.0 => sweep("theta", f64::to_string),
     /// Zipf theta of the *data placement* — fragment sizes of the join
     /// relations (0 = the paper's equal tuples per fragment).
-    pub data_skew: f64,
+    data_skew: f64 = 0.0 => sweep("dskew", f64::to_string),
     /// Fragments per join relation (0 = one per home PE).
-    pub fragment_count: u32,
+    fragment_count: u32 = 0 => sweep("frags", u32::to_string),
     /// Online fragment rebalancing (default controller parameters when
     /// `true`; `false` = the paper's static placement).
-    pub rebalance: bool,
+    rebalance: bool = false => sweep("rebalance", bool::to_string),
     /// OLTP transactions per second per OLTP node (`Mixed` shape).
-    pub tps_per_node: f64,
+    tps_per_node: f64 = 100.0 => sweep("tps", f64::to_string),
     /// Which nodes run OLTP (`Mixed` shape).
-    pub oltp_nodes: NodeFilter,
+    oltp_nodes: NodeFilter = NodeFilter::All => patch("oltp_nodes", |v| format!("{v:?}")),
     /// Time-variation of the join arrival rate.
-    pub query_modulation: Modulation,
+    query_modulation: Modulation = Modulation::None => patch("qmod", modulation_label),
     /// Time-variation of the OLTP arrival rate.
-    pub oltp_modulation: Modulation,
+    oltp_modulation: Modulation = Modulation::None => patch("omod", modulation_label),
     /// Buffer pages per PE (the paper's 50; Fig. 7 divides by 10).
-    pub buffer_pages: u32,
+    buffer_pages: u32 = 50 => sweep("buf", u32::to_string),
     /// Data disks per PE (the paper varies 1 / 5 / 10).
-    pub disks_per_pe: u32,
+    disks_per_pe: u32 = 10 => sweep("disks", u32::to_string),
     /// Interconnect link-bandwidth factor (1.0 = the paper's ≈20 MB/s
-    /// EDS links; 0.1 = a 10× slower fabric). Lowered through
-    /// `SimConfig::with_net_speed` only when it differs from 1.0, so
-    /// legacy specs stay byte-identical.
-    pub net_speed: f64,
+    /// EDS links; 0.1 = a 10× slower fabric).
+    net_speed: f64 = 1.0 => sweep("net", f64::to_string),
     /// Per-PE multiprogramming level (the paper's 64; admission
     /// experiments lower it to make MPL backpressure visible).
-    pub mpl: u32,
+    mpl: u32 = 64 => sweep("mpl", u32::to_string),
     /// Admission layer between arrivals and launch: policy, budgets,
     /// queue bound, priority tiers. The default (`FcfsMpl`) reproduces
     /// the paper's MPL-only admission bit-for-bit.
-    pub admission: AdmissionConfig,
+    admission: AdmissionConfig = AdmissionConfig::default() => series("admission", AdmissionConfig::label),
     /// Per-PE CPU speed heterogeneity.
-    pub node_speed: NodeSpeed,
+    node_speed: NodeSpeed = NodeSpeed::Uniform => sweep("speed", NodeSpeed::label),
     /// Per-work-class placement policies; `None` = paper defaults.
-    pub policies: Option<PolicyConfig>,
-    /// How the broker serves ranking reads (`SortPerCall` = legacy
-    /// baseline for benchmarks; results are identical either way).
-    pub broker_reads: ReadMode,
+    policies: Option<PolicyConfig> = None => base,
     /// Control-plane implementation and fault model (report staleness,
     /// heartbeat loss, failure detection, rack aggregation). Absent in a
     /// spec = the clean central broker, byte-identical to pre-fault runs.
-    pub broker: BrokerConfig,
+    broker: BrokerConfig = BrokerConfig::default() => sweep("broker", BrokerConfig::label),
     /// Observability layer: per-round time series, lifecycle JSONL, and
     /// the placement-explain digest. Absent in a spec = disabled, and the
     /// disabled layer is provably inert (bit-identical `Summary`).
-    pub trace: TraceConfig,
+    trace: TraceConfig = TraceConfig::default() => sweep("trace", TraceConfig::label),
     /// Simulated seconds.
-    pub sim_secs: f64,
+    sim_secs: f64 = 40.0 => patch("sim", f64::to_string),
     /// Warm-up seconds discarded from statistics.
-    pub warmup_secs: f64,
+    warmup_secs: f64 = 8.0 => patch("warmup", f64::to_string),
     /// Root RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Knobs {
-    fn default() -> Self {
-        Knobs {
-            n_pes: 40,
-            strategy: StrategySpec::default(),
-            workload: WorkloadShape::HomogeneousJoin,
-            selectivity: 0.01,
-            qps_per_pe: 0.25,
-            skew_theta: 0.0,
-            data_skew: 0.0,
-            fragment_count: 0,
-            rebalance: false,
-            tps_per_node: 100.0,
-            oltp_nodes: NodeFilter::All,
-            query_modulation: Modulation::None,
-            oltp_modulation: Modulation::None,
-            buffer_pages: 50,
-            disks_per_pe: 10,
-            net_speed: 1.0,
-            mpl: 64,
-            admission: AdmissionConfig::default(),
-            node_speed: NodeSpeed::Uniform,
-            policies: None,
-            broker_reads: ReadMode::default(),
-            broker: BrokerConfig::default(),
-            trace: TraceConfig::default(),
-            sim_secs: 40.0,
-            warmup_secs: 8.0,
-            seed: 0xC0FFEE,
-        }
-    }
+    seed: u64 = 0xC0FFEE => sweep("seed", u64::to_string),
 }
 
 impl Knobs {
@@ -293,198 +450,6 @@ impl Knobs {
     }
 }
 
-/// A correlated override: sets several knobs together, forming one value
-/// of the `paired` sweep axis (Fig. 8 pairs selectivity with arrival
-/// rate, bursty scenarios pair a modulation with a rate, …).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-#[serde(default)]
-pub struct Patch {
-    /// Label used in run annotations; derived from the set fields if
-    /// omitted.
-    pub label: Option<String>,
-    /// Override [`Knobs::n_pes`].
-    pub n_pes: Option<u32>,
-    /// Override [`Knobs::strategy`].
-    pub strategy: Option<StrategySpec>,
-    /// Override [`Knobs::workload`].
-    pub workload: Option<WorkloadShape>,
-    /// Override [`Knobs::selectivity`].
-    pub selectivity: Option<f64>,
-    /// Override [`Knobs::qps_per_pe`].
-    pub qps_per_pe: Option<f64>,
-    /// Override [`Knobs::skew_theta`].
-    pub skew_theta: Option<f64>,
-    /// Override [`Knobs::data_skew`].
-    pub data_skew: Option<f64>,
-    /// Override [`Knobs::fragment_count`].
-    pub fragment_count: Option<u32>,
-    /// Override [`Knobs::rebalance`].
-    pub rebalance: Option<bool>,
-    /// Override [`Knobs::tps_per_node`].
-    pub tps_per_node: Option<f64>,
-    /// Override [`Knobs::oltp_nodes`].
-    pub oltp_nodes: Option<NodeFilter>,
-    /// Override [`Knobs::query_modulation`].
-    pub query_modulation: Option<Modulation>,
-    /// Override [`Knobs::oltp_modulation`].
-    pub oltp_modulation: Option<Modulation>,
-    /// Override [`Knobs::buffer_pages`].
-    pub buffer_pages: Option<u32>,
-    /// Override [`Knobs::disks_per_pe`].
-    pub disks_per_pe: Option<u32>,
-    /// Override [`Knobs::net_speed`].
-    pub net_speed: Option<f64>,
-    /// Override [`Knobs::mpl`].
-    pub mpl: Option<u32>,
-    /// Override [`Knobs::admission`].
-    pub admission: Option<AdmissionConfig>,
-    /// Override [`Knobs::node_speed`].
-    pub node_speed: Option<NodeSpeed>,
-    /// Override [`Knobs::broker_reads`].
-    pub broker_reads: Option<ReadMode>,
-    /// Override [`Knobs::broker`].
-    pub broker: Option<BrokerConfig>,
-    /// Override [`Knobs::trace`].
-    pub trace: Option<TraceConfig>,
-    /// Override [`Knobs::sim_secs`].
-    pub sim_secs: Option<f64>,
-    /// Override [`Knobs::warmup_secs`].
-    pub warmup_secs: Option<f64>,
-    /// Override [`Knobs::seed`].
-    pub seed: Option<u64>,
-}
-
-impl Patch {
-    /// Apply every set field to `knobs`.
-    pub fn apply(&self, knobs: &mut Knobs) {
-        macro_rules! set {
-            ($($f:ident),*) => {$(
-                if let Some(v) = &self.$f {
-                    knobs.$f = v.clone();
-                }
-            )*};
-        }
-        set!(
-            n_pes,
-            strategy,
-            workload,
-            selectivity,
-            qps_per_pe,
-            skew_theta,
-            data_skew,
-            fragment_count,
-            rebalance,
-            tps_per_node,
-            oltp_nodes,
-            query_modulation,
-            oltp_modulation,
-            buffer_pages,
-            disks_per_pe,
-            net_speed,
-            mpl,
-            admission,
-            node_speed,
-            broker_reads,
-            broker,
-            trace,
-            sim_secs,
-            warmup_secs,
-            seed
-        );
-    }
-
-    /// Annotation label: explicit `label` or `field=value` pairs. Every
-    /// overridable field contributes, so two distinct unlabelled patches
-    /// never collapse to the same axis value (which would merge their
-    /// result rows).
-    pub fn label(&self) -> String {
-        if let Some(l) = &self.label {
-            return l.clone();
-        }
-        let mut parts = Vec::new();
-        if let Some(v) = &self.strategy {
-            parts.push(format!("strategy={}", v.label()));
-        }
-        if let Some(v) = &self.workload {
-            parts.push(format!("workload={v:?}"));
-        }
-        if let Some(v) = self.n_pes {
-            parts.push(format!("n_pes={v}"));
-        }
-        if let Some(v) = self.selectivity {
-            parts.push(format!("sel={v}"));
-        }
-        if let Some(v) = self.qps_per_pe {
-            parts.push(format!("qps={v}"));
-        }
-        if let Some(v) = self.skew_theta {
-            parts.push(format!("theta={v}"));
-        }
-        if let Some(v) = self.data_skew {
-            parts.push(format!("dskew={v}"));
-        }
-        if let Some(v) = self.fragment_count {
-            parts.push(format!("frags={v}"));
-        }
-        if let Some(v) = self.rebalance {
-            parts.push(format!("rebalance={v}"));
-        }
-        if let Some(v) = self.tps_per_node {
-            parts.push(format!("tps={v}"));
-        }
-        if let Some(v) = &self.oltp_nodes {
-            parts.push(format!("oltp_nodes={v:?}"));
-        }
-        if let Some(v) = &self.query_modulation {
-            parts.push(format!("qmod={}", modulation_label(v)));
-        }
-        if let Some(v) = &self.oltp_modulation {
-            parts.push(format!("omod={}", modulation_label(v)));
-        }
-        if let Some(v) = self.buffer_pages {
-            parts.push(format!("buf={v}"));
-        }
-        if let Some(v) = self.disks_per_pe {
-            parts.push(format!("disks={v}"));
-        }
-        if let Some(v) = self.net_speed {
-            parts.push(format!("net={v}"));
-        }
-        if let Some(v) = self.mpl {
-            parts.push(format!("mpl={v}"));
-        }
-        if let Some(v) = &self.admission {
-            parts.push(format!("admission={}", v.label()));
-        }
-        if let Some(v) = &self.node_speed {
-            parts.push(format!("speed={}", v.label()));
-        }
-        if let Some(v) = &self.broker_reads {
-            parts.push(format!("reads={v:?}"));
-        }
-        if let Some(v) = &self.broker {
-            parts.push(format!("broker={}", v.label()));
-        }
-        if let Some(v) = &self.trace {
-            parts.push(format!("trace={}", v.label()));
-        }
-        if let Some(v) = self.sim_secs {
-            parts.push(format!("sim={v}"));
-        }
-        if let Some(v) = self.warmup_secs {
-            parts.push(format!("warmup={v}"));
-        }
-        if let Some(v) = self.seed {
-            parts.push(format!("seed={v}"));
-        }
-        if parts.is_empty() {
-            "patch".into()
-        } else {
-            parts.join(",")
-        }
-    }
-}
-
 /// Compact modulation rendering for run labels.
 fn modulation_label(m: &Modulation) -> String {
     match m {
@@ -498,52 +463,28 @@ fn modulation_label(m: &Modulation) -> String {
     }
 }
 
-/// Sweep axes. Every non-empty axis contributes one dimension to the
-/// cross-product; an empty axis keeps the base value.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-#[serde(default)]
-pub struct Sweep {
-    /// Strategies to compare (one result series each).
-    pub strategy: Vec<StrategySpec>,
-    /// Admission policies to compare (a series dimension, like
-    /// `strategy`).
-    pub admission: Vec<AdmissionConfig>,
-    /// Correlated multi-knob overrides (one axis, applied together).
-    pub paired: Vec<Patch>,
-    /// System sizes.
-    pub n_pes: Vec<u32>,
-    /// Scan selectivities.
-    pub selectivity: Vec<f64>,
-    /// Join arrival rates per PE.
-    pub qps_per_pe: Vec<f64>,
-    /// Redistribution skew thetas.
-    pub skew_theta: Vec<f64>,
-    /// Data-placement skew thetas (fragment sizes).
-    pub data_skew: Vec<f64>,
-    /// Fragments per join relation.
-    pub fragment_count: Vec<u32>,
-    /// Online rebalancing on/off.
-    pub rebalance: Vec<bool>,
-    /// OLTP rates per node.
-    pub tps_per_node: Vec<f64>,
-    /// Buffer sizes.
-    pub buffer_pages: Vec<u32>,
-    /// Disks per PE.
-    pub disks_per_pe: Vec<u32>,
-    /// Interconnect link-bandwidth factors.
-    pub net_speed: Vec<f64>,
-    /// Multiprogramming levels.
-    pub mpl: Vec<u32>,
-    /// Node-speed profiles.
-    pub node_speed: Vec<NodeSpeed>,
-    /// Control-plane configurations (broker kind + fault model) to
-    /// compare.
-    pub broker: Vec<BrokerConfig>,
-    /// Observability configurations. Sweeping trace on/off is an
-    /// inertness check: every value must produce the same `Summary`.
-    pub trace: Vec<TraceConfig>,
-    /// Replication seeds.
-    pub seed: Vec<u64>,
+/// Cross `runs` with one axis: every run is repeated once per value, with
+/// the value applied and its label appended to the run's axes.
+fn expand<T>(
+    runs: Vec<ScenarioRun>,
+    axis: &str,
+    values: &[T],
+    label: impl Fn(&T) -> String,
+    apply: impl Fn(&mut Knobs, &T),
+) -> Vec<ScenarioRun> {
+    if values.is_empty() {
+        return runs;
+    }
+    let mut out = Vec::with_capacity(runs.len() * values.len());
+    for run in &runs {
+        for v in values {
+            let mut next = run.clone();
+            next.axes.push((axis.to_string(), label(v)));
+            apply(&mut next.knobs, v);
+            out.push(next);
+        }
+    }
+    out
 }
 
 /// One expanded run: the axis values that produced it plus the final
@@ -580,7 +521,7 @@ impl ScenarioRun {
 
 /// A complete declarative scenario: metadata, base point, sweep.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Scenario name; also names the result files under `results/`.
     pub name: String,
@@ -592,157 +533,11 @@ pub struct ScenarioSpec {
     pub sweep: Sweep,
 }
 
-impl ScenarioSpec {
-    /// Number of runs the sweep expands to (product of non-empty axes).
-    pub fn run_count(&self) -> usize {
-        let s = &self.sweep;
-        [
-            s.strategy.len(),
-            s.admission.len(),
-            s.paired.len(),
-            s.n_pes.len(),
-            s.selectivity.len(),
-            s.qps_per_pe.len(),
-            s.skew_theta.len(),
-            s.data_skew.len(),
-            s.fragment_count.len(),
-            s.rebalance.len(),
-            s.tps_per_node.len(),
-            s.buffer_pages.len(),
-            s.disks_per_pe.len(),
-            s.net_speed.len(),
-            s.mpl.len(),
-            s.node_speed.len(),
-            s.broker.len(),
-            s.trace.len(),
-            s.seed.len(),
-        ]
-        .iter()
-        .filter(|&&n| n > 0)
-        .product::<usize>()
-        .max(1)
-    }
-
-    /// Expand the sweep into concrete runs (cross-product of all
-    /// non-empty axes, in deterministic axis order: strategy, paired,
-    /// then the scalar axes).
-    pub fn runs(&self) -> Vec<ScenarioRun> {
-        fn expand<T: Clone>(
-            runs: Vec<ScenarioRun>,
-            axis: &str,
-            values: &[T],
-            label: impl Fn(&T) -> String,
-            apply: impl Fn(&mut Knobs, &T),
-        ) -> Vec<ScenarioRun> {
-            if values.is_empty() {
-                return runs;
-            }
-            let mut out = Vec::with_capacity(runs.len() * values.len());
-            for run in &runs {
-                for v in values {
-                    let mut next = run.clone();
-                    next.axes.push((axis.to_string(), label(v)));
-                    apply(&mut next.knobs, v);
-                    out.push(next);
-                }
-            }
-            out
-        }
-
-        let mut runs = vec![ScenarioRun {
-            axes: Vec::new(),
-            knobs: self.base.clone(),
-        }];
-        let s = &self.sweep;
-        runs = expand(
-            runs,
-            "strategy",
-            &s.strategy,
-            StrategySpec::label,
-            |k, v| k.strategy = *v,
-        );
-        runs = expand(
-            runs,
-            "admission",
-            &s.admission,
-            AdmissionConfig::label,
-            |k, v| k.admission = v.clone(),
-        );
-        runs = expand(runs, "paired", &s.paired, Patch::label, |k, v| v.apply(k));
-        runs = expand(runs, "n_pes", &s.n_pes, u32::to_string, |k, v| k.n_pes = *v);
-        runs = expand(
-            runs,
-            "selectivity",
-            &s.selectivity,
-            f64::to_string,
-            |k, v| k.selectivity = *v,
-        );
-        runs = expand(runs, "qps_per_pe", &s.qps_per_pe, f64::to_string, |k, v| {
-            k.qps_per_pe = *v
-        });
-        runs = expand(runs, "skew_theta", &s.skew_theta, f64::to_string, |k, v| {
-            k.skew_theta = *v
-        });
-        runs = expand(runs, "data_skew", &s.data_skew, f64::to_string, |k, v| {
-            k.data_skew = *v
-        });
-        runs = expand(
-            runs,
-            "fragment_count",
-            &s.fragment_count,
-            u32::to_string,
-            |k, v| k.fragment_count = *v,
-        );
-        runs = expand(runs, "rebalance", &s.rebalance, bool::to_string, |k, v| {
-            k.rebalance = *v
-        });
-        runs = expand(
-            runs,
-            "tps_per_node",
-            &s.tps_per_node,
-            f64::to_string,
-            |k, v| k.tps_per_node = *v,
-        );
-        runs = expand(
-            runs,
-            "buffer_pages",
-            &s.buffer_pages,
-            u32::to_string,
-            |k, v| k.buffer_pages = *v,
-        );
-        runs = expand(
-            runs,
-            "disks_per_pe",
-            &s.disks_per_pe,
-            u32::to_string,
-            |k, v| k.disks_per_pe = *v,
-        );
-        runs = expand(runs, "net_speed", &s.net_speed, f64::to_string, |k, v| {
-            k.net_speed = *v
-        });
-        runs = expand(runs, "mpl", &s.mpl, u32::to_string, |k, v| k.mpl = *v);
-        runs = expand(
-            runs,
-            "node_speed",
-            &s.node_speed,
-            NodeSpeed::label,
-            |k, v| k.node_speed = v.clone(),
-        );
-        runs = expand(runs, "broker", &s.broker, BrokerConfig::label, |k, v| {
-            k.broker = *v
-        });
-        runs = expand(runs, "trace", &s.trace, TraceConfig::label, |k, v| {
-            k.trace = *v
-        });
-        runs = expand(runs, "seed", &s.seed, u64::to_string, |k, v| k.seed = *v);
-        runs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lb_core::{DegreePolicy, SelectPolicy};
+    use serde::Serialize;
 
     #[test]
     fn empty_spec_is_one_base_run() {
@@ -948,6 +743,93 @@ mod tests {
         assert_eq!(wl.queries[0].redistribution_skew, 0.5);
         assert!(matches!(wl.queries[0].modulation, Modulation::Shift { .. }));
         assert!(matches!(wl.oltp[0].modulation, Modulation::Burst { .. }));
+    }
+
+    /// A non-default value for every overridable knob, as JSON.
+    fn sample(name: &str) -> &'static str {
+        match name {
+            "strategy" => r#""MIN-IO""#,
+            "workload" => r#""Mixed""#,
+            "n_pes" => "8",
+            "selectivity" => "0.05",
+            "qps_per_pe" => "0.5",
+            "skew_theta" => "0.5",
+            "data_skew" => "0.8",
+            "fragment_count" => "16",
+            "rebalance" => "true",
+            "tps_per_node" => "60.0",
+            "oltp_nodes" => r#""BNodes""#,
+            "query_modulation" => r#"{ "Shift": { "factor": 2.0, "at_secs": 10.0 } }"#,
+            "oltp_modulation" => {
+                r#"{ "Burst": { "factor": 4.0, "period_secs": 10.0, "duty": 0.25 } }"#
+            }
+            "buffer_pages" => "5",
+            "disks_per_pe" => "1",
+            "net_speed" => "0.2",
+            "mpl" => "8",
+            "admission" => r#"{ "policy": "Malleable" }"#,
+            "node_speed" => r#"{ "SlowFraction": { "fraction": 0.25, "factor": 0.5 } }"#,
+            "broker" => r#"{ "kind": "Lagged", "staleness_ms": 50.0 }"#,
+            "trace" => r#"{ "enabled": true }"#,
+            "sim_secs" => "12.0",
+            "warmup_secs" => "2.0",
+            "seed" => "7",
+            other => panic!("no sample value for knob `{other}`: add one here"),
+        }
+    }
+
+    /// Each knob's default value, as JSON.
+    fn default_json(name: &str) -> String {
+        let knobs = Knobs::default().to_value();
+        serde_json::to_string(knobs.get(name).expect("knob serialized")).unwrap()
+    }
+
+    #[test]
+    fn every_table_row_labels_applies_and_sweeps_on_its_own() {
+        let defaults = Knobs::default().to_value();
+        let mut labels = Vec::new();
+        for &name in Patch::NAMES {
+            let patch: Patch =
+                serde_json::from_str(&format!(r#"{{ "{name}": {} }}"#, sample(name))).unwrap();
+            labels.push(patch.label());
+            let mut knobs = Knobs::default();
+            patch.apply(&mut knobs);
+            for (field, value) in knobs.to_value().as_object().unwrap() {
+                let before = defaults.get(field).unwrap();
+                if field == name {
+                    assert_ne!(value, before, "patching `{name}` left it at its default");
+                } else {
+                    assert_eq!(value, before, "patching `{name}` changed `{field}`");
+                }
+            }
+        }
+        let mut distinct = labels.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            Patch::NAMES.len(),
+            "labels collide: {labels:?}"
+        );
+
+        for &axis in Sweep::AXES {
+            let values = if axis == "paired" {
+                r#"[{ "seed": 1 }, { "seed": 2 }]"#.to_string()
+            } else {
+                format!("[{}, {}]", default_json(axis), sample(axis))
+            };
+            let spec: ScenarioSpec =
+                serde_json::from_str(&format!(r#"{{ "sweep": {{ "{axis}": {values} }} }}"#))
+                    .unwrap();
+            assert_eq!(spec.run_count(), 2, "axis `{axis}`");
+            let runs = spec.runs();
+            assert_eq!(runs.len(), 2, "axis `{axis}`");
+            assert!(runs
+                .iter()
+                .all(|r| r.axes.len() == 1 && r.axis(axis).is_some()));
+            assert_ne!(runs[0].label(), runs[1].label(), "axis `{axis}`");
+            assert_ne!(runs[0].knobs, runs[1].knobs, "axis `{axis}`");
+        }
     }
 
     #[test]

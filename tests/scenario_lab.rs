@@ -3,7 +3,7 @@
 //! sensible output (this is the "4 new scenario families run green"
 //! acceptance gate, kept CI-short).
 
-use workload::scenario::ScenarioSpec;
+use workload::scenario::{Knobs, ScenarioSpec, Sweep};
 
 fn load(name: &str) -> ScenarioSpec {
     let path = format!("{}/scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
@@ -130,5 +130,37 @@ fn heterogeneity_changes_outcomes() {
         half_slow > uniform,
         "state-oblivious RANDOM suffers when half the nodes run at half \
          speed (uniform {uniform:.0} ms vs heterogeneous {half_slow:.0} ms)"
+    );
+}
+
+/// The README paragraph that starts with `heading`, up to the next blank
+/// line.
+fn readme_paragraph(heading: &str) -> String {
+    let path = format!("{}/README.md", env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let start = readme
+        .find(heading)
+        .unwrap_or_else(|| panic!("README has no paragraph starting {heading:?}"));
+    let rest = &readme[start..];
+    rest[..rest.find("\n\n").unwrap_or(rest.len())].to_string()
+}
+
+/// README's "Knobs" and "Sweep axes" lists name every knob and axis the
+/// knob table generates, the axes in expansion order.
+#[test]
+fn readme_lists_every_knob_and_axis() {
+    let knobs = readme_paragraph("Knobs (`base`, all optional):");
+    for name in Knobs::NAMES {
+        assert!(
+            knobs.contains(&format!("`{name}`")),
+            "README Knobs list misses `{name}`"
+        );
+    }
+    let axes = readme_paragraph("Sweep axes, in expansion order:");
+    let listed: Vec<&str> = axes.split('`').skip(1).step_by(2).collect();
+    assert_eq!(
+        &listed[..Sweep::AXES.len()],
+        Sweep::AXES,
+        "README Sweep axes list"
     );
 }
