@@ -58,6 +58,54 @@ fn bench_lru(c: &mut Criterion) {
             black_box(hits)
         })
     });
+    // The two rows below bracket the LRU's trade. One 200-entry map sits
+    // in L1 and hides the footprint of a hit; 1000 buffers with 64
+    // resident pages each, hit in pseudo-random order, is what the
+    // 1000-PE OLTP soak does. A full map taking only misses pays an
+    // eviction per insert, the scan and spill pattern.
+    c.bench_function("lru/hit_1000_maps_x64_10k", |b| {
+        let mut maps: Vec<LruMap<(u64, u64), u32>> = (0..1_000).map(|_| LruMap::new(500)).collect();
+        for (m, map) in maps.iter_mut().enumerate() {
+            for page in 0..64 {
+                map.insert((m as u64, page), 0);
+            }
+        }
+        let mut rng = SimRng::new(5);
+        let hits: Vec<(usize, (u64, u64))> = (0..10_000)
+            .map(|_| {
+                let m = rng.below(1_000);
+                (m as usize, (m, rng.below(64)))
+            })
+            .collect();
+        b.iter(|| {
+            let mut found = 0u32;
+            for (m, key) in &hits {
+                if let Some(v) = maps[*m].get_mut(key) {
+                    *v += 1;
+                    found += 1;
+                }
+            }
+            black_box(found)
+        })
+    });
+    c.bench_function("lru/miss_full_500_10k", |b| {
+        let mut l: LruMap<(u64, u64), u32> = LruMap::new(500);
+        let mut next = 0u64;
+        while l.len() < 500 {
+            l.insert((0, next), 0);
+            next += 1;
+        }
+        b.iter(|| {
+            let mut evicted = 0u32;
+            for _ in 0..10_000 {
+                if l.get(&(0, next)).is_none() && l.insert((0, next), 0).is_some() {
+                    evicted += 1;
+                }
+                next += 1;
+            }
+            black_box(evicted)
+        })
+    });
 }
 
 fn bench_rng(c: &mut Criterion) {

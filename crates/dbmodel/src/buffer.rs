@@ -270,15 +270,7 @@ impl BufferManager {
     /// Drop all pages of an object (e.g. a deleted temporary file).
     /// Dirty pages of dropped objects are discarded, not written.
     pub fn purge_object(&mut self, object: u64) {
-        let addrs: Vec<PageAddr> = self
-            .global
-            .iter_mru()
-            .filter(|(a, _)| a.object == object)
-            .map(|(a, _)| *a)
-            .collect();
-        for a in addrs {
-            self.global.remove(&a);
-        }
+        self.global.retain(|a, _| a.object != object);
     }
 
     /// Is this page currently resident? (statistics/tests)

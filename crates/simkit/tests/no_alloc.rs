@@ -1,17 +1,18 @@
-//! Allocation audit of the future-event-list hot path.
+//! Allocation audit of the future-event-list and LRU hot paths.
 //!
 //! Events are stored by value inside the binary heap, so a steady-state
 //! push/pop cycle at constant depth must never touch the heap once the
 //! backing storage is warm. This pins the zero-allocation property the
 //! event-loop perf work relies on: per-event cost is pointer shuffling,
-//! not allocator traffic.
+//! not allocator traffic. The buffer and disk-cache LRU is held to the
+//! same standard: it allocates nothing until used, and nothing once warm.
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide. The count itself is per thread,
 //! so libtest's own threads (spawns, the result channel) never leak into
 //! a measurement.
 
-use simkit::{EventQueue, SimDur, SimTime};
+use simkit::{EventQueue, LruMap, SimDur, SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -86,6 +87,70 @@ fn event_heap_steady_state_is_allocation_free() {
         "heap FEL allocated {steady} times over 100k steady-state events"
     );
     assert_eq!(q.len(), 512);
+}
+
+/// An LRU sized for a 500-frame buffer costs nothing until it is used:
+/// storage grows with the live entries, not with the capacity.
+#[test]
+fn lru_new_is_allocation_free() {
+    let (l, n) = allocs_during(|| LruMap::<u64, u64>::new(500));
+    assert_eq!(n, 0, "LruMap::new(500) allocated {n} times");
+    assert!(l.is_empty());
+}
+
+/// Keys are pages of four 200-page objects.
+const OBJECT_PAGES: u64 = 200;
+
+/// Rounds of 1,000 mixed hits, evicting inserts and removes on a warm,
+/// full map, each round ending with three of the four objects dropped
+/// page by page, as `purge_object` drops a deleted temporary file. The
+/// drop leaves more orphan heap records than twice the live entries, so
+/// every round compacts the heap.
+fn lru_mixed_allocs(l: &mut LruMap<u64, u64>, rng: &mut SimRng, rounds: u64) -> u64 {
+    allocs_during(|| {
+        for _ in 0..rounds {
+            for _ in 0..1_000 {
+                let key = rng.below(4 * OBJECT_PAGES);
+                match rng.below(8) {
+                    0..=4 => {
+                        if l.get_mut(&key).is_none() {
+                            l.insert(key, key);
+                        }
+                    }
+                    5 | 6 => {
+                        l.insert(key, key);
+                    }
+                    _ => {
+                        l.remove(&key);
+                    }
+                }
+            }
+            let kept = rng.below(4);
+            for key in (0..4 * OBJECT_PAGES).filter(|k| k / OBJECT_PAGES != kept) {
+                l.remove(&key);
+            }
+        }
+    })
+    .1
+}
+
+/// After a warm-up at capacity, 100 rounds (100k mixed operations plus
+/// the object drops) allocate nothing:
+/// hits only stamp their slot, evictions reuse heap records, and the
+/// orphan compaction works inside the heap's own buffer.
+#[test]
+fn lru_steady_state_is_allocation_free() {
+    let mut l: LruMap<u64, u64> = LruMap::new(500);
+    let mut rng = SimRng::new(7);
+    for k in 0..500 {
+        l.insert(k, k);
+    }
+    let _ = lru_mixed_allocs(&mut l, &mut rng, 100);
+    let steady = lru_mixed_allocs(&mut l, &mut rng, 100);
+    assert_eq!(
+        steady, 0,
+        "LruMap allocated {steady} times over 100 steady-state rounds"
+    );
 }
 
 /// The audit can fail: one deliberate allocation inside the window is
