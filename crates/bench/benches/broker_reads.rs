@@ -217,11 +217,36 @@ fn bench_ranked_head(c: &mut Criterion) {
     g.finish();
 }
 
+/// Adaptive feedback alone: `note_assignment` of one coordinator (one
+/// promised page) on nodes in pseudo-random order, the repair the
+/// least-bottleneck coordinator policy runs per transaction. The CPU bump
+/// is shrunk so keys keep moving instead of saturating at 1.0 within a
+/// few rounds; free pages do run out after a few dozen bumps per node,
+/// after which the AVAIL-MEMORY key stops changing, as it does in the
+/// soak.
+fn bench_note_assignment(c: &mut Criterion) {
+    let mut g = c.benchmark_group("broker/note_assignment");
+    let n = 1_000;
+    let mut ctl = warmed::<ControlNode>(n);
+    ctl.luc_bump = 1e-6;
+    let mut x = 1u64;
+    g.bench_function(&format!("incremental/n{n}"), |b| {
+        b.iter(|| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let id = ((x >> 33) % n as u64) as u32;
+            ctl.note_assignment(&[id], 1);
+            black_box(id)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_report,
     bench_report_adversarial,
     bench_by_bottleneck,
-    bench_ranked_head
+    bench_ranked_head,
+    bench_note_assignment
 );
 criterion_main!(benches);

@@ -59,6 +59,37 @@ fn bench_locks(c: &mut Criterion) {
     });
 }
 
+/// The soak's lock traffic: 1000 per-PE lock tables, each transaction
+/// taking four exclusive tuple locks on one pseudo-randomly chosen PE
+/// and releasing them at commit. Visiting the PEs out of order keeps each
+/// table cold, as the event loop does; one iteration is 1000
+/// transactions.
+fn bench_locks_thousand_pes(c: &mut Criterion) {
+    const PES: u64 = 1_000;
+    let mut tables: Vec<LockManager> = (0..PES).map(|_| LockManager::new()).collect();
+    let mut x = 1u64;
+    let mut id = 0u64;
+    c.bench_function("locks/debit_credit_1000_pes", |b| {
+        b.iter(|| {
+            let mut woken = 0;
+            for _ in 0..1_000 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let lm = &mut tables[((x >> 33) % PES) as usize];
+                id += 1;
+                let t = TxnToken {
+                    id,
+                    birth: SimTime(id),
+                };
+                for k in 0..4 {
+                    lm.lock(t, (x >> 17).wrapping_add(k * 7_919), LockMode::Exclusive);
+                }
+                woken += lm.release_all(t).len();
+            }
+            black_box(woken)
+        })
+    });
+}
+
 fn bench_deadlock(c: &mut Criterion) {
     let mut rng = SimRng::new(6);
     let edges: Vec<(u64, u64)> = (0..500).map(|_| (rng.below(100), rng.below(100))).collect();
@@ -201,6 +232,7 @@ criterion_group!(
     benches,
     bench_buffer,
     bench_locks,
+    bench_locks_thousand_pes,
     bench_deadlock,
     bench_btree,
     bench_disk,

@@ -92,63 +92,77 @@ impl DataLocality {
     }
 }
 
+/// A ranking key with its order fixed by its type, so the binary-search
+/// probes of [`RankIndex`] compile to inline compares: utilizations
+/// (`f64`) rank ascending, free pages (`u32`) descending. Ties always
+/// fall back to ascending id.
+trait RankKey: Copy + PartialEq {
+    fn rank_cmp(&self, other: &Self) -> Ordering;
+}
+
+impl RankKey for f64 {
+    #[inline]
+    fn rank_cmp(&self, other: &Self) -> Ordering {
+        self.partial_cmp(other).expect("finite")
+    }
+}
+
+impl RankKey for u32 {
+    #[inline]
+    fn rank_cmp(&self, other: &Self) -> Ordering {
+        other.cmp(self)
+    }
+}
+
 /// One maintained ranking: ids in canonical `(key, id)` order, repaired
 /// when one key changes. The strict total order makes every position
 /// recoverable by binary search, so no inverse permutation is kept: a
 /// repair is two `partition_point`s plus one `copy_within` (memmove),
 /// O(log n) compares and O(distance moved) sequential byte moves.
 #[derive(Debug, Clone)]
-struct RankIndex<K: Copy> {
+struct RankIndex<K: RankKey> {
     /// Current key per node id.
     key: Vec<K>,
-    /// Node ids sorted by `(cmp(key), id)`.
+    /// Node ids sorted by `(key, id)`.
     order: Vec<u32>,
-    /// Key comparator (ascending for utilizations, descending for free
-    /// memory); ties always fall back to ascending id.
-    cmp: fn(&K, &K) -> Ordering,
 }
 
-impl<K: Copy> RankIndex<K> {
-    fn new(n: usize, init: K, cmp: fn(&K, &K) -> Ordering) -> Self {
+impl<K: RankKey> RankIndex<K> {
+    fn new(n: usize, init: K) -> Self {
         RankIndex {
             key: vec![init; n],
             order: (0..n as u32).collect(),
-            cmp,
         }
     }
 
-    /// Index of `id` in `order` (binary search on the strict `(key, id)`
-    /// total order — `order` is always fully sorted between updates).
-    fn position(&self, id: u32) -> usize {
-        let cmp = self.cmp;
-        let key = &self.key;
-        let p = self.order.partition_point(|&o| {
-            cmp(&key[o as usize], &key[id as usize])
-                .then(o.cmp(&id))
-                .is_lt()
-        });
-        debug_assert_eq!(self.order[p], id);
-        p
+    /// Does `(key[a], a)` sort strictly before `(k, b)`?
+    #[inline]
+    fn before(key: &[K], a: u32, k: &K, b: u32) -> bool {
+        key[a as usize].rank_cmp(k).then(a.cmp(&b)).is_lt()
     }
 
     /// Set `id`'s key and move it to its canonical position. Feedback
     /// bumps routinely throw a node across a large slice of the ranking
     /// (the least-loaded node is picked, bumped, and lands above every
     /// tied peer), so the repair must not pay per displaced element: the
-    /// destination is found by binary search and the displaced ids are
-    /// shifted with a single `copy_within` — no inverse table to patch,
-    /// no per-position swaps.
+    /// old slot and the destination are found by binary search and the
+    /// displaced ids are shifted with a single `copy_within` — no inverse
+    /// table to patch, no per-position swaps. A key that compares equal
+    /// to the old one (AVAIL-MEMORY on an assignment that promises no
+    /// pages, or on a node with none left to promise) leaves the order
+    /// as it is, with no search.
     fn update(&mut self, id: u32, new_key: K) {
-        let p = self.position(id);
-        self.key[id as usize] = new_key;
-        let RankIndex { key, order, cmp } = self;
-        let cmp = *cmp;
+        let RankIndex { key, order } = self;
+        let old_key = key[id as usize];
+        if old_key.rank_cmp(&new_key).is_eq() {
+            key[id as usize] = new_key;
+            return;
+        }
+        let p = order.partition_point(|&o| Self::before(key, o, &old_key, id));
+        debug_assert_eq!(order[p], id);
+        key[id as usize] = new_key;
         // Does `other` sort strictly before `id` under the new key?
-        let before_id = |other: u32| {
-            cmp(&key[other as usize], &key[id as usize])
-                .then(other.cmp(&id))
-                .is_lt()
-        };
+        let before_id = |other: u32| Self::before(key, other, &new_key, id);
         if p > 0 && !before_id(order[p - 1]) {
             // Move left: everything in `order[..p]` is sorted, so the
             // first element not before `id` marks the destination.
@@ -168,9 +182,8 @@ impl<K: Copy> RankIndex<K> {
     /// e.g. a bottleneck-weight swap).
     fn rebuild(&mut self) {
         let key = &self.key;
-        let cmp = self.cmp;
         self.order
-            .sort_unstable_by(|&a, &b| cmp(&key[a as usize], &key[b as usize]).then(a.cmp(&b)));
+            .sort_unstable_by(|&a, &b| key[a as usize].rank_cmp(&key[b as usize]).then(a.cmp(&b)));
     }
 }
 
@@ -231,14 +244,6 @@ impl<K: Copy + PartialEq> Iterator for Ranked<'_, K> {
             self.lo = 0;
         }
     }
-}
-
-fn cmp_f64_asc(a: &f64, b: &f64) -> Ordering {
-    a.partial_cmp(b).expect("finite")
-}
-
-fn cmp_u32_desc(a: &u32, b: &u32) -> Ordering {
-    b.cmp(a)
 }
 
 /// Control-node view of the whole system.
@@ -306,9 +311,9 @@ impl ControlNode {
             weights: ResourceWeights::default(),
             rr: 0,
             locality: None,
-            util_idx: std::array::from_fn(|_| RankIndex::new(n, 0.0, cmp_f64_asc)),
-            bott_idx: RankIndex::new(n, 0.0, cmp_f64_asc),
-            mem_idx: RankIndex::new(n, 0, cmp_u32_desc),
+            util_idx: std::array::from_fn(|_| RankIndex::new(n, 0.0)),
+            bott_idx: RankIndex::new(n, 0.0),
+            mem_idx: RankIndex::new(n, 0),
             weights_snap: ResourceWeights::default(),
             scratch_f: Vec::with_capacity(n),
             scratch_m: Vec::with_capacity(n),
@@ -535,7 +540,7 @@ impl ControlNode {
     }
 
     /// Lazy rotated walk over one maintained index.
-    fn lazy<K: Copy + PartialEq>(idx: &RankIndex<K>, s: u32) -> Ranked<'_, K> {
+    fn lazy<K: RankKey>(idx: &RankIndex<K>, s: u32) -> Ranked<'_, K> {
         Ranked {
             key: &idx.key,
             rest: &idx.order,
@@ -790,6 +795,16 @@ mod tests {
         let mut v: Vec<(u32, K)> = (0..c.len() as u32).map(|i| (i, key(i))).collect();
         v.sort_by(|a, b| cmp(&a.1, &b.1).then(c.rank(a.0).cmp(&c.rank(b.0))));
         v
+    }
+
+    /// The oracle's comparators, written out rather than taken from
+    /// [`RankKey`] so the test does not reuse the order it checks.
+    fn cmp_f64_asc(a: &f64, b: &f64) -> Ordering {
+        a.partial_cmp(b).expect("finite")
+    }
+
+    fn cmp_u32_desc(a: &u32, b: &u32) -> Ordering {
+        b.cmp(a)
     }
 
     proptest! {

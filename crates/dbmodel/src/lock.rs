@@ -9,6 +9,28 @@
 //! shared locks, and all locks are held until commit (`release_all`). The
 //! central detector (see [`crate::deadlock`]) consumes the union of
 //! [`LockManager::wait_edges`] across PEs.
+//!
+//! # Layout
+//!
+//! A debit-credit transaction takes four uncontended tuple locks and
+//! releases them at commit, on every one of 1000 PEs, so the table is
+//! shaped for that case:
+//!
+//! * an entry keeps its first holder inline and spills co-holders (shared
+//!   locks) to a `Vec` in grant order; its waiter queue is a `VecDeque`,
+//!   which allocates only when someone waits. An uncontended entry owns no
+//!   heap buffer, so creating and dropping one per access is free;
+//! * the per-transaction list of held objects keeps its first four
+//!   objects inline and spills the rest to a `Vec` that is recycled
+//!   through a small free list;
+//! * `release`/`release_all` reach each entry with one hash lookup and
+//!   remove an emptied entry through the same lookup.
+//!
+//! A held list records one entry per grant, in grant order: an upgrade
+//! granted from the wait queue appends its object a second time, and
+//! `release_all` revisits such a repeat while the entry still exists. Only
+//! a transaction that queues requests behind its own can tell; the engine
+//! never does.
 
 use simkit::fxhash::FxHashMap;
 use simkit::SimTime;
@@ -44,9 +66,87 @@ pub enum LockOutcome {
     Waiting,
 }
 
+/// Ordered list keeping its first `N` items inline and the rest in
+/// `spill` (so `spill.len() == len.saturating_sub(N)`).
+#[derive(Debug)]
+struct SmallList<T: Copy, const N: usize> {
+    len: usize,
+    /// Slots `len..N` hold stale copies, never read.
+    inline: [T; N],
+    spill: Vec<T>,
+}
+
+impl<T: Copy, const N: usize> SmallList<T, N> {
+    fn one(x: T) -> Self {
+        SmallList {
+            len: 1,
+            inline: [x; N],
+            spill: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn get(&self, i: usize) -> T {
+        if i < N {
+            self.inline[i]
+        } else {
+            self.spill[i - N]
+        }
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        if i < N {
+            &mut self.inline[i]
+        } else {
+            &mut self.spill[i - N]
+        }
+    }
+
+    fn iter(&self) -> std::iter::Chain<std::slice::Iter<'_, T>, std::slice::Iter<'_, T>> {
+        self.inline[..self.len.min(N)].iter().chain(&self.spill)
+    }
+
+    fn push(&mut self, x: T) {
+        if self.len < N {
+            self.inline[self.len] = x;
+        } else {
+            self.spill.push(x);
+        }
+        self.len += 1;
+    }
+
+    /// Keep the items `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            let x = self.get(i);
+            if keep(&x) {
+                *self.get_mut(kept) = x;
+                kept += 1;
+            }
+        }
+        self.spill.truncate(kept.saturating_sub(N));
+        self.len = kept;
+    }
+}
+
+/// Held objects kept inline per transaction: a debit-credit transaction
+/// takes four tuple locks.
+const HELD_INLINE: usize = 4;
+
+type Held = SmallList<u64, HELD_INLINE>;
+
 #[derive(Debug)]
 struct LockEntry {
-    holders: Vec<(TxnToken, LockMode)>,
+    /// Holders in grant order; never empty between calls.
+    holders: SmallList<(TxnToken, LockMode), 1>,
     waiters: VecDeque<(TxnToken, LockMode)>,
 }
 
@@ -54,58 +154,49 @@ struct LockEntry {
 #[derive(Debug, Default)]
 pub struct LockManager {
     table: FxHashMap<u64, LockEntry>,
-    /// object ids held per txn, for O(held) release.
-    held_by: FxHashMap<u64, Vec<u64>>,
+    /// Objects held per txn, in grant order, for O(held) release.
+    held_by: FxHashMap<u64, Held>,
     /// Waiters currently enqueued across all entries. Lets `release_all`
     /// skip its whole-table abandoned-wait sweep in the common
     /// no-contention commit, where the sweep would visit every bucket
     /// just to find nothing.
     waiting: usize,
-    /// Retired [`LockEntry`]s (emptied, capacity kept). OLTP tuple locks
-    /// churn one entry per access; reusing the holder/waiter buffers keeps
-    /// the lock/commit cycle allocation-free in steady state.
-    entry_pool: Vec<LockEntry>,
-    /// Retired `held_by` vectors, same idea (one per transaction).
-    vec_pool: Vec<Vec<u64>>,
+    /// Emptied spill buffers of retired held lists (capacity kept), so a
+    /// transaction holding more than [`HELD_INLINE`] objects does not
+    /// allocate in steady state.
+    spill_pool: Vec<Vec<u64>>,
     grants: u64,
     waits: u64,
 }
 
-/// Bound on both free lists: enough for every plausible steady state,
-/// small enough that a contention burst cannot pin memory forever.
+/// Bound on the spill free list: enough for every plausible steady state,
+/// small enough that a burst of large transactions cannot pin memory.
 const POOL_CAP: usize = 256;
 
-/// Record `object` as held by `txn`, reusing a pooled vector for the
-/// first object (free function: callers hold disjoint field borrows).
-fn note_held(
-    held_by: &mut FxHashMap<u64, Vec<u64>>,
-    pool: &mut Vec<Vec<u64>>,
-    txn: u64,
-    object: u64,
-) {
+/// Record `object` as newly held by `txn`, drawing a spill buffer from
+/// the pool once the inline slots are full (free function: callers hold
+/// disjoint field borrows).
+fn note_held(held_by: &mut FxHashMap<u64, Held>, pool: &mut Vec<Vec<u64>>, txn: u64, object: u64) {
     match held_by.entry(txn) {
-        MapEntry::Occupied(mut e) => e.get_mut().push(object),
+        MapEntry::Occupied(mut e) => {
+            let held = e.get_mut();
+            if held.len() == HELD_INLINE && held.spill.capacity() == 0 {
+                held.spill = pool.pop().unwrap_or_default();
+            }
+            held.push(object);
+        }
         MapEntry::Vacant(v) => {
-            let mut vec = pool.pop().unwrap_or_default();
-            vec.push(object);
-            v.insert(vec);
+            v.insert(Held::one(object));
         }
     }
 }
 
-/// Return an emptied entry/vector to its pool (drop it when full).
-fn retire_entry(pool: &mut Vec<LockEntry>, mut e: LockEntry) {
-    if pool.len() < POOL_CAP {
-        e.holders.clear();
-        e.waiters.clear();
-        pool.push(e);
-    }
-}
-
-fn retire_vec(pool: &mut Vec<Vec<u64>>, mut v: Vec<u64>) {
-    if pool.len() < POOL_CAP {
-        v.clear();
-        pool.push(v);
+/// Return a retired held list's spill buffer to the pool.
+fn retire_held(pool: &mut Vec<Vec<u64>>, held: Held) {
+    let mut spill = held.spill;
+    if spill.capacity() > 0 && pool.len() < POOL_CAP {
+        spill.clear();
+        pool.push(spill);
     }
 }
 
@@ -123,27 +214,25 @@ impl LockManager {
         let entry = match self.table.entry(object) {
             MapEntry::Occupied(e) => e.into_mut(),
             MapEntry::Vacant(v) => {
-                let mut e = self.entry_pool.pop().unwrap_or_else(|| LockEntry {
-                    holders: Vec::new(),
+                v.insert(LockEntry {
+                    holders: SmallList::one((txn, mode)),
                     waiters: VecDeque::new(),
                 });
-                e.holders.push((txn, mode));
-                v.insert(e);
-                note_held(&mut self.held_by, &mut self.vec_pool, txn.id, object);
+                note_held(&mut self.held_by, &mut self.spill_pool, txn.id, object);
                 self.grants += 1;
                 return LockOutcome::Granted;
             }
         };
         // Already holding?
         if let Some(pos) = entry.holders.iter().position(|(t, _)| t.id == txn.id) {
-            let held_mode = entry.holders[pos].1;
+            let held_mode = entry.holders.get(pos).1;
             match (held_mode, mode) {
                 (LockMode::Exclusive, _) | (LockMode::Shared, LockMode::Shared) => {
                     return LockOutcome::Granted;
                 }
                 (LockMode::Shared, LockMode::Exclusive) => {
                     if entry.holders.len() == 1 {
-                        entry.holders[pos].1 = LockMode::Exclusive;
+                        entry.holders.get_mut(pos).1 = LockMode::Exclusive;
                         self.grants += 1;
                         return LockOutcome::Granted;
                     }
@@ -157,7 +246,7 @@ impl LockManager {
         let compatible_with_holders = entry.holders.iter().all(|(_, m)| m.compatible(mode));
         if compatible_with_holders && entry.waiters.is_empty() {
             entry.holders.push((txn, mode));
-            note_held(&mut self.held_by, &mut self.vec_pool, txn.id, object);
+            note_held(&mut self.held_by, &mut self.spill_pool, txn.id, object);
             self.grants += 1;
             LockOutcome::Granted
         } else {
@@ -168,20 +257,25 @@ impl LockManager {
         }
     }
 
+    /// Grant `entry`'s waiters from the front while they are compatible,
+    /// appending each grant to `granted` and to its grantee's held list.
     fn promote_waiters(
         entry: &mut LockEntry,
-        waiting: &mut usize,
-        granted: &mut Vec<(TxnToken, u64)>,
         object: u64,
+        granted: &mut Vec<(TxnToken, u64)>,
+        waiting: &mut usize,
+        held_by: &mut FxHashMap<u64, Held>,
+        pool: &mut Vec<Vec<u64>>,
     ) {
         while let Some(&(txn, mode)) = entry.waiters.front() {
             // Upgrade case: waiter already holds shared and is alone.
             if let Some(pos) = entry.holders.iter().position(|(t, _)| t.id == txn.id) {
                 if entry.holders.len() == 1 && mode == LockMode::Exclusive {
-                    entry.holders[pos].1 = LockMode::Exclusive;
+                    entry.holders.get_mut(pos).1 = LockMode::Exclusive;
                     entry.waiters.pop_front();
                     *waiting -= 1;
                     granted.push((txn, object));
+                    note_held(held_by, pool, txn.id, object);
                     continue;
                 }
                 break;
@@ -194,6 +288,31 @@ impl LockManager {
             entry.waiters.pop_front();
             *waiting -= 1;
             granted.push((txn, object));
+            note_held(held_by, pool, txn.id, object);
+        }
+    }
+
+    /// Drop `txn`'s holder record on `object`, promote the waiters behind
+    /// it and remove the entry if nothing is left, all through one lookup.
+    fn release_holder(&mut self, txn: TxnToken, object: u64, granted: &mut Vec<(TxnToken, u64)>) {
+        // Vacant only for a list entry left stale by a release that took
+        // back a hold re-granted within the same `release_all` (a
+        // transaction queued behind its own upgrade; see the tests).
+        let MapEntry::Occupied(mut e) = self.table.entry(object) else {
+            return;
+        };
+        let entry = e.get_mut();
+        entry.holders.retain(|(t, _)| t.id != txn.id);
+        Self::promote_waiters(
+            entry,
+            object,
+            granted,
+            &mut self.waiting,
+            &mut self.held_by,
+            &mut self.spill_pool,
+        );
+        if entry.holders.is_empty() && entry.waiters.is_empty() {
+            e.remove();
         }
     }
 
@@ -203,27 +322,21 @@ impl LockManager {
     /// query). Returns the `(txn, object)` pairs that became granted.
     pub fn release(&mut self, txn: TxnToken, object: u64) -> Vec<(TxnToken, u64)> {
         let mut granted = Vec::new();
-        if let Some(held) = self.held_by.get_mut(&txn.id) {
-            held.retain(|&o| o != object);
-            if held.is_empty() {
-                if let Some(v) = self.held_by.remove(&txn.id) {
-                    retire_vec(&mut self.vec_pool, v);
-                }
-            }
+        let MapEntry::Occupied(mut e) = self.held_by.entry(txn.id) else {
+            return granted;
+        };
+        let held = e.get_mut();
+        let before = held.len();
+        held.retain(|&o| o != object);
+        if held.len() == before {
+            // Not a holder: nothing to release.
+            return granted;
         }
-        if let Some(entry) = self.table.get_mut(&object) {
-            entry.holders.retain(|(t, _)| t.id != txn.id);
-            Self::promote_waiters(entry, &mut self.waiting, &mut granted, object);
-            if entry.holders.is_empty() && entry.waiters.is_empty() {
-                if let Some(e) = self.table.remove(&object) {
-                    retire_entry(&mut self.entry_pool, e);
-                }
-            }
+        if held.is_empty() {
+            retire_held(&mut self.spill_pool, e.remove());
         }
-        for (t, o) in &granted {
-            note_held(&mut self.held_by, &mut self.vec_pool, t.id, *o);
-            self.grants += 1;
-        }
+        self.release_holder(txn, object, &mut granted);
+        self.grants += granted.len() as u64;
         granted
     }
 
@@ -232,38 +345,43 @@ impl LockManager {
     /// became granted — the engine resumes those transactions.
     pub fn release_all(&mut self, txn: TxnToken) -> Vec<(TxnToken, u64)> {
         let mut granted = Vec::new();
-        let mut held = self.held_by.remove(&txn.id).unwrap_or_default();
-        for object in held.drain(..) {
-            let Some(entry) = self.table.get_mut(&object) else {
-                continue;
-            };
-            entry.holders.retain(|(t, _)| t.id != txn.id);
-            Self::promote_waiters(entry, &mut self.waiting, &mut granted, object);
-            if entry.holders.is_empty() && entry.waiters.is_empty() {
-                if let Some(e) = self.table.remove(&object) {
-                    retire_entry(&mut self.entry_pool, e);
+        if let Some(held) = self.held_by.remove(&txn.id) {
+            for (i, &object) in held.iter().enumerate() {
+                let repeat = held.iter().take(i).any(|&o| o == object);
+                if !repeat || self.table.contains_key(&object) {
+                    self.release_holder(txn, object, &mut granted);
                 }
             }
+            retire_held(&mut self.spill_pool, held);
         }
-        retire_vec(&mut self.vec_pool, held);
         // Drop any outstanding waits of this txn (abort path). With no
         // waiters anywhere the sweep cannot find anything — skip it.
         if self.waiting > 0 {
-            let waiting = &mut self.waiting;
-            self.table.retain(|object, entry| {
+            let LockManager {
+                table,
+                held_by,
+                waiting,
+                spill_pool,
+                ..
+            } = self;
+            table.retain(|&object, entry| {
                 let before = entry.waiters.len();
                 entry.waiters.retain(|(t, _)| t.id != txn.id);
                 if entry.waiters.len() != before {
                     *waiting -= before - entry.waiters.len();
-                    Self::promote_waiters(entry, waiting, &mut granted, *object);
+                    Self::promote_waiters(
+                        entry,
+                        object,
+                        &mut granted,
+                        waiting,
+                        held_by,
+                        spill_pool,
+                    );
                 }
                 !(entry.holders.is_empty() && entry.waiters.is_empty())
             });
         }
-        for (t, o) in &granted {
-            note_held(&mut self.held_by, &mut self.vec_pool, t.id, *o);
-            self.grants += 1;
-        }
+        self.grants += granted.len() as u64;
         granted
     }
 
@@ -273,7 +391,7 @@ impl LockManager {
         let mut edges = Vec::new();
         for entry in self.table.values() {
             for (w, _) in &entry.waiters {
-                for (h, _) in &entry.holders {
+                for (h, _) in entry.holders.iter() {
                     if w.id != h.id {
                         edges.push((w.id, h.id));
                     }
@@ -312,6 +430,51 @@ impl LockManager {
 
     pub fn waits(&self) -> u64 {
         self.waits
+    }
+
+    /// Panic unless the table is self-consistent and every transaction it
+    /// names passes `live`:
+    ///
+    /// * every holder and waiter is live;
+    /// * each held list matches its transaction's holder records, both
+    ///   ways (a transaction that queued requests behind its own can leave
+    ///   a stale entry and fail this; the engine never does);
+    /// * the waiter count equals the number of queued waiters;
+    /// * no entry is left with neither holders nor waiters.
+    pub fn check_invariants(&self, live: impl Fn(u64) -> bool) {
+        let mut waiters = 0;
+        for (&object, entry) in &self.table {
+            assert!(
+                !(entry.holders.is_empty() && entry.waiters.is_empty()),
+                "object {object}: entry with no holders and no waiters"
+            );
+            for (t, _) in entry.holders.iter().chain(&entry.waiters) {
+                assert!(live(t.id), "object {object}: txn {} is not live", t.id);
+            }
+            for (t, _) in entry.holders.iter() {
+                let listed = self
+                    .held_by
+                    .get(&t.id)
+                    .is_some_and(|h| h.iter().any(|&o| o == object));
+                assert!(
+                    listed,
+                    "object {object}: holder {} not in its held list",
+                    t.id
+                );
+            }
+            waiters += entry.waiters.len();
+        }
+        for (&txn, held) in &self.held_by {
+            assert!(!held.is_empty(), "txn {txn}: empty held list kept");
+            for &object in held.iter() {
+                let holds = self
+                    .table
+                    .get(&object)
+                    .is_some_and(|e| e.holders.iter().any(|(t, _)| t.id == txn));
+                assert!(holds, "txn {txn}: listed object {object} is not held");
+            }
+        }
+        assert_eq!(self.waiting, waiters, "waiter count");
     }
 }
 
@@ -430,5 +593,252 @@ mod tests {
         let granted = lm.release_all(t(1));
         assert!(granted.is_empty());
         assert!(lm.is_quiescent());
+    }
+
+    /// A transaction that queues requests behind its own (which the
+    /// engine never does): the granted queued upgrade lists object 5
+    /// twice, so `release_all` visits it twice, and the second visit takes
+    /// back the shared lock the first visit had just granted to the same
+    /// transaction from its own queue.
+    #[test]
+    fn queued_self_requests_revisit_repeated_objects() {
+        let mut lm = LockManager::new();
+        assert_eq!(lm.lock(t(2), 5, LockMode::Shared), LockOutcome::Granted);
+        assert_eq!(lm.lock(t(3), 5, LockMode::Exclusive), LockOutcome::Waiting);
+        assert_eq!(lm.lock(t(3), 5, LockMode::Exclusive), LockOutcome::Waiting);
+        assert_eq!(lm.lock(t(3), 5, LockMode::Shared), LockOutcome::Waiting);
+        // t3 is granted X, then its second X request as an upgrade; its S
+        // request stays queued behind its own X.
+        assert_eq!(lm.release_all(t(2)), vec![(t(3), 5), (t(3), 5)]);
+        assert_eq!(lm.release_all(t(3)), vec![(t(3), 5)]);
+        assert!(lm.is_quiescent(), "the repeat visit released the re-grant");
+        assert_eq!(lm.lock(t(4), 5, LockMode::Exclusive), LockOutcome::Granted);
+        assert!(lm.release_all(t(3)).is_empty());
+        assert!(lm.release_all(t(4)).is_empty());
+        assert!(lm.is_quiescent());
+        assert_eq!((lm.grants(), lm.waits()), (5, 3));
+    }
+
+    type Requests = Vec<(TxnToken, LockMode)>;
+
+    /// Naive reference table: entries and held lists in `Vec`s searched
+    /// linearly, with the same FIFO, upgrade and release rules.
+    #[derive(Default)]
+    struct Model {
+        /// `(object, holders, waiters)`.
+        entries: Vec<(u64, Requests, Requests)>,
+        /// `(txn, objects in grant order)`; a granted queued upgrade lists
+        /// its object again.
+        held: Vec<(u64, Vec<u64>)>,
+        grants: u64,
+        waits: u64,
+    }
+
+    impl Model {
+        fn note(&mut self, txn: u64, object: u64) {
+            match self.held.iter_mut().find(|(t, _)| *t == txn) {
+                Some((_, objs)) => objs.push(object),
+                None => self.held.push((txn, vec![object])),
+            }
+        }
+
+        fn lock(&mut self, txn: TxnToken, object: u64, mode: LockMode) -> LockOutcome {
+            let Some(i) = self.entries.iter().position(|e| e.0 == object) else {
+                self.entries.push((object, vec![(txn, mode)], Vec::new()));
+                self.note(txn.id, object);
+                self.grants += 1;
+                return LockOutcome::Granted;
+            };
+            let (_, holders, waiters) = &mut self.entries[i];
+            if let Some(h) = holders.iter().position(|(t, _)| t.id == txn.id) {
+                if holders[h].1 == LockMode::Exclusive || mode == LockMode::Shared {
+                    return LockOutcome::Granted;
+                }
+                if holders.len() == 1 {
+                    holders[h].1 = LockMode::Exclusive;
+                    self.grants += 1;
+                    return LockOutcome::Granted;
+                }
+                waiters.push((txn, LockMode::Exclusive));
+                self.waits += 1;
+                return LockOutcome::Waiting;
+            }
+            let fits = holders
+                .iter()
+                .all(|&(_, m)| m == LockMode::Shared && mode == LockMode::Shared);
+            if fits && waiters.is_empty() {
+                holders.push((txn, mode));
+                self.note(txn.id, object);
+                self.grants += 1;
+                LockOutcome::Granted
+            } else {
+                waiters.push((txn, mode));
+                self.waits += 1;
+                LockOutcome::Waiting
+            }
+        }
+
+        /// Grant entry `i`'s waiters from the front while they fit.
+        fn promote(&mut self, i: usize, granted: &mut Vec<(TxnToken, u64)>) {
+            let object = self.entries[i].0;
+            loop {
+                let (_, holders, waiters) = &mut self.entries[i];
+                let Some(&(txn, mode)) = waiters.first() else {
+                    break;
+                };
+                if let Some(h) = holders.iter().position(|(t, _)| t.id == txn.id) {
+                    if holders.len() != 1 || mode != LockMode::Exclusive {
+                        break;
+                    }
+                    holders[h].1 = LockMode::Exclusive;
+                } else if holders
+                    .iter()
+                    .all(|&(_, m)| m == LockMode::Shared && mode == LockMode::Shared)
+                {
+                    holders.push((txn, mode));
+                } else {
+                    break;
+                }
+                waiters.remove(0);
+                granted.push((txn, object));
+                self.note(txn.id, object);
+                self.grants += 1;
+            }
+        }
+
+        /// Drop `txn`'s hold on `object` (if the entry exists), promote,
+        /// and drop the entry once empty.
+        fn unhold(&mut self, txn: u64, object: u64, granted: &mut Vec<(TxnToken, u64)>) {
+            let Some(i) = self.entries.iter().position(|e| e.0 == object) else {
+                return;
+            };
+            self.entries[i].1.retain(|(t, _)| t.id != txn);
+            self.promote(i, granted);
+            if self.entries[i].1.is_empty() && self.entries[i].2.is_empty() {
+                self.entries.remove(i);
+            }
+        }
+
+        fn release(&mut self, txn: TxnToken, object: u64) -> Vec<(TxnToken, u64)> {
+            let mut granted = Vec::new();
+            let Some(h) = self.held.iter().position(|(t, _)| *t == txn.id) else {
+                return granted;
+            };
+            if !self.held[h].1.contains(&object) {
+                return granted;
+            }
+            self.held[h].1.retain(|&o| o != object);
+            if self.held[h].1.is_empty() {
+                self.held.remove(h);
+            }
+            self.unhold(txn.id, object, &mut granted);
+            granted
+        }
+
+        fn release_all(&mut self, txn: TxnToken) -> Vec<(TxnToken, u64)> {
+            let mut granted = Vec::new();
+            if let Some(h) = self.held.iter().position(|(t, _)| *t == txn.id) {
+                let (_, objs) = self.held.remove(h);
+                for object in objs {
+                    self.unhold(txn.id, object, &mut granted);
+                }
+            }
+            let mut i = 0;
+            while i < self.entries.len() {
+                let before = self.entries[i].2.len();
+                self.entries[i].2.retain(|(t, _)| t.id != txn.id);
+                if self.entries[i].2.len() != before {
+                    self.promote(i, &mut granted);
+                }
+                if self.entries[i].1.is_empty() && self.entries[i].2.is_empty() {
+                    self.entries.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            granted
+        }
+
+        fn is_waiting(&self, txn: u64) -> bool {
+            self.entries
+                .iter()
+                .any(|(_, _, w)| w.iter().any(|(t, _)| t.id == txn))
+        }
+
+        fn wait_edges(&self) -> Vec<(u64, u64)> {
+            let mut edges = Vec::new();
+            for (_, holders, waiters) in &self.entries {
+                for (i, (w, _)) in waiters.iter().enumerate() {
+                    edges.extend(
+                        holders
+                            .iter()
+                            .filter(|(h, _)| h.id != w.id)
+                            .map(|(h, _)| (w.id, h.id)),
+                    );
+                    edges.extend(waiters[..i].iter().map(|(e, _)| (w.id, e.id)));
+                }
+            }
+            edges.sort_unstable();
+            edges
+        }
+
+        fn births(&self) -> Vec<TxnToken> {
+            let mut txns: Vec<TxnToken> = self
+                .entries
+                .iter()
+                .flat_map(|(_, h, w)| h.iter().chain(w).map(|&(t, _)| t))
+                .collect();
+            txns.sort_unstable();
+            txns
+        }
+    }
+
+    proptest::proptest! {
+        /// Random lock traffic over ≤8 transactions and ≤6 objects: shared
+        /// and exclusive requests, re-requests and upgrades, early
+        /// releases, commits and aborts while waiting. After every op the
+        /// table must agree with the naive [`Model`] on the outcome, the
+        /// granted list in order, the wait-for edges, the births, the
+        /// counters and quiescence, and pass its own invariant check.
+        ///
+        /// As in the engine, a waiting transaction issues no further lock
+        /// request until it is granted; it may still release or abort.
+        #[test]
+        fn prop_matches_naive_model(
+            n_txns in 1u64..9,
+            n_objects in 1u64..7,
+            ops in proptest::collection::vec((0u8..10, 0u64..8, 0u64..6), 1..501),
+        ) {
+            let mut lm = LockManager::new();
+            let mut model = Model::default();
+            for (kind, txn, object) in ops {
+                let tok = t(txn % n_txns);
+                let object = object % n_objects;
+                match kind {
+                    0..=5 => {
+                        if model.is_waiting(tok.id) {
+                            continue;
+                        }
+                        let mode = if kind < 3 { LockMode::Shared } else { LockMode::Exclusive };
+                        proptest::prop_assert_eq!(
+                            lm.lock(tok, object, mode),
+                            model.lock(tok, object, mode)
+                        );
+                    }
+                    6 => proptest::prop_assert_eq!(lm.release(tok, object), model.release(tok, object)),
+                    _ => proptest::prop_assert_eq!(lm.release_all(tok), model.release_all(tok)),
+                }
+                let mut edges = lm.wait_edges();
+                edges.sort_unstable();
+                proptest::prop_assert_eq!(edges, model.wait_edges());
+                let mut births = lm.births();
+                births.sort_unstable();
+                proptest::prop_assert_eq!(births, model.births());
+                proptest::prop_assert_eq!(lm.grants(), model.grants);
+                proptest::prop_assert_eq!(lm.waits(), model.waits);
+                proptest::prop_assert_eq!(lm.is_quiescent(), model.entries.is_empty());
+                lm.check_invariants(|id| id < n_txns);
+            }
+        }
     }
 }

@@ -1,11 +1,13 @@
 //! Allocation audit of the lock manager's OLTP hot path.
 //!
 //! Every debit-credit transaction takes a handful of tuple locks and
-//! releases them at commit. With the entry/vector free lists the whole
-//! lock → release cycle must not touch the heap once the pools and hash
-//! tables are warm — the counting global allocator turns that from a
-//! code-review claim into a hard test (the same discipline
-//! `lb_core/tests/no_alloc.rs` applies to the broker's placement path).
+//! releases them at commit. An uncontended entry and a held list of up
+//! to four objects own no heap buffer, and longer held lists recycle
+//! their spill buffers, so the whole lock → release cycle must not touch
+//! the heap once the hash tables are warm — the counting global allocator
+//! turns that from a code-review claim into a hard test (the same
+//! discipline `lb_core/tests/no_alloc.rs` applies to the broker's
+//! placement path).
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide. The count itself is per thread,
@@ -99,9 +101,32 @@ fn lock_release_cycle_is_allocation_free_after_warmup() {
     );
 }
 
-/// Contended locks still resolve correctly with pooled entries: a waiter
-/// parked behind an exclusive holder is woken at release, and the entry
-/// keeps serving after its buffers have been recycled several times.
+#[test]
+fn new_lock_manager_does_not_allocate() {
+    let (mgr, n) = allocs_during(LockManager::new);
+    assert!(mgr.is_quiescent());
+    assert_eq!(n, 0, "LockManager::new allocated {n} times");
+}
+
+/// The debit-credit shape itself: four exclusive tuple locks per
+/// transaction fit the inline held list, so after the hash tables have
+/// grown once nothing allocates at all.
+#[test]
+fn debit_credit_cycle_is_allocation_free_after_warmup() {
+    let mut mgr = LockManager::new();
+    let warmup = cycle_allocs(&mut mgr, 128, 4);
+    let steady = cycle_allocs(&mut mgr, 4096, 4);
+    assert!(mgr.is_quiescent());
+    assert_eq!(
+        steady, 0,
+        "4-lock cycle allocated {steady} times over 4096 txns (warmup did {warmup})"
+    );
+}
+
+/// Contended locks still resolve correctly across entry churn: a waiter
+/// parked behind an exclusive holder is woken at release, and the object
+/// keeps serving after its entry has been dropped and rebuilt several
+/// times.
 #[test]
 fn pooled_entries_preserve_waiter_semantics() {
     let mut mgr = LockManager::new();

@@ -1240,6 +1240,17 @@ impl System {
         }
     }
 
+    /// Panic unless every PE's lock table is consistent with itself and
+    /// with the job table: every holder and waiter is a live job, held
+    /// lists match holder records both ways, the waiter count is exact,
+    /// and no empty entry lingers.
+    pub fn check_lock_invariants(&self) {
+        let live = |id| self.jobs.contains(simkit::slab::SlabKey::from_raw(id));
+        for pe in &self.pes {
+            pe.locks.check_invariants(live);
+        }
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.events.now()
