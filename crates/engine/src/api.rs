@@ -323,13 +323,16 @@ impl EngineConfig {
     }
 }
 
-/// Split `t` items into `k` near-equal parts (deterministic remainder to
-/// the lowest indices) — models uniform hash partitioning of a batch.
-pub fn split_even(t: u64, k: u32) -> Vec<u64> {
-    let k = k.max(1) as u64;
-    let base = t / k;
-    let rem = t % k;
-    (0..k).map(|i| base + u64::from(i < rem)).collect()
+/// Part `i` of `t` items split into `k` near-equal parts — models uniform
+/// hash partitioning of a batch. The `t % k` one-larger parts start at
+/// part `r % k` and wrap around, so a caller can rotate the remainder
+/// across batches. Computed per part, so splitting a batch allocates
+/// nothing.
+pub fn even_share(t: u64, k: u32, r: u32, i: u32) -> u64 {
+    let k = k.max(1);
+    let base = t / u64::from(k);
+    let rem = t % u64::from(k);
+    base + u64::from(u64::from((i + k - r % k) % k) < rem)
 }
 
 #[cfg(test)]
@@ -357,16 +360,23 @@ mod tests {
 
     #[test]
     fn split_even_conserves_and_balances() {
-        assert_eq!(split_even(10, 3), vec![4, 3, 3]);
-        assert_eq!(split_even(9, 3), vec![3, 3, 3]);
-        assert_eq!(split_even(2, 5), vec![1, 1, 0, 0, 0]);
-        assert_eq!(split_even(0, 4), vec![0, 0, 0, 0]);
+        let split = |t, k, r| (0..k).map(|i| even_share(t, k, r, i)).collect::<Vec<_>>();
+        assert_eq!(split(10, 3, 0), vec![4, 3, 3]);
+        assert_eq!(split(9, 3, 0), vec![3, 3, 3]);
+        assert_eq!(split(2, 5, 0), vec![1, 1, 0, 0, 0]);
+        assert_eq!(split(0, 4, 0), vec![0, 0, 0, 0]);
+        // The remainder starts at part `r` and wraps.
+        assert_eq!(split(10, 3, 1), vec![3, 4, 3]);
+        assert_eq!(split(2, 5, 4), vec![1, 0, 0, 0, 1]);
+        assert_eq!(split(7, 4, 6), vec![2, 1, 2, 2]);
         for (t, k) in [(100u64, 7u32), (5, 9), (0, 1), (13, 13)] {
-            let parts = split_even(t, k);
-            assert_eq!(parts.iter().sum::<u64>(), t);
-            let max = *parts.iter().max().unwrap();
-            let min = *parts.iter().min().unwrap();
-            assert!(max - min <= 1);
+            for r in 0..2 * k {
+                let parts = split(t, k, r);
+                assert_eq!(parts.iter().sum::<u64>(), t);
+                let max = *parts.iter().max().unwrap();
+                let min = *parts.iter().min().unwrap();
+                assert!(max - min <= 1);
+            }
         }
     }
 

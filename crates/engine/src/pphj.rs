@@ -18,7 +18,7 @@
 //! arrives as redistributed [`MsgKind::TupleBatch`] messages from the scan
 //! subqueries.
 
-use crate::api::{JobId, JoinPhase, MsgKind, PeId, Step, TaskId, Token};
+use crate::api::{even_share, JobId, JoinPhase, MsgKind, PeId, Step, TaskId, Token};
 use crate::ctx::Ctx;
 use hardware::{IoKind, IoRequest};
 
@@ -343,24 +343,27 @@ impl JoinTask {
     // Build phase
     // ------------------------------------------------------------------
 
-    fn split_rr(&mut self, tuples: u32) -> Vec<u64> {
-        // Rotate the remainder across calls so partitions stay balanced.
+    /// The partition count and the first partition of this batch's
+    /// remainder: the remainder rotates across batches so partitions stay
+    /// balanced. Partition `i` receives
+    /// [`even_share`]`(tuples, k, r, i)` tuples.
+    fn next_rr(&mut self) -> (u32, u32) {
         let k = self.part_count.max(1);
-        let mut shares = crate::api::split_even(tuples as u64, k);
-        shares.rotate_right((self.rr_cursor % k) as usize);
+        let r = self.rr_cursor % k;
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        shares
+        (k, r)
     }
 
     fn build_batch(&mut self, tuples: u32, ctx: &mut Ctx) {
         self.total_a += tuples as u64;
-        let shares = self.split_rr(tuples);
+        let (k, r) = self.next_rr();
         let bf = ctx.cfg.tuples_per_page;
         let c = ctx.cfg.instr;
         let mut mem_tuples = 0u64;
         let mut disk_tuples = 0u64;
         let mut io_count = 0u64;
-        for (i, &share) in shares.clone().iter().enumerate() {
+        for i in 0..k as usize {
+            let share = even_share(tuples as u64, k, r, i as u32);
             if share == 0 {
                 continue;
             }
@@ -535,13 +538,14 @@ impl JoinTask {
 
     fn probe_batch(&mut self, tuples: u32, ctx: &mut Ctx) {
         self.total_b_seen += tuples as u64;
-        let shares = self.split_rr(tuples);
+        let (k, r) = self.next_rr();
         let c = ctx.cfg.instr;
         let mut probe_tuples = 0u64;
         let mut disk_tuples = 0u64;
         let mut io_count = 0u64;
         let mut results = 0u64;
-        for (i, &share) in shares.clone().iter().enumerate() {
+        for i in 0..k as usize {
+            let share = even_share(tuples as u64, k, r, i as u32);
             if share == 0 {
                 continue;
             }

@@ -1,48 +1,61 @@
 //! The future event list.
 //!
-//! A thin wrapper over `BinaryHeap` that orders events by `(time, seq)`,
-//! where `seq` is a monotonically increasing sequence number assigned at
-//! scheduling time. The sequence number guarantees **deterministic FIFO
-//! tie-breaking** for events scheduled at the same instant, which is what
-//! makes whole-simulation runs reproducible across platforms.
+//! An 8-ary min-heap that orders events by `(time, seq)`, where `seq` is a
+//! monotonically increasing sequence number assigned at scheduling time.
+//! The sequence number guarantees **deterministic FIFO tie-breaking** for
+//! events scheduled at the same instant, which is what makes
+//! whole-simulation runs reproducible across platforms.
+//!
+//! # Layout
+//!
+//! The keys and the payloads live in two vectors that move in lockstep:
+//! slot `i` of `keys` orders slot `i` of `payloads`. A key is the pair
+//! packed into one `u128` (`time` in the high half, `seq` in the low
+//! half), so comparing keys is one integer compare and the sifts walk a
+//! dense 16-byte array without touching a payload until its slot moves.
+//! Eight children per node cut the depth of a binary heap to a third; at
+//! the 2.5k-deep queues of the 1000-PE join soak a pop descends about
+//! four levels, each reading one node's eight keys (128 contiguous bytes).
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::ptr;
 
-struct Entry<T> {
-    time: SimTime,
-    seq: u64,
-    payload: T,
+/// Children per node. 8 measured a few percent faster than 4 on the
+/// steady-state micro-bench (`event_queue/steady_state_2k5_live_40b`).
+const ARITY: usize = 8;
+
+/// `(time, seq)` packed so that integer order is event order.
+#[inline]
+fn key(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.0) << 64) | u128::from(seq)
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+#[inline]
+fn time_of(key: u128) -> SimTime {
+    SimTime((key >> 64) as u64)
 }
 
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+/// The smallest of `keys` (a node's children) and its heap index, where
+/// `keys[0]` sits at index `first`. Branch-free selects; a full node's
+/// fixed-length slice unrolls.
+#[inline(always)]
+fn min_child(keys: &[u128], first: usize) -> (usize, u128) {
+    let mut best = first;
+    let mut best_key = keys[0];
+    for (c, &k) in keys.iter().enumerate().skip(1) {
+        let less = k < best_key;
+        best = if less { first + c } else { best };
+        best_key = if less { k } else { best_key };
     }
+    (best, best_key)
 }
 
 /// Min-ordered future event list with deterministic tie-breaking.
 pub struct EventHeap<T> {
-    heap: BinaryHeap<Entry<T>>,
+    /// Heap-ordered packed keys; every key is unique (its `seq` is).
+    keys: Vec<u128>,
+    /// `payloads[i]` belongs to `keys[i]`; both always have equal length.
+    payloads: Vec<T>,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -55,16 +68,13 @@ impl<T> Default for EventHeap<T> {
 
 impl<T> EventHeap<T> {
     pub fn new() -> Self {
-        EventHeap {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
     pub fn with_capacity(cap: usize) -> Self {
         EventHeap {
-            heap: BinaryHeap::with_capacity(cap),
+            keys: Vec::with_capacity(cap),
+            payloads: Vec::with_capacity(cap),
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -82,30 +92,94 @@ impl<T> EventHeap<T> {
             time,
             self.last_popped
         );
-        let seq = self.next_seq;
+        let k = key(time, self.next_seq);
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
+        let mut i = self.keys.len();
+        self.keys.push(k);
+        self.payloads.push(payload);
+        let slots = self.payloads.as_mut_ptr();
+        // SAFETY: every index below is `< len`. The new payload is read
+        // out of the last slot, leaving a hole that each step refills by
+        // moving the parent's payload down, which moves the hole up; the
+        // final write fills the hole. Nothing in between can panic (the
+        // keys are plain integers), so no slot is dropped or read twice.
+        unsafe {
+            let moving = ptr::read(slots.add(i));
+            while i > 0 {
+                let parent = (i - 1) / ARITY;
+                let pk = *self.keys.get_unchecked(parent);
+                if pk < k {
+                    break;
+                }
+                *self.keys.get_unchecked_mut(i) = pk;
+                ptr::copy_nonoverlapping(slots.add(parent), slots.add(i), 1);
+                i = parent;
+            }
+            *self.keys.get_unchecked_mut(i) = k;
+            ptr::write(slots.add(i), moving);
+        }
     }
 
     /// Pop the earliest event, advancing the internal causality watermark.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.time >= self.last_popped);
-        self.last_popped = e.time;
-        Some((e.time, e.payload))
+        let last_key = self.keys.pop()?;
+        let last = self
+            .payloads
+            .pop()
+            .expect("keys and payloads move in lockstep");
+        let len = self.keys.len();
+        if len == 0 {
+            self.last_popped = time_of(last_key);
+            return Some((self.last_popped, last));
+        }
+        let top_key = self.keys[0];
+        let slots = self.payloads.as_mut_ptr();
+        // SAFETY: every index below is `< len`. The root's payload is read
+        // out, leaving a hole at the root; each step moves the smallest
+        // child's payload up into the hole, which moves the hole down, and
+        // the final write puts the former last payload into it. Nothing in
+        // between can panic, so no slot is dropped or read twice.
+        let top = unsafe {
+            let top = ptr::read(slots);
+            let mut i = 0;
+            loop {
+                let first = ARITY * i + 1;
+                if first >= len {
+                    break;
+                }
+                let (best, best_key) = if first + ARITY <= len {
+                    min_child(self.keys.get_unchecked(first..first + ARITY), first)
+                } else {
+                    min_child(self.keys.get_unchecked(first..len), first)
+                };
+                if last_key < best_key {
+                    break;
+                }
+                *self.keys.get_unchecked_mut(i) = best_key;
+                ptr::copy_nonoverlapping(slots.add(best), slots.add(i), 1);
+                i = best;
+            }
+            *self.keys.get_unchecked_mut(i) = last_key;
+            ptr::write(slots.add(i), last);
+            top
+        };
+        let t = time_of(top_key);
+        debug_assert!(t >= self.last_popped);
+        self.last_popped = t;
+        Some((t, top))
     }
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.keys.first().map(|&k| time_of(k))
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.keys.is_empty()
     }
 
     /// Total number of events ever scheduled (the next sequence number).
@@ -176,6 +250,48 @@ mod tests {
     }
 
     proptest! {
+        /// Oracle check against `std`'s `BinaryHeap` over `Reverse((time,
+        /// seq, id))`: interleaved pushes, pops and peeks with heavy ties
+        /// (times a few ns apart), pushes at exactly the last-popped time
+        /// (offset 0) and growth past the initial capacity. Every popped
+        /// `(time, id)`, every `len` and every `peek_time` must agree.
+        #[test]
+        fn prop_matches_binary_heap_oracle(
+            cap in 0usize..16,
+            ops in proptest::collection::vec((0u8..10, 0u64..8), 1..2000),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            let mut h = EventHeap::with_capacity(cap);
+            let mut oracle = BinaryHeap::new();
+            let mut now = 0u64;
+            for (id, &(op, dt)) in ops.iter().enumerate() {
+                match op {
+                    // Pushes outnumber pops, so the heap grows well past
+                    // its initial capacity.
+                    0..=5 => {
+                        h.push(SimTime(now + dt), id);
+                        oracle.push(Reverse((now + dt, h.scheduled_total(), id)));
+                    }
+                    6..=8 => {
+                        let want = oracle.pop().map(|Reverse((t, _, id))| (SimTime(t), id));
+                        let got = h.pop();
+                        prop_assert_eq!(got, want);
+                        if let Some((t, _)) = got {
+                            now = t.0;
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(h.len(), oracle.len());
+                prop_assert_eq!(h.peek_time(), oracle.peek().map(|Reverse((t, ..))| SimTime(*t)));
+            }
+            while let Some(Reverse((t, _, id))) = oracle.pop() {
+                prop_assert_eq!(h.pop(), Some((SimTime(t), id)));
+            }
+            prop_assert!(h.is_empty());
+        }
+
         /// Popping must yield a non-decreasing time sequence, and same-time
         /// events must come out in insertion order.
         #[test]
