@@ -19,14 +19,11 @@ impl System {
         match token.step {
             Step::SendCpu => {
                 let msg = token.msg.expect("send token carries the message");
-                let from = msg.from as usize;
-                let bytes = msg.bytes;
-                if let Some(grant) = self.net.send(self.events.now(), from, bytes, msg) {
-                    let latency = self.net.latency();
-                    self.events.at(grant.done + latency, Ev::Deliver(grant.tag));
-                    self.events
-                        .at(grant.done, Ev::LinkFree { pe: from as PeId });
-                }
+                let release = self
+                    .net
+                    .send(self.events.now(), msg.from as usize, msg.bytes);
+                let latency = self.net.latency();
+                self.events.at(release + latency, Ev::Deliver(msg));
             }
             Step::MsgCpu => {
                 let msg = token.msg.take().expect("msg token carries the message");

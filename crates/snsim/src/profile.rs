@@ -32,7 +32,7 @@ pub enum Phase {
     IoDone,
     /// `Ev::LogDone` dispatch (log force + group-commit wakeups).
     LogDone,
-    /// `Ev::Deliver` + `Ev::LinkFree` dispatch (the fabric).
+    /// `Ev::Deliver` dispatch (the fabric).
     Network,
     /// `Ev::ControlTick` dispatch (the whole report round).
     ControlTick,

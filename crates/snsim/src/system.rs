@@ -74,6 +74,9 @@ pub enum Ev {
         pe: PeId,
         token: Option<Token>,
     },
+    /// No longer scheduled: egress links compute their release times at
+    /// send (`hardware::net`). Kept because `perfbench`'s `Kind::of`
+    /// names it; delete with the next benchmark change.
     LinkFree {
         pe: PeId,
     },
@@ -129,7 +132,7 @@ pub struct System {
     pub(crate) cpus: Vec<Cpu<Token>>,
     pub(crate) disks: Vec<DiskSubsystem<Option<Token>>>,
     pub(crate) log_disks: Vec<DiskSubsystem<Option<Token>>>,
-    pub(crate) net: Network<Box<Msg>>,
+    pub(crate) net: Network,
     /// Jobs are checked out (`Option::take`) during dispatch so handlers
     /// can borrow the rest of the system without aliasing the slab.
     pub(crate) jobs: Slab<Option<Job>>,
@@ -683,13 +686,7 @@ impl System {
                     ));
                 }
             }
-            Ev::LinkFree { pe } => {
-                if let Some(next) = self.net.link_free(now, pe as usize) {
-                    let latency = self.net.latency();
-                    self.events.at(next.done + latency, Ev::Deliver(next.tag));
-                    self.events.at(next.done, Ev::LinkFree { pe });
-                }
-            }
+            Ev::LinkFree { .. } => {}
             Ev::Deliver(msg) => self.deliver(msg),
             Ev::ControlTick => {
                 self.control_tick();
