@@ -64,7 +64,8 @@ fn main() {
     check(
         "multi-user 0.05: MIN-IO-SUOPT beats pmu-cpu+LUM at one or more \
          system sizes (our degree overshoots the paper's 42 at 60–80 PE, \
-         trading some of the win back — see EXPERIMENTS.md)",
+         trading some of the win back — see README, Reproducing the \
+         paper's figures)",
         get("mu-0.05/MIN-IO-SUOPT", &series)
             .iter()
             .zip(get("mu-0.05/pmu-cpu+LUM", &series).iter())

@@ -2,12 +2,13 @@
 //! scenario lab.
 //!
 //! Every binary in `src/bin/fig*.rs` regenerates one figure of Rahm &
-//! Marek, VLDB 1995 (see DESIGN.md's experiment index); since the
-//! scenario lab landed they are thin wrappers over bundled specs in
-//! `scenarios/` driven by the [`lab`] module, which is also the engine of
-//! the general-purpose `lab` binary (`cargo run --release --bin lab`).
+//! Marek, VLDB 1995 (see the figure table in README, "Reproducing the
+//! paper's figures"); since the scenario lab landed they are thin
+//! wrappers over bundled specs in `scenarios/` driven by the [`lab`]
+//! module, which is also the engine of the general-purpose `lab` binary
+//! (`cargo run --release --bin lab`).
 //! Output is a paper-style table on stdout plus machine-readable JSON/CSV
-//! files under `results/` for EXPERIMENTS.md provenance.
+//! files under `results/` as the runs' provenance.
 
 pub mod lab;
 

@@ -17,7 +17,8 @@
 //! starts when the link is free of everything sent before it, so
 //! [`Network::send`] computes the release time on the spot as
 //! `max(now, free_at) + wire` and the caller schedules the delivery
-//! directly. The link keeps only `free_at` and the total wire time it has
+//! directly. No `LinkFree` event is scheduled to start the next queued
+//! message. The link keeps only `free_at` and the total wire time it has
 //! accepted; its busy integral follows exactly, because a FIFO link is
 //! busy without a gap from `now` until `free_at`.
 

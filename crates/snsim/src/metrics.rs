@@ -270,7 +270,9 @@ impl Metrics {
     }
 }
 
-/// Final run summary (serializable for EXPERIMENTS.md provenance).
+/// Final run summary (serializable, so every figure run leaves its
+/// provenance under `results/`; see README, "Reproducing the paper's
+/// figures").
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Summary {
     pub n_pes: u32,
