@@ -117,8 +117,6 @@ pub enum MsgKind {
         relation: RelationId,
         selectivity: f64,
         phase: JoinPhase,
-        /// Join PEs to redistribute into (empty: send results to coord).
-        dests: Vec<PeId>,
     },
     /// Scan → join PE: a batch of redistributed tuples. `last` piggybacks
     /// the end-of-stream marker of this (source, destination) pair on the

@@ -18,6 +18,7 @@ use dbmodel::catalog::RelationId;
 use dbmodel::lock::TxnToken;
 use simkit::slab::SlabKey;
 use simkit::SimTime;
+use std::rc::Rc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CState {
@@ -75,7 +76,10 @@ pub struct JoinJob {
     pub finalize: bool,
 
     state: CState,
-    pub placement: Vec<PeId>,
+    /// The join PEs, shared with every scan as its destination list.
+    pub placement: Rc<[PeId]>,
+    /// Join tasks, then inner (A) scans, then — from the probe phase on —
+    /// outer (B) scans: task id = index.
     tasks: Vec<Task>,
     /// Inner-scan sources: (fragment index, home PE at placement time).
     a_frags: Vec<(u32, PeId)>,
@@ -123,7 +127,7 @@ impl JoinJob {
             stage: 0,
             finalize: true,
             state: CState::Queued,
-            placement: Vec::new(),
+            placement: Rc::default(),
             tasks: Vec::new(),
             a_frags: Vec::new(),
             b_frags: Vec::new(),
@@ -158,6 +162,11 @@ impl JoinJob {
             self.result_tuples,
             self.inner_out,
         )
+    }
+
+    /// The task table (task id = index).
+    pub fn tasks(&self) -> &[Task] {
+        &self.tasks
     }
 
     /// Detailed per-task state (diagnostics).
@@ -207,7 +216,7 @@ impl JoinJob {
         self.probe_override = Some(probe_tuples);
         self.stage += 1;
         self.state = CState::Init;
-        self.placement.clear();
+        self.placement = Rc::default();
         self.tasks.clear();
         self.a_frags.clear();
         self.b_frags.clear();
@@ -391,11 +400,12 @@ impl JoinJob {
         raw.into_iter().map(|w| w / total).collect()
     }
 
-    /// The control node answered: build tasks and start the join
-    /// subqueries.
+    /// The control node answered: build the join tasks and the inner
+    /// scans, and start the join subqueries. The outer scans are built
+    /// when the probe phase starts.
     fn place(&mut self, job: JobId, nodes: Vec<PeId>, ctx: &mut Ctx) {
         debug_assert!(!nodes.is_empty());
-        self.placement = nodes;
+        self.placement = nodes.into();
         let p = self.placement.len() as u32;
         let weights = self.share_weights(p);
         self.a_frags = ctx
@@ -424,6 +434,8 @@ impl JoinJob {
 
         // Task ids: joins first (so scan destination index == task id).
         self.tasks.clear();
+        self.tasks
+            .reserve_exact(self.placement.len() + self.a_frags.len());
         for (i, &pe) in self.placement.iter().enumerate() {
             let expected_inner_pages = ((self.table_pages * weights[i]).ceil() as u32).max(1);
             let expected_probe = ((self.outer_out as f64 * weights[i]).ceil() as u64).max(1);
@@ -438,60 +450,33 @@ impl JoinJob {
                 expected_probe,
             )));
         }
-        let txn = self.txn(job);
         // Inner (A) scan tasks, one per fragment.
-        for &(frag, pe) in self.a_frags.clone().iter() {
-            let tid = self.tasks.len() as TaskId;
-            let mut scan = ScanTask::new(
-                job,
-                tid,
-                pe,
-                self.coord,
-                JoinPhase::Build,
-                self.placement.clone(),
-                ScanSource::Fragment {
-                    relation: self.inner,
-                    fragment: frag,
-                    selectivity: self.selectivity,
-                    access: ScanAccess::Clustered,
-                },
-                txn,
-            );
-            if self.skew > 0.0 {
-                scan.set_weights(weights.clone());
-            }
-            self.tasks.push(Task::Scan(scan));
-        }
-        // Outer (B) scan tasks (or the in-memory intermediate).
-        for &(frag, pe) in self.b_frags.clone().iter() {
-            let tid = self.tasks.len() as TaskId;
-            let source = match self.probe_override {
-                None => ScanSource::Fragment {
-                    relation: self.outer,
-                    fragment: frag,
-                    selectivity: self.selectivity,
-                    access: ScanAccess::Clustered,
-                },
-                Some(tuples) => ScanSource::Memory { tuples },
+        let txn = self.txn(job);
+        for &(frag, pe) in &self.a_frags {
+            let source = ScanSource::Fragment {
+                relation: self.inner,
+                fragment: frag,
+                selectivity: self.selectivity,
+                access: ScanAccess::Clustered,
             };
             let mut scan = ScanTask::new(
                 job,
-                tid,
+                self.tasks.len() as TaskId,
                 pe,
                 self.coord,
-                JoinPhase::Probe,
-                self.placement.clone(),
+                JoinPhase::Build,
+                Rc::clone(&self.placement),
                 source,
                 txn,
             );
             if self.skew > 0.0 {
-                scan.set_weights(weights.clone());
+                scan.set_weights(&weights);
             }
             self.tasks.push(Task::Scan(scan));
         }
         // Start the join subqueries.
         self.state = CState::WaitReady;
-        for (i, &pe) in self.placement.clone().iter().enumerate() {
+        for (i, &pe) in self.placement.iter().enumerate() {
             let expected_inner_pages = ((self.table_pages * weights[i]).ceil() as u32).max(1);
             ctx.send_to(
                 self.coord,
@@ -510,30 +495,56 @@ impl JoinJob {
 
     fn start_build(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = CState::Build;
-        let p = self.placement.len() as u32;
-        for (off, &(_, pe)) in self.a_frags.clone().iter().enumerate() {
-            let tid = (p as usize + off) as TaskId;
+        let p = self.placement.len();
+        for (off, &(_, pe)) in self.a_frags.iter().enumerate() {
             ctx.send_to(
                 self.coord,
                 pe,
                 job,
-                tid,
+                (p + off) as TaskId,
                 ctx.cfg.ctrl_msg_bytes,
                 MsgKind::StartScan {
                     relation: self.inner,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Build,
-                    dests: self.placement.clone(),
                 },
             );
         }
     }
 
+    /// The build phase is over: build the outer (B) scans (ids follow the
+    /// inner scans) and start them.
     fn start_probe(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = CState::Probe;
-        let base = self.placement.len() + self.a_frags.len();
-        for (off, &(_, pe)) in self.b_frags.clone().iter().enumerate() {
-            let tid = (base + off) as TaskId;
+        debug_assert_eq!(self.tasks.len(), self.placement.len() + self.a_frags.len());
+        let weights = (self.skew > 0.0).then(|| self.share_weights(self.placement.len() as u32));
+        let txn = self.txn(job);
+        self.tasks.reserve_exact(self.b_frags.len());
+        for &(frag, pe) in &self.b_frags {
+            let tid = self.tasks.len() as TaskId;
+            let source = match self.probe_override {
+                None => ScanSource::Fragment {
+                    relation: self.outer,
+                    fragment: frag,
+                    selectivity: self.selectivity,
+                    access: ScanAccess::Clustered,
+                },
+                Some(tuples) => ScanSource::Memory { tuples },
+            };
+            let mut scan = ScanTask::new(
+                job,
+                tid,
+                pe,
+                self.coord,
+                JoinPhase::Probe,
+                Rc::clone(&self.placement),
+                source,
+                txn,
+            );
+            if let Some(w) = &weights {
+                scan.set_weights(w);
+            }
+            self.tasks.push(Task::Scan(scan));
             ctx.send_to(
                 self.coord,
                 pe,
@@ -544,7 +555,6 @@ impl JoinJob {
                     relation: self.outer,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Probe,
-                    dests: self.placement.clone(),
                 },
             );
         }

@@ -13,6 +13,7 @@ use dbmodel::log::ForceOutcome;
 use hardware::IoKind;
 use simkit::slab::SlabKey;
 use simkit::SimTime;
+use std::rc::Rc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QState {
@@ -142,6 +143,9 @@ impl ScanQueryJob {
             .enumerate()
             .map(|(i, f)| (i as u32, f.pe))
             .collect();
+        // Empty destination list: results go to the coordinator.
+        let to_coord: Rc<[PeId]> = Rc::default();
+        self.tasks.reserve_exact(frags.len());
         for (i, &(frag, pe)) in frags.iter().enumerate() {
             self.tasks.push(ScanTask::new(
                 job,
@@ -149,7 +153,7 @@ impl ScanQueryJob {
                 pe,
                 self.coord,
                 JoinPhase::Build,
-                Vec::new(), // results to coordinator
+                Rc::clone(&to_coord),
                 ScanSource::Fragment {
                     relation: self.relation,
                     fragment: frag,
@@ -168,7 +172,6 @@ impl ScanQueryJob {
                     relation: self.relation,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Build,
-                    dests: Vec::new(),
                 },
             );
         }

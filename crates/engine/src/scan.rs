@@ -13,12 +13,13 @@
 //! With an empty destination set the output streams to the coordinator as
 //! [`MsgKind::ResultBatch`] (stand-alone scan queries).
 
-use crate::api::{Action, JobId, JoinPhase, MsgKind, PeId, Step, TaskId, Token};
+use crate::api::{even_share, Action, JobId, JoinPhase, MsgKind, PeId, Step, TaskId, Token};
 use crate::ctx::{object, Ctx};
 use dbmodel::btree::{BTreeModel, ScanPlan};
 use dbmodel::catalog::{PageAddr, RelationId};
 use dbmodel::lock::{LockMode, LockOutcome, TxnToken};
 use hardware::IoKind;
+use std::rc::Rc;
 
 /// Exact total scan output (tuples) of a clustered-index selection over
 /// all fragments — matches what the per-fragment [`ScanTask`] plans emit,
@@ -77,15 +78,16 @@ pub struct ScanTask {
     pub pe: PeId,
     pub coord: PeId,
     pub phase: JoinPhase,
-    /// Consumers; empty → results to coordinator.
-    pub dests: Vec<PeId>,
+    /// Consumers; empty → results to coordinator. Shared by every scan
+    /// of one placement (a join at 1000 PEs has ~1000 scans per side).
+    pub dests: Rc<[PeId]>,
     source: ScanSource,
     txn: TxnToken,
-    /// Per-destination redistribution weights (normalized); `None` means
-    /// uniform round-robin. Skewed partitioning functions (§7 outlook)
-    /// send unequal subjoin shares.
-    weights: Option<Vec<f64>>,
-    credit: Vec<f64>,
+    /// Per-destination `(weight, credit)` of the deterministic weighted
+    /// round-robin; `None` means uniform round-robin. Only skewed
+    /// partitioning functions (§7 outlook) send unequal subjoin shares,
+    /// so only they allocate this.
+    wrr: Option<Box<[(f64, f64)]>>,
 
     state: State,
     // plan
@@ -116,7 +118,7 @@ impl ScanTask {
         pe: PeId,
         coord: PeId,
         phase: JoinPhase,
-        dests: Vec<PeId>,
+        dests: Rc<[PeId]>,
         source: ScanSource,
         txn: TxnToken,
     ) -> ScanTask {
@@ -129,8 +131,7 @@ impl ScanTask {
             dests,
             source,
             txn,
-            weights: None,
-            credit: Vec::new(),
+            wrr: None,
             state: State::Created,
             index_pages: 0,
             data_pages: 0,
@@ -154,11 +155,11 @@ impl ScanTask {
     }
 
     /// Install a skewed partitioning function (weights normalized inside).
-    pub fn set_weights(&mut self, weights: Vec<f64>) {
+    pub fn set_weights(&mut self, weights: &[f64]) {
         debug_assert_eq!(weights.len(), self.dests.len().max(1));
         let total: f64 = weights.iter().sum();
         if total > 0.0 {
-            self.weights = Some(weights.iter().map(|w| w / total).collect());
+            self.wrr = Some(weights.iter().map(|w| (w / total, 0.0)).collect());
         }
     }
 
@@ -203,9 +204,7 @@ impl ScanTask {
                 self.tuples_out_total = *tuples;
             }
         }
-        let slots = self.dests.len().max(1);
-        self.out_acc = vec![0; slots];
-        self.credit = vec![0.0; slots];
+        self.out_acc = vec![0; self.dests.len().max(1)];
     }
 
     /// Entry point: the StartScan message was received.
@@ -397,26 +396,31 @@ impl ScanTask {
     /// Distribute `outs` qualifying tuples over the consumers: uniform
     /// round-robin, or weighted (deterministic WRR) when a skewed
     /// partitioning function is installed.
+    ///
+    /// Round-robin sends tuple `j` to `(next_dest + j) % k`, so each
+    /// destination's count is an [`even_share`] whose one-larger parts
+    /// start at the cursor — computed per destination, not per tuple.
     fn stage_outputs(&mut self, outs: u64) {
         self.out_done += outs;
         let k = self.out_acc.len();
-        match &self.weights {
+        match &mut self.wrr {
             None => {
-                for _ in 0..outs {
-                    self.out_acc[self.next_dest % k] += 1;
-                    self.next_dest += 1;
+                let r = (self.next_dest % k) as u32;
+                for (i, acc) in self.out_acc.iter_mut().enumerate() {
+                    *acc += even_share(outs, k as u32, r, i as u32) as u32;
                 }
+                self.next_dest += outs as usize;
             }
-            Some(w) => {
+            Some(wrr) => {
                 for _ in 0..outs {
                     let mut best = 0usize;
-                    for (i, wi) in w.iter().enumerate().take(k) {
-                        self.credit[i] += wi;
-                        if self.credit[i] > self.credit[best] {
+                    for i in 0..k.min(wrr.len()) {
+                        wrr[i].1 += wrr[i].0;
+                        if wrr[i].1 > wrr[best].1 {
                             best = i;
                         }
                     }
-                    self.credit[best] -= 1.0;
+                    wrr[best].1 -= 1.0;
                     self.out_acc[best] += 1;
                 }
             }
@@ -431,43 +435,47 @@ impl ScanTask {
     }
 
     fn flush(&mut self, ctx: &mut Ctx, finishing: bool) {
-        let bf = ctx.cfg.tuples_per_page;
-        let to_coord = self.dests.is_empty();
         for i in 0..self.out_acc.len() {
-            while self.out_acc[i] >= bf || (finishing && self.out_acc[i] > 0) {
-                let t = self.out_acc[i].min(bf);
-                self.out_acc[i] -= t;
-                let bytes = ctx.cfg.batch_bytes(t, 400);
-                if to_coord {
-                    ctx.send_to(
-                        self.pe,
-                        self.coord,
-                        self.job,
-                        crate::api::COORD_TASK,
-                        bytes,
-                        MsgKind::ResultBatch { tuples: t },
-                    );
-                } else {
-                    // The very last batch of this pair carries the
-                    // end-of-stream marker (no separate PhaseEnd message).
-                    let last = finishing && self.out_acc[i] == 0;
-                    let dest = self.dests[i];
-                    ctx.send_to(
-                        self.pe,
-                        dest,
-                        self.job,
-                        i as TaskId, // join task index = position in dests
-                        bytes,
-                        MsgKind::TupleBatch {
-                            phase: self.phase,
-                            tuples: t,
-                            last,
-                        },
-                    );
-                }
-                if self.out_acc[i] == 0 {
-                    break;
-                }
+            self.flush_dest(ctx, i, finishing);
+        }
+    }
+
+    /// Send destination `i`'s full output buffers (and, when `finishing`,
+    /// its partial one).
+    fn flush_dest(&mut self, ctx: &mut Ctx, i: usize, finishing: bool) {
+        let bf = ctx.cfg.tuples_per_page;
+        while self.out_acc[i] >= bf || (finishing && self.out_acc[i] > 0) {
+            let t = self.out_acc[i].min(bf);
+            self.out_acc[i] -= t;
+            let bytes = ctx.cfg.batch_bytes(t, 400);
+            if self.dests.is_empty() {
+                ctx.send_to(
+                    self.pe,
+                    self.coord,
+                    self.job,
+                    crate::api::COORD_TASK,
+                    bytes,
+                    MsgKind::ResultBatch { tuples: t },
+                );
+            } else {
+                // The very last batch of this pair carries the
+                // end-of-stream marker (no separate PhaseEnd message).
+                let last = finishing && self.out_acc[i] == 0;
+                ctx.send_to(
+                    self.pe,
+                    self.dests[i],
+                    self.job,
+                    i as TaskId, // join task index = position in dests
+                    bytes,
+                    MsgKind::TupleBatch {
+                        phase: self.phase,
+                        tuples: t,
+                        last,
+                    },
+                );
+            }
+            if self.out_acc[i] == 0 {
+                break;
             }
         }
     }
@@ -501,22 +509,30 @@ impl ScanTask {
                 MsgKind::ScanDone,
             );
         } else {
-            let needs_explicit: Vec<usize> = (0..self.out_acc.len())
-                .filter(|&i| self.out_acc[i] == 0)
-                .collect();
-            self.flush(ctx, true);
-            for i in needs_explicit {
-                let d = self.dests[i];
-                ctx.send_to(
-                    self.pe,
-                    d,
-                    self.job,
-                    i as TaskId,
-                    ctx.cfg.ctrl_msg_bytes,
-                    MsgKind::PhaseEnd { phase: self.phase },
-                );
+            // All final batches go out first, then the PhaseEnds in index
+            // order. A drained slot records whether its destination still
+            // needs one (1) or got the end-of-stream flag on a batch (0).
+            for i in 0..self.out_acc.len() {
+                let needs_explicit = self.out_acc[i] == 0;
+                self.flush_dest(ctx, i, true);
+                self.out_acc[i] = u32::from(needs_explicit);
+            }
+            for i in 0..self.out_acc.len() {
+                if self.out_acc[i] == 1 {
+                    ctx.send_to(
+                        self.pe,
+                        self.dests[i],
+                        self.job,
+                        i as TaskId,
+                        ctx.cfg.ctrl_msg_bytes,
+                        MsgKind::PhaseEnd { phase: self.phase },
+                    );
+                }
             }
         }
+        // The output buffers are empty for good.
+        self.out_acc = Vec::new();
+        self.wrr = None;
         self.state = State::Done;
     }
 
@@ -559,5 +575,105 @@ impl ScanTask {
 
     pub fn tuples_out(&self) -> u64 {
         self.out_done
+    }
+
+    /// What the scan reads.
+    pub fn source(&self) -> &ScanSource {
+        &self.source
+    }
+
+    /// The transaction the scan's locks belong to.
+    pub fn txn(&self) -> TxnToken {
+        self.txn
+    }
+
+    /// Normalized weight of destination `i` under a skewed partitioning
+    /// function (`None`: uniform round-robin).
+    pub fn weight(&self, i: usize) -> Option<f64> {
+        self.wrr.as_ref().map(|w| w[i].0)
+    }
+
+    /// Output-side slots the scan holds on the heap (per-destination
+    /// accumulators and weighted round-robin state); zero once finished.
+    pub fn output_slots(&self) -> usize {
+        self.out_acc.capacity() + self.wrr.as_ref().map_or(0, |w| w.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use simkit::slab::SlabKey;
+    use simkit::SimTime;
+
+    fn scan_to(k: u32) -> ScanTask {
+        ScanTask::new(
+            SlabKey::DANGLING,
+            0,
+            0,
+            0,
+            JoinPhase::Build,
+            (0..k).collect::<Vec<PeId>>().into(),
+            ScanSource::Memory { tuples: 0 },
+            TxnToken {
+                id: 0,
+                birth: SimTime::ZERO,
+            },
+        )
+    }
+
+    /// Stage `outs` from `cursor` and compare with the per-tuple loop
+    /// `out_acc[next_dest % k] += 1; next_dest += 1` (the oracle).
+    fn check_split(outs: u64, k: u32, cursor: usize, pre: &[u32]) -> Result<(), TestCaseError> {
+        let mut scan = scan_to(k);
+        scan.out_acc = pre[..k as usize].to_vec();
+        scan.next_dest = cursor;
+        let mut oracle = scan.out_acc.clone();
+        let mut next = cursor;
+        for _ in 0..outs {
+            oracle[next % k as usize] += 1;
+            next += 1;
+        }
+        scan.stage_outputs(outs);
+        prop_assert_eq!(&scan.out_acc, &oracle);
+        prop_assert_eq!(scan.next_dest, next);
+        prop_assert_eq!(scan.out_done, outs);
+        Ok(())
+    }
+
+    proptest! {
+        /// The arithmetic round-robin split stages exactly what the
+        /// per-tuple loop would, from any cursor, and leaves the same
+        /// cursor.
+        #[test]
+        fn even_split_matches_per_tuple_round_robin(
+            outs in 0u64..10_001,
+            k in 1u32..65,
+            cursor in 0usize..1_000_000,
+            pre in collection::vec(0u32..100, 64),
+        ) {
+            check_split(outs, k, cursor, &pre)?;
+        }
+    }
+
+    /// The range ends the random draw is unlikely to hit exactly.
+    #[test]
+    fn even_split_matches_at_the_edges() {
+        let pre = [7u32; 64];
+        for k in [1u32, 2, 63, 64] {
+            for outs in [
+                0u64,
+                1,
+                u64::from(k) - 1,
+                u64::from(k),
+                u64::from(k) + 1,
+                10_000,
+            ] {
+                for cursor in [0usize, k as usize - 1, k as usize, 999_999] {
+                    check_split(outs, k, cursor, &pre).unwrap();
+                }
+            }
+        }
     }
 }

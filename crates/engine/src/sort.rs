@@ -303,6 +303,7 @@ use dbmodel::catalog::RelationId;
 use dbmodel::lock::TxnToken;
 use simkit::slab::SlabKey;
 use simkit::SimTime;
+use std::rc::Rc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QState {
@@ -335,7 +336,8 @@ pub struct SortQueryJob {
     pub expected_out: u64,
 
     state: QState,
-    placement: Vec<PeId>,
+    /// The sort PEs, shared with every scan as its destination list.
+    placement: Rc<[PeId]>,
     tasks: Vec<STask>,
     /// Scan sources: (fragment index, home PE at placement time).
     scan_frags: Vec<(u32, PeId)>,
@@ -369,7 +371,7 @@ impl SortQueryJob {
             psu_noio,
             expected_out,
             state: QState::Queued,
-            placement: Vec::new(),
+            placement: Rc::default(),
             tasks: Vec::new(),
             scan_frags: Vec::new(),
             ready_cnt: 0,
@@ -479,7 +481,7 @@ impl SortQueryJob {
 
     fn place(&mut self, job: JobId, nodes: Vec<PeId>, ctx: &mut Ctx) {
         debug_assert_eq!(self.state, QState::WaitPlacement);
-        self.placement = nodes;
+        self.placement = nodes.into();
         self.state = QState::WaitReady;
         let p = self.placement.len() as u32;
         self.scan_frags = ctx
@@ -491,7 +493,9 @@ impl SortQueryJob {
             .collect();
         let srcs = self.scan_frags.len() as u32;
         let expected = ((self.table_pages / p as f64).ceil() as u32).max(1);
-        for (i, &pe) in self.placement.clone().iter().enumerate() {
+        self.tasks
+            .reserve_exact(self.placement.len() + self.scan_frags.len());
+        for (i, &pe) in self.placement.iter().enumerate() {
             self.tasks.push(STask::Sort(SortTask::new(
                 job,
                 i as TaskId,
@@ -518,7 +522,7 @@ impl SortQueryJob {
     fn start_scans(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = QState::Running;
         let txn = self.txn(job);
-        for &(frag, pe) in self.scan_frags.clone().iter() {
+        for &(frag, pe) in &self.scan_frags {
             let tid = self.tasks.len() as TaskId;
             self.tasks.push(STask::Scan(ScanTask::new(
                 job,
@@ -526,7 +530,7 @@ impl SortQueryJob {
                 pe,
                 self.coord,
                 JoinPhase::Build,
-                self.placement.clone(),
+                Rc::clone(&self.placement),
                 ScanSource::Fragment {
                     relation: self.relation,
                     fragment: frag,
@@ -545,7 +549,6 @@ impl SortQueryJob {
                     relation: self.relation,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Build,
-                    dests: self.placement.clone(),
                 },
             );
         }

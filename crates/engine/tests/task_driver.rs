@@ -5,12 +5,15 @@
 use dbmodel::catalog::Catalog;
 use dbmodel::lock::TxnToken;
 use dbmodel::log::LogParams;
-use engine::api::{Action, EngineConfig, JoinPhase, MsgKind};
+use dbmodel::RelationId;
+use engine::api::{Action, EngineConfig, InKind, Input, JoinPhase, Msg, MsgKind, Step, COORD_TASK};
 use engine::ctx::Ctx;
+use engine::join::{JoinJob, Task};
 use engine::pphj::JoinTask;
 use engine::scan::{ScanAccess, ScanSource, ScanTask};
 use engine::Pe;
 use simkit::{SimRng, SimTime, Slab};
+use std::rc::Rc;
 
 /// Harness state: PEs + action log.
 struct Driver {
@@ -134,7 +137,7 @@ fn scan_emits_exact_output_with_last_flags() {
         0,
         9,
         JoinPhase::Build,
-        vec![5, 6, 7, 8],
+        vec![5, 6, 7, 8].into(),
         ScanSource::Fragment {
             relation: dbmodel::RelationId(0),
             fragment: 0,
@@ -170,6 +173,11 @@ fn scan_emits_exact_output_with_last_flags() {
     assert_eq!(per_dest[0], 1_250, "exact scan output");
     assert_eq!(scan.tuples_out(), 1_250);
     assert_eq!(
+        scan.output_slots(),
+        0,
+        "a finished scan holds no output vectors"
+    );
+    assert_eq!(
         lasts + phase_ends,
         4,
         "each destination gets exactly one end-of-stream marker"
@@ -186,11 +194,11 @@ fn scan_weighted_distribution_respects_weights() {
         0,
         9,
         JoinPhase::Build,
-        vec![5, 6],
+        vec![5, 6].into(),
         ScanSource::Memory { tuples: 1_000 },
         t,
     );
-    scan.set_weights(vec![3.0, 1.0]);
+    scan.set_weights(&[3.0, 1.0]);
     {
         let mut ctx = d.ctx();
         scan.start(&mut ctx);
@@ -204,6 +212,148 @@ fn scan_weighted_distribution_respects_weights() {
         })
         .sum();
     assert_eq!(total, 1_000, "weighted distribution conserves tuples");
+    assert!(scan.is_done());
+    assert_eq!(scan.output_slots(), 0, "a finished scan holds no WRR state");
+}
+
+/// Feed the join coordinator one input; the actions it emits are dropped.
+fn coord_input(d: &mut Driver, join: &mut JoinJob, kind: InKind) {
+    let job = d.job;
+    let mut ctx = d.ctx();
+    join.handle(
+        job,
+        Input {
+            task: COORD_TASK,
+            kind,
+        },
+        &mut ctx,
+    );
+}
+
+fn coord_msg(d: &mut Driver, join: &mut JoinJob, from: u32, kind: MsgKind) {
+    let msg = Msg {
+        from,
+        to: 0,
+        job: d.job,
+        task: COORD_TASK,
+        bytes: 128,
+        kind,
+    };
+    coord_input(d, join, InKind::Msg(Box::new(msg)));
+}
+
+fn scans(join: &JoinJob) -> impl Iterator<Item = &ScanTask> {
+    join.tasks().iter().filter_map(|t| match t {
+        Task::Scan(s) => Some(s),
+        Task::Join(_) => None,
+    })
+}
+
+/// The outer (B) scans of a join exist only from the probe phase on:
+/// while building, the task table holds the p join tasks and the |A|
+/// inner scans; `start_probe` appends the |B| outer scans with ids
+/// p + |A| + i, the same weights, transaction and destination list, and
+/// fragment i of B as source.
+#[test]
+fn join_builds_probe_scans_when_the_probe_starts() {
+    let mut d = Driver::new(10, 50);
+    let (n_a, n_b) = (
+        d.catalog.fragments(RelationId(0)).len(),
+        d.catalog.fragments(RelationId(1)).len(),
+    );
+    assert_eq!((n_a, n_b), (2, 8));
+    let mut join = JoinJob::new(
+        0,
+        0,
+        RelationId(0),
+        RelationId(1),
+        0.01,
+        SimTime::ZERO,
+        130.0,
+        3,
+        3,
+        2_500,
+        10_000,
+    );
+    join.skew = 0.8;
+    let nodes = vec![7, 3, 5];
+    let p = nodes.len();
+    coord_input(&mut d, &mut join, InKind::Start);
+    coord_input(&mut d, &mut join, InKind::Step(Step::Init));
+    coord_msg(
+        &mut d,
+        &mut join,
+        0,
+        MsgKind::ControlRep {
+            nodes: nodes.clone(),
+        },
+    );
+    assert_eq!(
+        join.tasks().len(),
+        p + n_a,
+        "placed: joins and inner scans only"
+    );
+    for i in 0..p {
+        coord_msg(&mut d, &mut join, nodes[i], MsgKind::JoinReady);
+    }
+    assert_eq!(
+        join.tasks().len(),
+        p + n_a,
+        "building: joins and inner scans only"
+    );
+    assert!(scans(&join).all(|s| s.phase == JoinPhase::Build));
+    let first = scans(&join).next().expect("an inner scan");
+    let inner_txn = first.txn();
+    let inner_weights: Vec<Option<f64>> = (0..p).map(|j| first.weight(j)).collect();
+    d.actions.clear();
+
+    for i in 0..p {
+        coord_msg(&mut d, &mut join, nodes[i], MsgKind::BuildDone);
+    }
+    assert_eq!(
+        join.tasks().len(),
+        p + n_a + n_b,
+        "probing: outer scans appended"
+    );
+    let outer: Vec<&ScanTask> = scans(&join).skip(n_a).collect();
+    assert_eq!(outer.len(), n_b);
+    for (i, s) in outer.iter().enumerate() {
+        let frag = d.catalog.fragments(RelationId(1))[i].pe;
+        assert_eq!(s.task_id as usize, p + n_a + i);
+        assert_eq!(s.phase, JoinPhase::Probe);
+        assert_eq!(s.pe, frag);
+        assert_eq!(s.txn(), inner_txn);
+        assert!(
+            Rc::ptr_eq(&s.dests, &join.placement),
+            "one shared destination list"
+        );
+        assert_eq!(
+            s.source(),
+            &ScanSource::Fragment {
+                relation: RelationId(1),
+                fragment: i as u32,
+                selectivity: 0.01,
+                access: ScanAccess::Clustered,
+            }
+        );
+        let weights: Vec<Option<f64>> = (0..p).map(|j| s.weight(j)).collect();
+        assert_eq!(weights, inner_weights);
+        assert!(
+            weights.iter().all(Option::is_some),
+            "skewed join weights its scans"
+        );
+    }
+    // The probe start sends one StartScan per outer scan, to its task.
+    let starts: Vec<(u32, u32)> = d
+        .actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send(m) if matches!(m.kind, MsgKind::StartScan { .. }) => Some((m.to, m.task)),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<(u32, u32)> = outer.iter().map(|s| (s.pe, s.task_id)).collect();
+    assert_eq!(starts, expected);
 }
 
 #[test]

@@ -92,28 +92,24 @@ impl System {
         while let Some((job, input)) = self.pending.pop_front() {
             guard += 1;
             assert!(guard < 10_000_000, "engine dispatch loop does not converge");
-            // Check the job out of the slab (stable key, no aliasing).
-            let Some(mut body) = self.jobs.get_mut(job).and_then(Option::take) else {
+            let t0 = self.prof_t0();
+            // The job is handled in its slab slot: `Ctx` borrows the other
+            // fields of the system, and nothing in it reaches `jobs`.
+            let Some(body) = self.jobs.get_mut(job) else {
                 self.metrics.stale_tokens += 1;
                 continue;
             };
-            let t0 = self.prof_t0();
-            {
-                let mut ctx = Ctx {
-                    now: self.events.now(),
-                    cfg: &self.cfg.engine,
-                    catalog: &self.catalog,
-                    pes: &mut self.pes,
-                    rng: &mut self.rng_coord,
-                    out: &mut self.actions,
-                    temp_counter: &mut self.temp_counter,
-                    control_pe: self.cfg.control_pe,
-                };
-                body.handle(job, input, &mut ctx);
-            }
-            if let Some(slot) = self.jobs.get_mut(job) {
-                *slot = Some(body);
-            }
+            let mut ctx = Ctx {
+                now: self.events.now(),
+                cfg: &self.cfg.engine,
+                catalog: &self.catalog,
+                pes: &mut self.pes,
+                rng: &mut self.rng_coord,
+                out: &mut self.actions,
+                temp_counter: &mut self.temp_counter,
+                control_pe: self.cfg.control_pe,
+            };
+            body.handle(job, input, &mut ctx);
             self.prof_add(t0, crate::profile::Phase::SubEngineHandle);
             let t1 = self.prof_t0();
             self.drain_actions();
@@ -123,24 +119,21 @@ impl System {
 
     /// Execute queued engine actions against the hardware.
     ///
-    /// Actions are moved into a scratch deque and consumed by value — no
-    /// per-action clone. The deque (not a Vec index loop) keeps the order
-    /// rule intact: nested actions pushed during execution (e.g. the
-    /// control reply) run after everything already queued.
+    /// Runs in rounds: the queued actions are swapped into a spare `Vec`
+    /// and consumed by value (no per-action clone), while actions pushed
+    /// during execution collect in `self.actions` for the next round. So
+    /// every action runs after everything queued before it — breadth
+    /// first, the order a FIFO queue would give.
     pub(crate) fn drain_actions(&mut self) {
-        if self.actions.is_empty() {
-            return;
-        }
-        let mut queue = std::mem::take(&mut self.action_scratch);
-        debug_assert!(queue.is_empty(), "drain_actions re-entered");
-        queue.extend(self.actions.drain(..));
-        while let Some(action) = queue.pop_front() {
-            self.exec_action(action);
-            if !self.actions.is_empty() {
-                queue.extend(self.actions.drain(..));
+        let mut round = std::mem::take(&mut self.action_round);
+        debug_assert!(round.is_empty(), "drain_actions re-entered");
+        while !self.actions.is_empty() {
+            std::mem::swap(&mut self.actions, &mut round);
+            for action in round.drain(..) {
+                self.exec_action(action);
             }
         }
-        self.action_scratch = queue;
+        self.action_round = round;
     }
 
     fn exec_action(&mut self, action: Action) {
@@ -276,21 +269,18 @@ impl System {
             .iter()
             .take(max)
             .map(|(_, j)| match j {
-                Some(Job::Join(j)) => {
-                    format!("submitted={} {}", j.submitted, j.debug_state())
-                }
-                Some(Job::MultiJoin(m)) => format!(
+                Job::Join(j) => format!("submitted={} {}", j.submitted, j.debug_state()),
+                Job::MultiJoin(m) => format!(
                     "submitted={} multi[{}] {}",
                     m.join.submitted,
                     m.stages_done(),
                     m.join.debug_state()
                 ),
-                Some(Job::Oltp(o)) => format!("oltp pe={} submitted={}", o.pe, o.submitted),
-                Some(Job::ScanQ(s)) => format!("scanq submitted={}", s.submitted),
-                Some(Job::UpdateQ(u)) => format!("updateq submitted={}", u.submitted),
-                Some(Job::SortQ(s)) => format!("sortq submitted={}", s.submitted),
-                Some(Job::Migrate(m)) => m.debug_state(),
-                None => "checked-out".into(),
+                Job::Oltp(o) => format!("oltp pe={} submitted={}", o.pe, o.submitted),
+                Job::ScanQ(s) => format!("scanq submitted={}", s.submitted),
+                Job::UpdateQ(u) => format!("updateq submitted={}", u.submitted),
+                Job::SortQ(s) => format!("sortq submitted={}", s.submitted),
+                Job::Migrate(m) => m.debug_state(),
             })
             .collect()
     }
@@ -298,7 +288,7 @@ impl System {
     /// Tasks of the first stuck join job (diagnostics).
     pub fn debug_live_tasks_of_first_stuck(&self) -> Vec<(usize, String)> {
         for (_, j) in self.jobs.iter() {
-            if let Some(Job::Join(j)) = j {
+            if let Job::Join(j) = j {
                 let lines = j.debug_tasks();
                 return lines.into_iter().enumerate().collect();
             }

@@ -133,9 +133,7 @@ pub struct System {
     pub(crate) disks: Vec<DiskSubsystem<Option<Token>>>,
     pub(crate) log_disks: Vec<DiskSubsystem<Option<Token>>>,
     pub(crate) net: Network,
-    /// Jobs are checked out (`Option::take`) during dispatch so handlers
-    /// can borrow the rest of the system without aliasing the slab.
-    pub(crate) jobs: Slab<Option<Job>>,
+    pub(crate) jobs: Slab<Job>,
     pub(crate) broker: Box<dyn ResourceBroker>,
     pub(crate) planner: Planner,
     pub(crate) catalog: Catalog,
@@ -188,9 +186,9 @@ pub struct System {
     obs_scores: Vec<f64>,
     pub(crate) temp_counter: u64,
     pub(crate) actions: Vec<Action>,
-    /// Reused by [`System::drain_actions`] so the by-value action loop
-    /// allocates nothing in steady state.
-    pub(crate) action_scratch: VecDeque<Action>,
+    /// The round [`System::drain_actions`] is executing; kept so the
+    /// by-value action loop allocates nothing in steady state.
+    pub(crate) action_round: Vec<Action>,
     pub(crate) pending: VecDeque<(JobId, Input)>,
 
     // Utilization snapshots (taken at the warm-up mark).
@@ -310,7 +308,7 @@ impl System {
             obs_scores: Vec::new(),
             temp_counter: 0,
             actions: Vec::with_capacity(64),
-            action_scratch: VecDeque::with_capacity(64),
+            action_round: Vec::with_capacity(64),
             pending: VecDeque::new(),
             cpu_busy_at_warmup: vec![0; n],
             disk_busy_at_warmup: 0,
@@ -419,7 +417,7 @@ impl System {
             }
         };
         let coord = job.coord_pe();
-        let id = self.jobs.insert(Some(job));
+        let id = self.jobs.insert(job);
         if let Some(o) = self.obs.as_mut() {
             o.arrival(
                 Self::t_ms(now),
@@ -472,7 +470,7 @@ impl System {
         self.sched.pump_into(now, &mut ready);
         for &raw in &ready {
             let id = simkit::slab::SlabKey::from_raw(raw);
-            let Some(Some(body)) = self.jobs.get(id) else {
+            let Some(body) = self.jobs.get(id) else {
                 continue;
             };
             let coord = body.coord_pe() as usize;
@@ -509,7 +507,7 @@ impl System {
         if let Some(next) = self.pes[coord as usize].finish() {
             self.queued_inputs -= 1;
             let now = self.events.now();
-            if let Some(Some(body)) = self.jobs.get(next) {
+            if let Some(body) = self.jobs.get(next) {
                 let wait = now - body.submitted();
                 self.metrics.record_queue_wait(wait, now);
                 if let Some(o) = self.obs.as_mut() {
@@ -779,7 +777,7 @@ impl System {
 
     /// A job completed: metrics, MPL slot, single-user relaunch.
     pub(crate) fn job_done(&mut self, job: JobId) {
-        let Some(body) = self.jobs.remove(job).flatten() else {
+        let Some(body) = self.jobs.remove(job) else {
             return;
         };
         // Migrations are system utilities, not workload: flip the
@@ -1032,7 +1030,7 @@ impl System {
             plan.tuples,
             now,
         )));
-        let id = self.jobs.insert(Some(job));
+        let id = self.jobs.insert(job);
         self.pending.push_back((
             id,
             Input {
@@ -1064,7 +1062,7 @@ impl System {
     /// only shared relation locks and cannot deadlock). The victim is
     /// retried after a short back-off, per the usual 2PL policy.
     fn abort_job(&mut self, job: JobId) {
-        let Some(body) = self.jobs.remove(job).flatten() else {
+        let Some(body) = self.jobs.remove(job) else {
             return;
         };
         self.metrics.deadlock_victims += 1;
@@ -1218,10 +1216,6 @@ impl System {
     // -----------------------------------------------------------------
     // Verification hooks for integration tests / diagnostics
     // -----------------------------------------------------------------
-
-    pub fn quiescent_locks(&self) -> bool {
-        self.pes.iter().all(|p| p.locks.is_quiescent())
-    }
 
     pub fn live_jobs(&self) -> usize {
         self.jobs.len()
