@@ -6,19 +6,10 @@
 //!   --dry-run        expand the sweep and list the runs without simulating
 //!   --full           override run lengths with figure-quality 120 s runs
 //!   --smoke          override run lengths with 8 s smoke runs (CI)
-//!   --bench <file>   write a wall-clock throughput baseline (simulated
-//!                    events per wall second, per scenario and total) to
-//!                    `<file>` — the perf-trajectory anchor CI publishes
-//!                    as BENCH_lab.json
-//!   --profile        run serially with per-phase wall-clock profiling;
-//!                    prints the breakdown per scenario and writes
-//!                    `results/<name>.profile.json` (mutually exclusive
-//!                    with --bench: profiled runs are serial by design)
 //!   --trace          run serially with the observability layer forced on;
 //!                    writes `results/<name>.timeseries.json`/`.csv`,
 //!                    `results/<name>.explain.json` and
-//!                    `results/<name>.trace.jsonl` (mutually exclusive with
-//!                    --bench and --profile)
+//!                    `results/<name>.trace.jsonl`
 //!   --explain        like --trace, and also prints the placement-decision
 //!                    digest (per-policy decision counts, win margins,
 //!                    top-K winner nodes)
@@ -27,60 +18,37 @@
 //! Each spec file holds one scenario (see `scenarios/` and README.md for
 //! the format). Results land in `results/<scenario>.runs.json` and
 //! `results/<scenario>.csv`; the headline table is printed per scenario.
+//! Wall-time measurement lives in the separate `perfbench` workspace.
 
 use bench::lab::{self, RunLength};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--bench <file>` takes a value: extract the pair before flag checks.
-    let bench_out: Option<String> = args.iter().position(|a| a == "--bench").map(|i| {
-        if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-            eprintln!("error: --bench needs an output file");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        path
-    });
+    const USAGE: &str =
+        "usage: lab [--dry-run] [--full|--smoke] [--trace] [--explain] <spec.json> ...";
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(unknown) = args.iter().find(|a| {
         a.starts_with("--")
             && !matches!(
                 a.as_str(),
-                "--dry-run" | "--full" | "--smoke" | "--profile" | "--trace" | "--explain"
+                "--dry-run" | "--full" | "--smoke" | "--trace" | "--explain"
             )
     }) {
         eprintln!("error: unknown flag `{unknown}`");
-        eprintln!(
-            "usage: lab [--dry-run] [--full|--smoke] [--bench <file>] [--profile] \
-             [--trace] [--explain] <spec.json> ..."
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     let dry_run = args.iter().any(|a| a == "--dry-run");
-    let profile = args.iter().any(|a| a == "--profile");
     let explain = args.iter().any(|a| a == "--explain");
     let trace = explain || args.iter().any(|a| a == "--trace");
-    if profile && bench_out.is_some() {
-        eprintln!("error: --profile runs serially and would distort a --bench baseline");
-        std::process::exit(2);
-    }
-    if trace && (profile || bench_out.is_some()) {
-        eprintln!(
-            "error: --trace/--explain runs serially; combine with neither --profile nor --bench"
-        );
-        std::process::exit(2);
-    }
     let len = RunLength::from_args();
     let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if paths.is_empty() {
-        eprintln!("usage: lab [--dry-run] [--full|--smoke] [--bench <file>] <spec.json> ...");
+        eprintln!("{USAGE}");
         eprintln!("bundled specs live under scenarios/");
         std::process::exit(2);
     }
 
     let mut failed = false;
-    let mut bench_rows: Vec<serde_json::Value> = Vec::new();
-    let (mut bench_events, mut bench_wall) = (0u64, 0.0f64);
     for path in paths {
         let path = std::path::Path::new(path);
         let spec = match lab::load_spec(path) {
@@ -107,7 +75,6 @@ fn main() {
             }
             continue;
         }
-        let started = std::time::Instant::now();
         let rows = if trace {
             let traced = lab::run_scenario_traced(&spec, len);
             let wrote = [
@@ -126,65 +93,9 @@ fn main() {
                 lab::print_explain(&spec.name, &traced);
             }
             traced.into_iter().map(|(row, _)| row).collect()
-        } else if profile {
-            let (rows, report) = lab::run_scenario_profiled(&spec, len);
-            println!("{}", report.format_table(&spec.name));
-            if let Some(path) = lab::write_profile_json(&spec.name, &report) {
-                eprintln!("profile written to {}", path.display());
-            } else {
-                failed = true;
-            }
-            rows
         } else {
             lab::run_scenario(&spec, len)
         };
-        let wall = started.elapsed().as_secs_f64();
-        if bench_out.is_some() {
-            let events: u64 = rows.iter().map(|r| r.summary.events).sum();
-            bench_events += events;
-            bench_wall += wall;
-            // Queue-depth / backpressure stats ride along with the
-            // wall-clock baseline so overload trends are tracked in CI.
-            let peak_queue_depth = rows
-                .iter()
-                .map(|r| r.summary.peak_queue_depth)
-                .max()
-                .unwrap_or(0);
-            let queue_wait_p95 = rows
-                .iter()
-                .map(|r| r.summary.queue_wait_ms_p95)
-                .fold(0.0f64, f64::max);
-            let rejected: u64 = rows.iter().map(|r| r.summary.rejected).sum();
-            let shrunk: u64 = rows.iter().map(|r| r.summary.shrunk_admissions).sum();
-            // Per-resource utilization columns: the max of each run-mean
-            // plus the worst p95, so resource-pressure trends (including
-            // the interconnect) are tracked alongside events/sec.
-            let fmax = |f: fn(&snsim::Summary) -> f64| {
-                rows.iter().map(|r| f(&r.summary)).fold(0.0f64, f64::max)
-            };
-            bench_rows.push(serde_json::json!({
-                "scenario": spec.name,
-                "runs": rows.len() as u64,
-                "events": events,
-                "wall_secs": wall,
-                "events_per_sec": events as f64 / wall.max(1e-9),
-                "peak_queue_depth": peak_queue_depth,
-                "queue_wait_ms_p95_max": queue_wait_p95,
-                "rejected": rejected,
-                "shrunk_admissions": shrunk,
-                "cpu_util_max": fmax(|s| s.avg_cpu_util),
-                "mem_util_max": fmax(|s| s.avg_mem_util),
-                "disk_util_max": fmax(|s| s.avg_disk_util),
-                "net_util_max": fmax(|s| s.avg_net_util),
-                "net_util_p95_max": fmax(|s| s.p95_net_util),
-                // Control-plane honesty metrics: zero across the board
-                // under the clean central broker; the stale/lossy broker
-                // scenarios publish their degradation here next to
-                // events/sec.
-                "false_suspicions": rows.iter().map(|r| r.summary.false_suspicions).sum::<u64>(),
-                "stale_reads_p95_ms_max": fmax(|s| s.stale_reads_p95_ms),
-            }));
-        }
         lab::print_tables(&spec, &rows);
         match (
             lab::write_lab_json(&spec.name, &rows),
@@ -198,29 +109,6 @@ fn main() {
                 );
             }
             _ => failed = true,
-        }
-    }
-    if let Some(out) = bench_out {
-        let payload = serde_json::json!({
-            "bench": "lab",
-            "scenarios": serde_json::Value::Array(bench_rows),
-            "total_events": bench_events,
-            "total_wall_secs": bench_wall,
-            "events_per_sec": bench_events as f64 / bench_wall.max(1e-9),
-        });
-        match serde_json::to_string_pretty(&payload) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&out, json) {
-                    eprintln!("error: could not write {out}: {e}");
-                    failed = true;
-                } else {
-                    eprintln!("bench baseline written to {out}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: could not serialize bench baseline: {e}");
-                failed = true;
-            }
         }
     }
     if failed {

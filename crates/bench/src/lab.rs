@@ -169,34 +169,6 @@ pub fn run_scenario(spec: &ScenarioSpec, len: RunLength) -> Vec<LabRow> {
         .collect()
 }
 
-/// Execute every run of a scenario **serially** with wall-clock phase
-/// profiling enabled, merging the per-run phase breakdowns into one
-/// report. Serial on purpose: profiling measures where the simulator
-/// spends time, and concurrent runs on shared cores would distort every
-/// number. Summaries are bit-identical to [`run_scenario`]'s.
-pub fn run_scenario_profiled(
-    spec: &ScenarioSpec,
-    len: RunLength,
-) -> (Vec<LabRow>, snsim::ProfileReport) {
-    let lowered = snsim::scenario::configs(spec);
-    let mut report = snsim::ProfileReport::empty();
-    let rows = lowered
-        .into_iter()
-        .map(|(run, cfg)| {
-            let (summary, r) = snsim::run_one_profiled(len.apply(cfg));
-            report.merge(&r);
-            let (strategy, x) = row_keys(&run);
-            LabRow {
-                axes: run.axes,
-                strategy,
-                x,
-                summary,
-            }
-        })
-        .collect();
-    (rows, report)
-}
-
 /// Execute every run of a scenario **serially** with the observability
 /// layer forced on, returning each run's trace output alongside its row.
 /// Serial so a traced 1000-PE soak never holds more than one run's event
@@ -414,48 +386,6 @@ pub fn print_explain(name: &str, traced: &[(LabRow, obs::TraceOutput)]) {
     }
 }
 
-/// Serialize a profile report to `results/<name>.profile.json`.
-pub fn write_profile_json(name: &str, report: &snsim::ProfileReport) -> Option<PathBuf> {
-    let rows: Vec<serde_json::Value> = report
-        .rows
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "phase": r.phase,
-                "calls": r.calls,
-                "secs": r.secs,
-                "share": if report.total_wall_secs > 0.0 {
-                    r.secs / report.total_wall_secs
-                } else {
-                    0.0
-                },
-            })
-        })
-        .collect();
-    let payload = serde_json::json!({
-        "scenario": name,
-        "runs": report.runs,
-        "total_wall_secs": report.total_wall_secs,
-        "phases": serde_json::Value::Array(rows),
-    });
-    let dir = PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.profile.json"));
-    match serde_json::to_string_pretty(&payload) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: could not write {}: {e}", path.display());
-                None
-            }
-        },
-        Err(e) => {
-            eprintln!("warning: could not serialize {name} profile: {e}");
-            None
-        }
-    }
-}
-
 /// Group rows into figure-style series: one series per strategy key, one
 /// x-entry per distinct x key, both in first-appearance order. `metric`
 /// extracts the plotted value.
@@ -548,13 +478,7 @@ pub fn write_lab_json(name: &str, rows: &[LabRow]) -> Option<PathBuf> {
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(format!("{name}.runs.json"));
     match serde_json::to_string_pretty(&payload) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: could not write {}: {e}", path.display());
-                None
-            }
-        },
+        Ok(json) => write_results_file(&path, json),
         Err(e) => {
             eprintln!("warning: could not serialize {name}: {e}");
             None
@@ -638,14 +562,7 @@ pub fn write_lab_csv(name: &str, rows: &[LabRow]) -> Option<PathBuf> {
     }
     let dir = PathBuf::from("results");
     let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: could not write {}: {e}", path.display());
-            None
-        }
-    }
+    write_results_file(&dir.join(format!("{name}.csv")), out)
 }
 
 /// Run a bundled figure spec (embedded JSON) and return its rows: the

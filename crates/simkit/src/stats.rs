@@ -161,10 +161,12 @@ impl TimeWeighted {
 }
 
 /// Log2-bucketed histogram of durations, 1us floor, with quantiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Storage is inline, so constructing and recording never touch the heap
+/// (the queue-wait p95 is recorded on the admission hot path).
+#[derive(Debug, Clone)]
 pub struct Histogram {
     /// buckets[i] counts samples in [2^i, 2^(i+1)) microseconds.
-    buckets: Vec<u64>,
+    buckets: [u64; 48],
     count: u64,
 }
 
@@ -177,7 +179,7 @@ impl Default for Histogram {
 impl Histogram {
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; 48],
+            buckets: [0; 48],
             count: 0,
         }
     }
@@ -386,6 +388,23 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert!(p50 <= p99);
         assert!(p50 >= SimDur::from_millis(256) && p50 <= SimDur::from_millis(1024));
+
+        // Bucket edges: the bound a single sample reports.
+        let bound = |ns: u64| {
+            let mut h = Histogram::new();
+            h.record(SimDur::from_nanos(ns));
+            h.quantile(0.95)
+        };
+        // Zero and sub-µs waits floor to 1 µs: the committed all-zero-wait
+        // `queue_wait_ms_p95` of 0.002 ms.
+        assert_eq!(bound(0).as_millis_f64(), 0.002);
+        for ns in [999, 1_000, 1_001] {
+            assert_eq!(bound(ns), SimDur::from_micros(2), "{ns} ns");
+        }
+        assert_eq!(bound(2_000), SimDur::from_micros(4));
+        // Beyond the last bucket: capped at bucket 47.
+        assert_eq!(bound(u64::MAX / 2), SimDur::from_micros(1 << 48));
+        assert_eq!(Histogram::new().quantile(0.95), SimDur::ZERO);
     }
 
     #[test]

@@ -92,7 +92,6 @@ impl System {
         while let Some((job, input)) = self.pending.pop_front() {
             guard += 1;
             assert!(guard < 10_000_000, "engine dispatch loop does not converge");
-            let t0 = self.prof_t0();
             // The job is handled in its slab slot: `Ctx` borrows the other
             // fields of the system, and nothing in it reaches `jobs`.
             let Some(body) = self.jobs.get_mut(job) else {
@@ -110,10 +109,7 @@ impl System {
                 control_pe: self.cfg.control_pe,
             };
             body.handle(job, input, &mut ctx);
-            self.prof_add(t0, crate::profile::Phase::SubEngineHandle);
-            let t1 = self.prof_t0();
             self.drain_actions();
-            self.prof_add(t1, crate::profile::Phase::SubExecActions);
         }
     }
 

@@ -50,15 +50,12 @@ mod exec;
 pub mod experiment;
 pub mod metrics;
 pub mod planner;
-pub mod profile;
 pub mod scenario;
 pub mod system;
 
 pub use config::SimConfig;
 pub use experiment::{
-    format_table, run_one, run_one_profiled, run_one_traced, run_parallel, run_reps,
-    AggregateSummary,
+    format_table, run_one, run_one_traced, run_parallel, run_reps, AggregateSummary,
 };
 pub use metrics::{Metrics, Summary};
-pub use profile::ProfileReport;
 pub use system::System;

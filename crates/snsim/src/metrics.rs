@@ -59,62 +59,6 @@ impl UtilHist {
     }
 }
 
-/// Log₂-bucketed latency histogram with **inline** storage: the same
-/// bucket math as [`simkit::stats::Histogram`] (`buckets[i]` counts
-/// samples in `[2^i, 2^(i+1))` microseconds, ceil-rank quantile returning
-/// the bucket upper edge) but backed by a fixed `[u64; 48]` array, so
-/// constructing and recording never touch the heap. Used for the
-/// queue-wait p95, which is recorded on the admission hot path.
-///
-/// Bit-compatibility with the `Vec`-backed histogram is pinned by
-/// `tests::wait_hist_matches_simkit_histogram`.
-#[derive(Debug, Clone)]
-pub struct WaitHist {
-    buckets: [u64; 48],
-    count: u64,
-}
-
-impl Default for WaitHist {
-    fn default() -> Self {
-        WaitHist {
-            buckets: [0; 48],
-            count: 0,
-        }
-    }
-}
-
-impl WaitHist {
-    /// Record one duration (floored to 1 µs, capped at the last bucket).
-    pub fn record(&mut self, d: SimDur) {
-        let us = (d.as_nanos() / 1_000).max(1);
-        let b = (63 - us.leading_zeros()) as usize;
-        let b = b.min(self.buckets.len() - 1);
-        self.buckets[b] += 1;
-        self.count += 1;
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Approximate quantile (bucket upper bound), `q` in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> SimDur {
-        if self.count == 0 {
-            return SimDur::ZERO;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target.max(1) {
-                return SimDur::from_micros(1u64 << (i + 1));
-            }
-        }
-        SimDur::from_micros(1u64 << self.buckets.len())
-    }
-}
-
 /// Dense index of a workload class (queries first, then OLTP classes), in
 /// the order the names were interned at [`Metrics::new`].
 pub type ClassId = u32;
@@ -160,7 +104,7 @@ pub struct Metrics {
     pub queue_wait: OnlineStats,
     /// Histogram of the same waits (for the p95 backpressure metric).
     /// Inline fixed-bucket storage — recording allocates nothing.
-    pub queue_hist: WaitHist,
+    pub queue_hist: Histogram,
     /// Peak backlog observed: admission-queue length plus all MPL input
     /// queues, sampled at every point the backlog can grow. (Rejection
     /// counts live in the scheduler, the single owner of that decision.)
@@ -188,7 +132,7 @@ impl Metrics {
             migrations: 0,
             tuples_moved: 0,
             queue_wait: OnlineStats::new(),
-            queue_hist: WaitHist::default(),
+            queue_hist: Histogram::new(),
             peak_queue_depth: 0,
             util_hists: (0..ResourceKind::COUNT)
                 .map(|_| UtilHist::default())
@@ -503,14 +447,13 @@ mod tests {
         }
     }
 
-    /// The inline [`WaitHist`] must agree with the `Vec`-backed simkit
-    /// [`Histogram`] sample for sample and quantile for quantile — it is
-    /// a storage change, not a semantics change, and the committed
-    /// `queue_wait_ms_p95` values depend on the exact bucket math
-    /// (all-zero waits ⇒ 0.002 ms, the 2 µs bucket edge).
+    /// Queue waits recorded through [`Metrics::record_queue_wait`] must
+    /// land in the simkit [`Histogram`] sample for sample and quantile for
+    /// quantile: the committed `queue_wait_ms_p95` values depend on the
+    /// exact bucket math (all-zero waits ⇒ 0.002 ms, the 2 µs bucket edge).
     #[test]
     fn wait_hist_matches_simkit_histogram() {
-        let mut ours = WaitHist::default();
+        let mut m = Metrics::new(vec!["join".into()], SimTime(0));
         let mut theirs = Histogram::new();
         // Zero, sub-µs, bucket-edge, mid-range, and beyond-last-bucket
         // durations, plus a pseudo-random spread.
@@ -523,19 +466,20 @@ mod tests {
             samples.push(x >> (x % 50));
         }
         for &ns in &samples {
-            ours.record(SimDur::from_nanos(ns));
+            m.record_queue_wait(SimDur::from_nanos(ns), SimTime(1));
             theirs.record(SimDur::from_nanos(ns));
         }
-        assert_eq!(ours.count(), theirs.count());
+        assert_eq!(m.queue_hist.count(), theirs.count());
         for q in [0.0, 0.01, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(ours.quantile(q), theirs.quantile(q), "q={q}");
+            assert_eq!(m.queue_hist.quantile(q), theirs.quantile(q), "q={q}");
         }
         // The committed all-zero-wait fixed point.
-        let mut zeros = WaitHist::default();
-        zeros.record(SimDur::ZERO);
-        assert_eq!(zeros.quantile(0.95).as_millis_f64(), 0.002);
-        // Empty histograms agree on zero.
-        assert_eq!(WaitHist::default().quantile(0.95), SimDur::ZERO);
+        let mut zeros = Metrics::new(vec!["join".into()], SimTime(0));
+        zeros.record_queue_wait(SimDur::ZERO, SimTime(1));
+        assert_eq!(zeros.queue_hist.quantile(0.95).as_millis_f64(), 0.002);
+        // No waits recorded: p95 is zero.
+        let empty = Metrics::new(vec!["join".into()], SimTime(0));
+        assert_eq!(empty.queue_hist.quantile(0.95), SimDur::ZERO);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use crate::config::SimConfig;
 use crate::metrics::{ClassSummary, Metrics, Summary};
 use crate::planner::Planner;
-use crate::profile::{Phase, ProfileAcc, ProfileReport};
 use dbmodel::catalog::Catalog;
 use dbmodel::deadlock;
 use dbmodel::log::LogParams;
@@ -153,12 +152,6 @@ pub struct System {
     pub(crate) cpu_windows: Vec<UtilizationWindow>,
     pub(crate) disk_windows: Vec<UtilizationWindow>,
     pub(crate) net_windows: Vec<UtilizationWindow>,
-    /// Per-PE resource vectors staged by the sampling phase of each
-    /// control tick, then merged into the broker in PE order; staging
-    /// lets the profiler time hardware sampling and the broker's report
-    /// merge as separate rows. Pre-sized to `n_pes`: the tick allocates
-    /// nothing.
-    tick_scratch: Vec<ResourceVector>,
     /// Jobs currently parked in MPL input queues, summed over all PEs.
     /// Maintained at the two queue transitions (`try_admit` miss, `finish`
     /// hand-off) so the per-arrival backlog watermark does not rescan
@@ -171,10 +164,6 @@ pub struct System {
     pub(crate) rng_seed_counter: u64,
 
     pub metrics: Metrics,
-    /// Wall-clock phase accumulators (`lab --profile`); `None` in normal
-    /// runs. Never serialized, never read by the model — cannot affect a
-    /// [`Summary`].
-    prof: Option<Box<ProfileAcc>>,
     /// Observability recorder (`trace` knob); `None` when tracing is
     /// disabled, so every hook site is a single pointer test. The
     /// recorder only receives copies of values the round already
@@ -296,14 +285,12 @@ impl System {
             cpu_windows: vec![UtilizationWindow::default(); n],
             disk_windows: vec![UtilizationWindow::default(); n],
             net_windows: vec![UtilizationWindow::default(); n],
-            tick_scratch: vec![ResourceVector::default(); n],
             queued_inputs: 0,
             rng_arrivals,
             rng_place: root.fork(1),
             rng_coord: root.fork(2),
             rng_seed_counter: 0,
             metrics,
-            prof: None,
             obs,
             obs_scores: Vec::new(),
             temp_counter: 0,
@@ -386,14 +373,12 @@ impl System {
                 };
                 let seed_base = self.cfg.seed;
                 let mut counter = self.rng_seed_counter;
-                let t0 = self.prof_t0();
                 let job = self
                     .planner
                     .make_query_job(i, class_idx, coord, now, &mut || {
                         counter += 1;
                         seed_base ^ counter.wrapping_mul(0x2545_F491_4F6C_DD1D)
                     });
-                self.prof_add(t0, Phase::SubQueryPlanning);
                 self.rng_seed_counter = counter;
                 job
             }
@@ -464,7 +449,6 @@ impl System {
     /// (or queues for) its coordinator's MPL slot exactly as before the
     /// admission layer existed.
     fn pump_admissions(&mut self) {
-        let t0 = self.prof_t0();
         let now = self.events.now();
         let mut ready = std::mem::take(&mut self.admit_scratch);
         self.sched.pump_into(now, &mut ready);
@@ -498,7 +482,6 @@ impl System {
         }
         ready.clear();
         self.admit_scratch = ready;
-        self.prof_add(t0, Phase::SubAdmissionPump);
     }
 
     /// Release a finished coordinator's MPL slot and start the next job
@@ -579,39 +562,7 @@ impl System {
         self.finalize()
     }
 
-    /// Turn on wall-clock phase profiling (see [`crate::profile`]).
-    pub fn enable_profiling(&mut self) {
-        self.prof = Some(Box::default());
-    }
-
-    /// Freeze the profiling accumulators into a report; `wall` is the
-    /// run's total wall clock as measured by the caller.
-    pub fn profile_report(&self, wall: std::time::Duration) -> ProfileReport {
-        match &self.prof {
-            Some(acc) => acc.report(wall),
-            None => ProfileReport::empty(),
-        }
-    }
-
-    /// Start a phase timer (no-op unless profiling is enabled).
-    #[inline]
-    pub(crate) fn prof_t0(&self) -> Option<std::time::Instant> {
-        if self.prof.is_some() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Close a phase timer opened by [`System::prof_t0`].
-    #[inline]
-    pub(crate) fn prof_add(&mut self, t0: Option<std::time::Instant>, phase: Phase) {
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_mut()) {
-            p.add(phase, t0.elapsed());
-        }
-    }
-
-    pub(crate) fn dispatch_event(&mut self, ev: Ev) {
+    fn dispatch_event(&mut self, ev: Ev) {
         let now = self.events.now();
         match ev {
             Ev::Arrival(class) => {
@@ -868,23 +819,17 @@ impl System {
     fn control_tick(&mut self) {
         let now = self.events.now();
         let measuring = now >= self.warmup_time;
-        // Phase 1 — sample every PE into `tick_scratch` (and roll its
-        // buffer epoch). Phase 2 — merge into the broker in PE order.
-        let t_sample = self.prof_t0();
+        // Sample each PE (rolling its buffer epoch) and report it to the
+        // broker in PE order. Sampling reads only that PE's devices and
+        // buffer, never the broker.
         for pe in 0..self.cfg.n_pes as usize {
-            self.tick_scratch[pe] = self.sample_pe(now, pe);
-        }
-        self.prof_add(t_sample, Phase::SubBrokerSample);
-        let t_merge = self.prof_t0();
-        for pe in 0..self.cfg.n_pes as usize {
-            let v = self.tick_scratch[pe];
+            let v = self.sample_pe(now, pe);
             self.broker.report(pe as u32, v);
             if measuring {
                 self.metrics.record_util_sample(&v);
             }
         }
         self.broker.end_report_round();
-        self.prof_add(t_merge, Phase::SubBrokerMerge);
         if measuring {
             let mem: f64 = self.pes.iter().map(|p| p.buffer.utilization()).sum::<f64>()
                 / self.pes.len() as f64;
@@ -911,7 +856,6 @@ impl System {
         // controller observes. The fragment snapshot reuses a per-run
         // scratch vector: no allocation per round.
         if self.rebalancer.is_some() {
-            let t_plan = self.prof_t0();
             // Pinned relations (affinity-routed OLTP data) never move.
             self.frag_scratch.clear();
             for rel in 0..self.catalog.len() as u32 {
@@ -939,7 +883,6 @@ impl System {
             for plan in plans {
                 self.start_migration(plan);
             }
-            self.prof_add(t_plan, Phase::SubRebalancePlanning);
         }
         // Tracing: close the round with one cluster sample (the series is
         // clocked by these report rounds, not wall time).
@@ -1017,7 +960,6 @@ impl System {
     /// Launch one fragment migration as an engine job (real disk/network
     /// traffic; bypasses MPL admission — it is a system utility).
     fn start_migration(&mut self, plan: MigrationPlan) {
-        let t0 = self.prof_t0();
         let now = self.events.now();
         if let Some(o) = self.obs.as_mut() {
             o.migration_start(Self::t_ms(now), plan.from, plan.to, plan.tuples);
@@ -1038,7 +980,6 @@ impl System {
                 kind: InKind::Start,
             },
         ));
-        self.prof_add(t0, Phase::SubMigration);
     }
 
     fn deadlock_tick(&mut self) {
@@ -1268,36 +1209,10 @@ impl Simulation for System {
     }
 
     fn handle(&mut self, _now: SimTime, ev: Ev) {
-        if self.prof.is_none() {
-            self.dispatch_event(ev);
-            return;
-        }
-        let phase = match &ev {
-            Ev::Arrival(_) | Ev::Retry(..) => Phase::Arrival,
-            Ev::CpuDone { .. } => Phase::CpuDone,
-            Ev::IoDone { .. } => Phase::IoDone,
-            Ev::LogDone { .. } => Phase::LogDone,
-            Ev::Deliver(_) | Ev::LinkFree { .. } => Phase::Network,
-            Ev::ControlTick => Phase::ControlTick,
-            Ev::DeadlockTick | Ev::WarmupMark | Ev::Alarm { .. } => Phase::OtherEvent,
-        };
-        let t0 = std::time::Instant::now();
         self.dispatch_event(ev);
-        let d = t0.elapsed();
-        self.prof.as_mut().expect("profiling enabled").add(phase, d);
     }
 
     fn quiesce(&mut self) {
-        if self.prof.is_none() {
-            self.drain();
-            return;
-        }
-        let t0 = std::time::Instant::now();
         self.drain();
-        let d = t0.elapsed();
-        self.prof
-            .as_mut()
-            .expect("profiling enabled")
-            .add(Phase::EngineDrain, d);
     }
 }

@@ -4,9 +4,8 @@
 //! bit-identical-summary half lives in `tests/obs_parity.rs`; this binary
 //! pins the allocation half:
 //!
-//! * the fixed-bucket [`WaitHist`] behind `queue_wait_ms_p95` is
-//!   *strictly* allocation-free to record and to query — replacing the
-//!   Vec-backed histogram was the point of the swap;
+//! * the inline-bucket [`Histogram`] behind `queue_wait_ms_p95` is
+//!   *strictly* allocation-free to build, record and query;
 //! * `run_one_traced` with the knob off allocates **exactly** as much as
 //!   `run_one` on the same configuration — the `Option<Box<Recorder>>`
 //!   hooks compile to pointer tests, and the disabled layer adds zero
@@ -19,7 +18,7 @@
 //! thread sees all of its allocations.
 
 use parallel_lb::prelude::*;
-use snsim::metrics::WaitHist;
+use simkit::stats::Histogram;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -65,15 +64,15 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// heap: the buckets are a fixed inline array.
 #[test]
 fn wait_hist_is_strictly_allocation_free() {
-    let mut hist = WaitHist::default();
     let (_, n) = allocs_during(|| {
+        let mut hist = Histogram::new();
         for i in 0..10_000u64 {
             hist.record(SimDur::from_micros(1 + (i * 37) % 1_000_000));
         }
         let _ = hist.quantile(0.95);
         let _ = hist.count();
     });
-    assert_eq!(n, 0, "WaitHist allocated {n} times over 10k records");
+    assert_eq!(n, 0, "Histogram allocated {n} times over 10k records");
 }
 
 fn soak_cfg() -> SimConfig {
