@@ -8,7 +8,7 @@ use dbmodel::catalog::PageAddr;
 use dbmodel::deadlock::find_victims;
 use dbmodel::lock::{LockManager, LockMode, TxnToken};
 use hardware::{DiskId, DiskParams, DiskSubsystem, IoKind, IoRequest};
-use simkit::{SimRng, SimTime};
+use simkit::{FifoPool, SimRng, SimTime};
 use workload::trace::{decode, encode, synthesize};
 
 fn bench_buffer(c: &mut Criterion) {
@@ -117,6 +117,7 @@ fn bench_btree(c: &mut Criterion) {
 
 fn bench_disk(c: &mut Criterion) {
     c.bench_function("disk/sequential_scan_256_pages", |b| {
+        let mut pool = FifoPool::new();
         b.iter(|| {
             let mut d: DiskSubsystem<u32> = DiskSubsystem::new(DiskParams::default());
             let mut now = SimTime::ZERO;
@@ -128,9 +129,9 @@ fn bench_disk(c: &mut Criterion) {
                         run_remaining: (256 - p) as u32,
                     },
                 };
-                if let Some(g) = d.request(now, DiskId(0), req, p as u32) {
+                if let Some(g) = d.request(&mut pool, now, DiskId(0), req, p as u32) {
                     now = g.done;
-                    d.complete(now, DiskId(0));
+                    d.complete(&mut pool, now, DiskId(0));
                 }
             }
             black_box(d.stats().cache_hits)

@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use simkit::server::Priority;
-use simkit::{EventHeap, FcfsServer, LruMap, SimDur, SimRng, SimTime, Slab};
+use simkit::{EventHeap, FcfsServer, FifoPool, LruMap, SimDur, SimRng, SimTime, Slab};
 
 fn bench_event_heap(c: &mut Criterion) {
     c.bench_function("heap/push_pop_1k", |b| {
@@ -25,15 +25,18 @@ fn bench_event_heap(c: &mut Criterion) {
 
 fn bench_fcfs_server(c: &mut Criterion) {
     c.bench_function("server/offer_complete_1k", |b| {
+        // The pool outlives the iterations, as a system's does: after the
+        // first iteration its free list serves every queued request.
+        let mut pool = FifoPool::new();
         b.iter(|| {
             let mut s: FcfsServer<u32> = FcfsServer::new(1);
             let mut now = SimTime::ZERO;
             for i in 0..1_000u32 {
-                if s.offer(now, SimDur::from_micros(50), Priority::Normal, i)
+                if s.offer(&mut pool, now, SimDur::from_micros(50), Priority::Normal, i)
                     .is_none()
                 {
                     now += SimDur::from_micros(50);
-                    black_box(s.complete(now));
+                    black_box(s.complete(&mut pool, now));
                 }
             }
             black_box(s.served())

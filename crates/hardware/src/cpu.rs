@@ -5,10 +5,12 @@
 //! can be defined separately for every request type." (§4)
 //!
 //! The engine expresses work in instructions; [`Cpu`] converts to service
-//! time and queues requests FCFS (optionally prioritizing OLTP work).
+//! time and queues requests FCFS (optionally prioritizing OLTP work). The
+//! queued requests live in a [`FifoPool`] shared by every CPU of the
+//! system, which the caller passes in.
 
 use crate::params::CpuParams;
-use simkit::server::Grant;
+use simkit::server::{FifoPool, Grant};
 use simkit::{FcfsServer, Priority, SimTime};
 
 /// CPU of one PE: `cpus_per_pe` identical units at `mips` each.
@@ -33,7 +35,14 @@ impl<T> Cpu<T> {
     /// grant is returned immediately; otherwise the request queues.
     ///
     /// `oltp` requests jump the queue when `oltp_priority` is configured.
-    pub fn request(&mut self, now: SimTime, instr: u64, oltp: bool, tag: T) -> Option<Grant<T>> {
+    pub fn request(
+        &mut self,
+        pool: &mut FifoPool<T>,
+        now: SimTime,
+        instr: u64,
+        oltp: bool,
+        tag: T,
+    ) -> Option<Grant<T>> {
         self.instructions += instr;
         let prio = if oltp && self.params.oltp_priority {
             Priority::High
@@ -41,12 +50,12 @@ impl<T> Cpu<T> {
             Priority::Normal
         };
         self.server
-            .offer(now, self.params.service(instr), prio, tag)
+            .offer(pool, now, self.params.service(instr), prio, tag)
     }
 
     /// A service completion fired; returns the next grant if one was queued.
-    pub fn complete(&mut self, now: SimTime) -> Option<Grant<T>> {
-        self.server.complete(now)
+    pub fn complete(&mut self, pool: &mut FifoPool<T>, now: SimTime) -> Option<Grant<T>> {
+        self.server.complete(pool, now)
     }
 
     /// Cumulative utilization in `[0, 1]` (read-only).
@@ -93,16 +102,17 @@ mod tests {
     #[test]
     fn serves_in_fcfs_order() {
         let mut cpu: Cpu<u32> = Cpu::new(CpuParams::default());
+        let mut p = FifoPool::new();
         // 20 MIPS: 20000 instr = 1 ms.
-        let g = cpu.request(at(0), 20_000, false, 1).unwrap();
+        let g = cpu.request(&mut p, at(0), 20_000, false, 1).unwrap();
         assert_eq!(g.done, at(1));
-        assert!(cpu.request(at(0), 20_000, false, 2).is_none());
-        assert!(cpu.request(at(0), 20_000, false, 3).is_none());
-        let g2 = cpu.complete(at(1)).unwrap();
+        assert!(cpu.request(&mut p, at(0), 20_000, false, 2).is_none());
+        assert!(cpu.request(&mut p, at(0), 20_000, false, 3).is_none());
+        let g2 = cpu.complete(&mut p, at(1)).unwrap();
         assert_eq!(g2.tag, 2);
-        let g3 = cpu.complete(at(2)).unwrap();
+        let g3 = cpu.complete(&mut p, at(2)).unwrap();
         assert_eq!(g3.tag, 3);
-        assert!(cpu.complete(at(3)).is_none());
+        assert!(cpu.complete(&mut p, at(3)).is_none());
     }
 
     #[test]
@@ -112,26 +122,29 @@ mod tests {
             ..CpuParams::default()
         };
         let mut cpu: Cpu<&str> = Cpu::new(params);
-        cpu.request(at(0), 20_000, false, "running");
-        cpu.request(at(0), 20_000, false, "query");
-        cpu.request(at(0), 20_000, true, "oltp");
-        assert_eq!(cpu.complete(at(1)).unwrap().tag, "oltp");
+        let mut p = FifoPool::new();
+        cpu.request(&mut p, at(0), 20_000, false, "running");
+        cpu.request(&mut p, at(0), 20_000, false, "query");
+        cpu.request(&mut p, at(0), 20_000, true, "oltp");
+        assert_eq!(cpu.complete(&mut p, at(1)).unwrap().tag, "oltp");
     }
 
     #[test]
     fn oltp_priority_ignored_when_disabled() {
         let mut cpu: Cpu<&str> = Cpu::new(CpuParams::default());
-        cpu.request(at(0), 20_000, false, "running");
-        cpu.request(at(0), 20_000, false, "query");
-        cpu.request(at(0), 20_000, true, "oltp");
-        assert_eq!(cpu.complete(at(1)).unwrap().tag, "query");
+        let mut p = FifoPool::new();
+        cpu.request(&mut p, at(0), 20_000, false, "running");
+        cpu.request(&mut p, at(0), 20_000, false, "query");
+        cpu.request(&mut p, at(0), 20_000, true, "oltp");
+        assert_eq!(cpu.complete(&mut p, at(1)).unwrap().tag, "query");
     }
 
     #[test]
     fn tracks_instruction_totals_and_utilization() {
         let mut cpu: Cpu<()> = Cpu::new(CpuParams::default());
-        cpu.request(at(0), 40_000, false, ()); // 2 ms
-        cpu.complete(at(2));
+        let mut p = FifoPool::new();
+        cpu.request(&mut p, at(0), 40_000, false, ()); // 2 ms
+        cpu.complete(&mut p, at(2));
         assert_eq!(cpu.total_instructions(), 40_000);
         let u = cpu.utilization(at(4));
         assert!((u - 0.5).abs() < 1e-9);
@@ -144,9 +157,10 @@ mod tests {
             ..CpuParams::default()
         };
         let mut cpu: Cpu<u8> = Cpu::new(params);
-        assert!(cpu.request(at(0), 20_000, false, 1).is_some());
-        assert!(cpu.request(at(0), 20_000, false, 2).is_some());
-        assert!(cpu.request(at(0), 20_000, false, 3).is_none());
+        let mut p = FifoPool::new();
+        assert!(cpu.request(&mut p, at(0), 20_000, false, 1).is_some());
+        assert!(cpu.request(&mut p, at(0), 20_000, false, 2).is_some());
+        assert!(cpu.request(&mut p, at(0), 20_000, false, 3).is_none());
         assert_eq!(cpu.in_service(), 2);
     }
 }

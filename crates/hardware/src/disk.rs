@@ -16,7 +16,7 @@
 //! hits costing only controller + transmission time).
 
 use crate::params::DiskParams;
-use simkit::server::Grant;
+use simkit::server::{FifoPool, Grant};
 use simkit::{FcfsServer, LruMap, Priority, SimDur, SimTime};
 
 /// Index of a disk within one PE's subsystem.
@@ -166,9 +166,11 @@ impl<T> DiskSubsystem<T> {
         }
     }
 
-    /// Submit an I/O. Returns a grant (schedule its completion) or queues.
+    /// Submit an I/O. Returns a grant (schedule its completion) or queues
+    /// it in `pool`, which every disk of the system shares.
     pub fn request(
         &mut self,
+        pool: &mut FifoPool<T>,
         now: SimTime,
         disk: DiskId,
         req: IoRequest,
@@ -177,12 +179,17 @@ impl<T> DiskSubsystem<T> {
         let service = self.service_for(disk, &req);
         self.units[disk.0 as usize]
             .server
-            .offer(now, service, Priority::Normal, tag)
+            .offer(pool, now, service, Priority::Normal, tag)
     }
 
     /// An I/O completion fired on `disk`; returns the next grant if queued.
-    pub fn complete(&mut self, now: SimTime, disk: DiskId) -> Option<Grant<T>> {
-        self.units[disk.0 as usize].server.complete(now)
+    pub fn complete(
+        &mut self,
+        pool: &mut FifoPool<T>,
+        now: SimTime,
+        disk: DiskId,
+    ) -> Option<Grant<T>> {
+        self.units[disk.0 as usize].server.complete(pool, now)
     }
 
     /// Average cumulative utilization across this PE's disks (read-only).
@@ -225,6 +232,11 @@ impl<T> DiskSubsystem<T> {
         agg
     }
 
+    /// Requests waiting over all disks.
+    pub fn queued(&self) -> usize {
+        self.units.iter().map(|u| u.server.queued()).sum()
+    }
+
     /// Pending + in-service request count over all disks.
     pub fn outstanding(&self) -> usize {
         self.units
@@ -259,7 +271,10 @@ mod tests {
     #[test]
     fn sequential_miss_costs_prefetch_access() {
         let mut d = subsystem();
-        let g = d.request(at(0), DiskId(0), seq(1, 0, 100), 0).unwrap();
+        let mut p = FifoPool::new();
+        let g = d
+            .request(&mut p, at(0), DiskId(0), seq(1, 0, 100), 0)
+            .unwrap();
         // 15 + 4*1 + 1 + 0.4 = 20.4 ms
         assert_eq!(g.done, SimTime::ZERO + SimDur::from_micros(20_400));
         let s = d.stats();
@@ -269,9 +284,13 @@ mod tests {
     #[test]
     fn prefetched_pages_hit_cache() {
         let mut d = subsystem();
-        d.request(at(0), DiskId(0), seq(1, 0, 100), 0).unwrap();
-        d.complete(at(21), DiskId(0));
-        let g = d.request(at(21), DiskId(0), seq(1, 1, 99), 1).unwrap();
+        let mut p = FifoPool::new();
+        d.request(&mut p, at(0), DiskId(0), seq(1, 0, 100), 0)
+            .unwrap();
+        d.complete(&mut p, at(21), DiskId(0));
+        let g = d
+            .request(&mut p, at(21), DiskId(0), seq(1, 1, 99), 1)
+            .unwrap();
         // hit: 1 + 0.4 ms
         assert_eq!(g.done, at(21) + SimDur::from_micros(1_400));
         assert_eq!(d.stats().cache_hits, 1);
@@ -280,21 +299,28 @@ mod tests {
     #[test]
     fn prefetch_clamped_to_run_end() {
         let mut d = subsystem();
+        let mut p = FifoPool::new();
         // Only 2 pages remain: prefetch must fetch 2, not 4.
-        let g = d.request(at(0), DiskId(0), seq(1, 10, 2), 0).unwrap();
+        let g = d
+            .request(&mut p, at(0), DiskId(0), seq(1, 10, 2), 0)
+            .unwrap();
         // 15 + 2*1 + 1 + 0.4 = 18.4 ms
         assert_eq!(g.done, SimTime::ZERO + SimDur::from_micros(18_400));
-        d.complete(at(19), DiskId(0));
+        d.complete(&mut p, at(19), DiskId(0));
         // Page 12 was NOT prefetched.
-        let g2 = d.request(at(19), DiskId(0), seq(1, 12, 1), 1).unwrap();
+        let g2 = d
+            .request(&mut p, at(19), DiskId(0), seq(1, 12, 1), 1)
+            .unwrap();
         assert!(g2.done > at(19) + SimDur::from_millis(15));
     }
 
     #[test]
     fn random_read_costs_single_page_access() {
         let mut d = subsystem();
+        let mut p = FifoPool::new();
         let g = d
             .request(
+                &mut p,
                 at(0),
                 DiskId(3),
                 IoRequest {
@@ -312,8 +338,10 @@ mod tests {
     #[test]
     fn write_batches_pages() {
         let mut d = subsystem();
+        let mut p = FifoPool::new();
         let g = d
             .request(
+                &mut p,
                 at(0),
                 DiskId(0),
                 IoRequest {
@@ -332,7 +360,9 @@ mod tests {
     #[test]
     fn written_pages_can_hit_on_read_back() {
         let mut d = subsystem();
+        let mut p = FifoPool::new();
         d.request(
+            &mut p,
             at(0),
             DiskId(0),
             IoRequest {
@@ -343,26 +373,38 @@ mod tests {
             0,
         )
         .unwrap();
-        d.complete(at(25), DiskId(0));
-        let g = d.request(at(25), DiskId(0), seq(5, 0, 2), 1).unwrap();
+        d.complete(&mut p, at(25), DiskId(0));
+        let g = d
+            .request(&mut p, at(25), DiskId(0), seq(5, 0, 2), 1)
+            .unwrap();
         assert_eq!(g.done, at(25) + SimDur::from_micros(1_400), "cache hit");
     }
 
     #[test]
     fn queueing_on_busy_disk() {
         let mut d = subsystem();
-        assert!(d.request(at(0), DiskId(0), seq(1, 0, 8), 0).is_some());
-        assert!(d.request(at(0), DiskId(0), seq(2, 0, 8), 1).is_none());
+        let mut p = FifoPool::new();
+        assert!(d
+            .request(&mut p, at(0), DiskId(0), seq(1, 0, 8), 0)
+            .is_some());
+        assert!(d
+            .request(&mut p, at(0), DiskId(0), seq(2, 0, 8), 1)
+            .is_none());
         assert_eq!(d.outstanding(), 2);
-        let g = d.complete(at(21), DiskId(0)).unwrap();
+        let g = d.complete(&mut p, at(21), DiskId(0)).unwrap();
         assert_eq!(g.tag, 1);
     }
 
     #[test]
     fn disks_are_independent() {
         let mut d = subsystem();
-        assert!(d.request(at(0), DiskId(0), seq(1, 0, 8), 0).is_some());
-        assert!(d.request(at(0), DiskId(1), seq(2, 0, 8), 1).is_some());
+        let mut p = FifoPool::new();
+        assert!(d
+            .request(&mut p, at(0), DiskId(0), seq(1, 0, 8), 0)
+            .is_some());
+        assert!(d
+            .request(&mut p, at(0), DiskId(1), seq(2, 0, 8), 1)
+            .is_some());
     }
 
     #[test]
@@ -372,9 +414,13 @@ mod tests {
             ..DiskParams::default()
         };
         let mut d: DiskSubsystem<u8> = DiskSubsystem::new(params);
-        d.request(at(0), DiskId(0), seq(1, 0, 100), 0).unwrap();
-        d.complete(at(21), DiskId(0));
-        let g = d.request(at(21), DiskId(0), seq(1, 1, 99), 1).unwrap();
+        let mut p = FifoPool::new();
+        d.request(&mut p, at(0), DiskId(0), seq(1, 0, 100), 0)
+            .unwrap();
+        d.complete(&mut p, at(21), DiskId(0));
+        let g = d
+            .request(&mut p, at(21), DiskId(0), seq(1, 1, 99), 1)
+            .unwrap();
         assert!(
             g.done > at(21) + SimDur::from_millis(15),
             "no cache → full access"
@@ -384,8 +430,10 @@ mod tests {
     #[test]
     fn utilization_accumulates() {
         let mut d = subsystem();
-        d.request(at(0), DiskId(0), seq(1, 0, 4), 0).unwrap();
-        d.complete(at(20), DiskId(0)); // ≈20.4ms busy, call it 20 for the test window
+        let mut p = FifoPool::new();
+        d.request(&mut p, at(0), DiskId(0), seq(1, 0, 4), 0)
+            .unwrap();
+        d.complete(&mut p, at(20), DiskId(0)); // ≈20.4ms busy, call it 20 for the test window
         let u = d.utilization(at(200));
         assert!(u > 0.0 && u < 0.02, "one busy disk of ten: {u}");
         let m = d.max_utilization(at(200));

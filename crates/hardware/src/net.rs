@@ -104,6 +104,7 @@ impl Network {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use simkit::server::FifoPool;
     use simkit::{FcfsServer, Priority};
 
     fn at_us(us: u64) -> SimTime {
@@ -159,6 +160,7 @@ mod tests {
     /// explicitly at their times (as `LinkFree` events once did).
     struct ReferenceLinks {
         links: Vec<FcfsServer<usize>>,
+        pool: FifoPool<usize>,
         /// The in-flight transmission's completion time per link.
         inflight: Vec<Option<SimTime>>,
         /// Release time of each message, by send index, once granted.
@@ -169,6 +171,7 @@ mod tests {
         fn new(links: usize) -> Self {
             ReferenceLinks {
                 links: (0..links).map(|_| FcfsServer::new(1)).collect(),
+                pool: FifoPool::new(),
                 inflight: vec![None; links],
                 release: Vec::new(),
             }
@@ -178,7 +181,7 @@ mod tests {
         fn advance(&mut self, now: SimTime) {
             for l in 0..self.links.len() {
                 while let Some(done) = self.inflight[l].filter(|&d| d <= now) {
-                    self.inflight[l] = self.links[l].complete(done).map(|g| {
+                    self.inflight[l] = self.links[l].complete(&mut self.pool, done).map(|g| {
                         self.release[g.tag] = Some(g.done);
                         g.done
                     });
@@ -190,7 +193,8 @@ mod tests {
             self.advance(now);
             let id = self.release.len();
             self.release.push(None);
-            if let Some(g) = self.links[src].offer(now, wire, Priority::Normal, id) {
+            if let Some(g) = self.links[src].offer(&mut self.pool, now, wire, Priority::Normal, id)
+            {
                 self.release[id] = Some(g.done);
                 self.inflight[src] = Some(g.done);
             }

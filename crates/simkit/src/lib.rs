@@ -8,7 +8,8 @@
 //! * [`EventHeap`] — the future event list, with deterministic FIFO
 //!   tie-breaking, behind the [`Dispatcher`]'s [`EventQueue`],
 //! * [`FcfsServer`] — queueing resources (CPUs, disks, NICs) with busy-time
-//!   accounting and optional two-level priorities,
+//!   accounting and optional two-level priorities, whose queues run
+//!   through a [`FifoPool`] shared by a whole device class,
 //! * [`SimRng`] — a seedable random source with the variates the workload
 //!   model needs (exponential, uniform, Zipf, sampling without replacement),
 //! * [`stats`] — online statistics (Welford mean/variance, time-weighted
@@ -34,6 +35,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use heap::EventHeap;
 pub use lru::LruMap;
 pub use rng::SimRng;
-pub use server::{FcfsServer, Priority};
+pub use server::{FcfsServer, FifoPool, Priority};
 pub use slab::Slab;
 pub use time::{SimDur, SimTime};

@@ -13,12 +13,22 @@
 //! request to schedule. This keeps the resource model decoupled from the
 //! event loop and unit-testable in isolation.
 //!
+//! A server owns no queue storage. Its two FIFOs are singly linked lists
+//! through a [`FifoPool`] that every server of one device class shares
+//! (all CPUs of a system, say), passed to `offer` and `complete`. A
+//! thousand-PE system has thousands of servers, each idle most of the
+//! time and deeply backlogged some of the time; per-server buffers would
+//! each keep the capacity of that server's worst burst, while the pool
+//! holds only the requests queued now, plus one segment of slack. Freed
+//! nodes go to the pool's free list, so a steady state makes no allocator
+//! call.
+//!
 //! Busy time is accumulated as an integral of `busy_units × dt`, from which
 //! both cumulative and windowed utilization can be derived — the windowed
 //! form is what PEs periodically report to the load-balancing control node.
 
 use crate::time::{SimDur, SimTime};
-use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// Scheduling class of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,10 +40,164 @@ pub enum Priority {
     High,
 }
 
+/// End of a list.
+const NIL: u32 = u32::MAX;
+
+/// Nodes per pool segment. The pool grows one segment at a time, so it
+/// never copies nodes and never holds more than one segment of slack
+/// beyond its high-water mark.
+const SEGMENT: usize = 1024;
+
+/// One queued request, or a free node (`tag == None`).
 #[derive(Debug)]
-struct Pending<T> {
+struct Node<T> {
     service: SimDur,
-    tag: T,
+    next: u32,
+    tag: Option<T>,
+}
+
+/// Node storage for the FIFOs of every [`FcfsServer`] of one device
+/// class: fixed-size segments threaded by index, with a free list.
+#[derive(Debug)]
+pub struct FifoPool<T> {
+    segments: Vec<Box<[Node<T>]>>,
+    /// Head of the free list.
+    free: u32,
+    /// Nodes holding a queued request.
+    live: usize,
+}
+
+impl<T> Default for FifoPool<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> FifoPool<T> {
+    /// An empty pool; the first queued request allocates its first segment.
+    pub fn new() -> Self {
+        FifoPool {
+            segments: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+
+    /// Nodes holding a queued request, over all servers of the pool.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Nodes allocated (live or free).
+    pub fn allocated(&self) -> usize {
+        self.segments.len() * SEGMENT
+    }
+
+    /// Nodes on the free list, counted by walking it.
+    pub fn free_nodes(&self) -> usize {
+        let mut n = 0;
+        let mut i = self.free;
+        while i != NIL {
+            let node = self.node(i);
+            assert!(node.tag.is_none(), "free node {i} holds a request");
+            n += 1;
+            i = node.next;
+        }
+        n
+    }
+
+    fn node(&self, i: u32) -> &Node<T> {
+        &self.segments[i as usize / SEGMENT][i as usize % SEGMENT]
+    }
+
+    fn node_mut(&mut self, i: u32) -> &mut Node<T> {
+        &mut self.segments[i as usize / SEGMENT][i as usize % SEGMENT]
+    }
+
+    /// Take a free node for a request, growing by one segment when the
+    /// free list is empty.
+    fn alloc(&mut self, service: SimDur, tag: T) -> u32 {
+        if self.free == NIL {
+            let base = self.allocated();
+            assert!(base + SEGMENT <= NIL as usize, "FIFO pool index overflow");
+            let segment = (0..SEGMENT)
+                .map(|k| Node {
+                    service: SimDur::ZERO,
+                    next: if k + 1 < SEGMENT {
+                        (base + k + 1) as u32
+                    } else {
+                        NIL
+                    },
+                    tag: None,
+                })
+                .collect();
+            self.segments.push(segment);
+            self.free = base as u32;
+        }
+        let i = self.free;
+        let node = self.node_mut(i);
+        let next_free = node.next;
+        *node = Node {
+            service,
+            next: NIL,
+            tag: Some(tag),
+        };
+        self.free = next_free;
+        self.live += 1;
+        i
+    }
+
+    /// Return node `i` to the free list; yields its request and successor.
+    fn release(&mut self, i: u32) -> (SimDur, T, u32) {
+        let free = self.free;
+        let node = self.node_mut(i);
+        let tag = node.tag.take().expect("released a free node");
+        let next = std::mem::replace(&mut node.next, free);
+        let service = node.service;
+        self.free = i;
+        self.live -= 1;
+        (service, tag, next)
+    }
+}
+
+/// A FIFO list through a [`FifoPool`].
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+
+    fn push_back<T>(&mut self, pool: &mut FifoPool<T>, service: SimDur, tag: T) {
+        let i = pool.alloc(service, tag);
+        if self.tail == NIL {
+            self.head = i;
+        } else {
+            pool.node_mut(self.tail).next = i;
+        }
+        self.tail = i;
+        self.len += 1;
+    }
+
+    fn pop_front<T>(&mut self, pool: &mut FifoPool<T>) -> Option<(SimDur, T)> {
+        if self.head == NIL {
+            return None;
+        }
+        let (service, tag, next) = pool.release(self.head);
+        self.head = next;
+        if next == NIL {
+            self.tail = NIL;
+        }
+        self.len -= 1;
+        Some((service, tag))
+    }
 }
 
 /// A grant: the caller must schedule a completion event at `done` and route
@@ -45,13 +209,15 @@ pub struct Grant<T> {
 }
 
 /// Multi-unit FCFS service station with two priority levels and busy-time
-/// accounting.
+/// accounting. Its queued requests live in a [`FifoPool<T>`] that the
+/// caller passes to [`FcfsServer::offer`] and [`FcfsServer::complete`];
+/// every call on one server must pass the same pool.
 #[derive(Debug)]
 pub struct FcfsServer<T> {
     units: u32,
     busy: u32,
-    queue_high: VecDeque<Pending<T>>,
-    queue_normal: VecDeque<Pending<T>>,
+    queue_high: Fifo,
+    queue_normal: Fifo,
     /// Integral of busy_units over time, in unit-nanoseconds.
     busy_integral: u128,
     last_change: SimTime,
@@ -59,6 +225,7 @@ pub struct FcfsServer<T> {
     served: u64,
     /// Integral of queue length over time (for mean queue length).
     queue_integral: u128,
+    tags: PhantomData<T>,
 }
 
 impl<T> FcfsServer<T> {
@@ -68,12 +235,13 @@ impl<T> FcfsServer<T> {
         FcfsServer {
             units,
             busy: 0,
-            queue_high: VecDeque::new(),
-            queue_normal: VecDeque::new(),
+            queue_high: Fifo::EMPTY,
+            queue_normal: Fifo::EMPTY,
             busy_integral: 0,
             last_change: SimTime::ZERO,
             served: 0,
             queue_integral: 0,
+            tags: PhantomData,
         }
     }
 
@@ -81,15 +249,16 @@ impl<T> FcfsServer<T> {
         debug_assert!(now >= self.last_change, "server time went backwards");
         let dt = (now - self.last_change).as_nanos() as u128;
         self.busy_integral += dt * self.busy as u128;
-        self.queue_integral += dt * (self.queue_high.len() + self.queue_normal.len()) as u128;
+        self.queue_integral += dt * self.queued() as u128;
         self.last_change = now;
     }
 
     /// Offer a request needing `service` time. Returns a [`Grant`] if a unit
     /// is free (the caller schedules the completion); otherwise the request
-    /// is queued and `None` is returned.
+    /// is queued in `pool` and `None` is returned.
     pub fn offer(
         &mut self,
+        pool: &mut FifoPool<T>,
         now: SimTime,
         service: SimDur,
         prio: Priority,
@@ -104,30 +273,30 @@ impl<T> FcfsServer<T> {
                 tag,
             })
         } else {
-            let p = Pending { service, tag };
-            match prio {
-                Priority::High => self.queue_high.push_back(p),
-                Priority::Normal => self.queue_normal.push_back(p),
-            }
+            let queue = match prio {
+                Priority::High => &mut self.queue_high,
+                Priority::Normal => &mut self.queue_normal,
+            };
+            queue.push_back(pool, service, tag);
             None
         }
     }
 
     /// Mark one in-service request finished. If another request waits, it is
     /// granted and returned so the caller can schedule its completion.
-    pub fn complete(&mut self, now: SimTime) -> Option<Grant<T>> {
+    pub fn complete(&mut self, pool: &mut FifoPool<T>, now: SimTime) -> Option<Grant<T>> {
         self.advance(now);
         debug_assert!(self.busy > 0, "complete() without an in-flight request");
         self.busy -= 1;
-        let next = self
+        let (service, tag) = self
             .queue_high
-            .pop_front()
-            .or_else(|| self.queue_normal.pop_front())?;
+            .pop_front(pool)
+            .or_else(|| self.queue_normal.pop_front(pool))?;
         self.busy += 1;
         self.served += 1;
         Some(Grant {
-            done: now + next.service,
-            tag: next.tag,
+            done: now + service,
+            tag,
         })
     }
 
@@ -143,7 +312,7 @@ impl<T> FcfsServer<T> {
 
     /// Requests waiting in either queue.
     pub fn queued(&self) -> usize {
-        self.queue_high.len() + self.queue_normal.len()
+        (self.queue_high.len + self.queue_normal.len) as usize
     }
 
     /// Total requests granted service so far.
@@ -180,8 +349,7 @@ impl<T> FcfsServer<T> {
             0.0
         } else {
             let dt = now.since(self.last_change).as_nanos() as u128;
-            let projected = self.queue_integral
-                + dt * (self.queue_high.len() + self.queue_normal.len()) as u128;
+            let projected = self.queue_integral + dt * self.queued() as u128;
             projected as f64 / span as f64
         }
     }
@@ -217,6 +385,8 @@ impl UtilizationWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn ms(x: u64) -> SimDur {
         SimDur::from_millis(x)
@@ -227,56 +397,105 @@ mod tests {
 
     #[test]
     fn grants_immediately_when_free() {
-        let mut s: FcfsServer<u32> = FcfsServer::new(1);
-        let g = s.offer(at(0), ms(5), Priority::Normal, 7).unwrap();
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
+        let g = s.offer(&mut p, at(0), ms(5), Priority::Normal, 7).unwrap();
         assert_eq!(g.done, at(5));
         assert_eq!(g.tag, 7);
         assert_eq!(s.in_service(), 1);
+        assert_eq!(p.allocated(), 0, "a grant queues nothing");
     }
 
     #[test]
     fn queues_when_busy_and_hands_over_on_complete() {
-        let mut s: FcfsServer<&str> = FcfsServer::new(1);
-        assert!(s.offer(at(0), ms(5), Priority::Normal, "a").is_some());
-        assert!(s.offer(at(1), ms(3), Priority::Normal, "b").is_none());
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
+        assert!(s
+            .offer(&mut p, at(0), ms(5), Priority::Normal, "a")
+            .is_some());
+        assert!(s
+            .offer(&mut p, at(1), ms(3), Priority::Normal, "b")
+            .is_none());
         assert_eq!(s.queued(), 1);
-        let g = s.complete(at(5)).unwrap();
+        assert_eq!(p.live(), 1);
+        let g = s.complete(&mut p, at(5)).unwrap();
         assert_eq!(g.tag, "b");
         assert_eq!(g.done, at(8));
-        assert!(s.complete(at(8)).is_none());
+        assert!(s.complete(&mut p, at(8)).is_none());
         assert_eq!(s.in_service(), 0);
+        assert_eq!(p.live(), 0);
+        assert_eq!(p.free_nodes(), p.allocated());
     }
 
     #[test]
     fn high_priority_overtakes() {
-        let mut s: FcfsServer<&str> = FcfsServer::new(1);
-        s.offer(at(0), ms(10), Priority::Normal, "running");
-        s.offer(at(1), ms(1), Priority::Normal, "normal1");
-        s.offer(at(2), ms(1), Priority::High, "oltp");
-        s.offer(at(3), ms(1), Priority::Normal, "normal2");
-        assert_eq!(s.complete(at(10)).unwrap().tag, "oltp");
-        assert_eq!(s.complete(at(11)).unwrap().tag, "normal1");
-        assert_eq!(s.complete(at(12)).unwrap().tag, "normal2");
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
+        s.offer(&mut p, at(0), ms(10), Priority::Normal, "running");
+        s.offer(&mut p, at(1), ms(1), Priority::Normal, "normal1");
+        s.offer(&mut p, at(2), ms(1), Priority::High, "oltp");
+        s.offer(&mut p, at(3), ms(1), Priority::Normal, "normal2");
+        assert_eq!(s.complete(&mut p, at(10)).unwrap().tag, "oltp");
+        assert_eq!(s.complete(&mut p, at(11)).unwrap().tag, "normal1");
+        assert_eq!(s.complete(&mut p, at(12)).unwrap().tag, "normal2");
     }
 
     #[test]
     fn multi_unit_parallelism() {
-        let mut s: FcfsServer<u8> = FcfsServer::new(2);
-        assert!(s.offer(at(0), ms(4), Priority::Normal, 1).is_some());
-        assert!(s.offer(at(0), ms(4), Priority::Normal, 2).is_some());
-        assert!(s.offer(at(0), ms(4), Priority::Normal, 3).is_none());
-        let g = s.complete(at(4)).unwrap();
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(2));
+        assert!(s
+            .offer(&mut p, at(0), ms(4), Priority::Normal, 1u8)
+            .is_some());
+        assert!(s.offer(&mut p, at(0), ms(4), Priority::Normal, 2).is_some());
+        assert!(s.offer(&mut p, at(0), ms(4), Priority::Normal, 3).is_none());
+        let g = s.complete(&mut p, at(4)).unwrap();
         assert_eq!(g.tag, 3);
     }
 
     #[test]
+    fn servers_sharing_a_pool_keep_their_own_order() {
+        let mut p = FifoPool::new();
+        let mut s = [FcfsServer::new(1), FcfsServer::new(1)];
+        for (k, tag) in [
+            (0, "a0"),
+            (1, "b0"),
+            (0, "a1"),
+            (1, "b1"),
+            (0, "a2"),
+            (1, "b2"),
+        ] {
+            s[k].offer(&mut p, at(0), ms(1), Priority::Normal, tag);
+        }
+        assert_eq!(p.live(), 4);
+        assert_eq!(s[1].complete(&mut p, at(1)).unwrap().tag, "b1");
+        assert_eq!(s[0].complete(&mut p, at(1)).unwrap().tag, "a1");
+        assert_eq!(s[0].complete(&mut p, at(2)).unwrap().tag, "a2");
+        assert_eq!(s[1].complete(&mut p, at(2)).unwrap().tag, "b2");
+        assert_eq!(p.live(), 0);
+    }
+
+    #[test]
+    fn pool_grows_by_segments_and_reuses_freed_nodes() {
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
+        s.offer(&mut p, at(0), ms(1), Priority::Normal, 0u32);
+        for round in 0..3 {
+            for k in 0..SEGMENT as u32 + 1 {
+                s.offer(&mut p, at(0), ms(1), Priority::Normal, k);
+            }
+            assert_eq!(p.allocated(), 2 * SEGMENT, "round {round}");
+            for _ in 0..=SEGMENT {
+                s.complete(&mut p, at(0));
+            }
+            assert_eq!(p.live(), 0);
+            assert_eq!(p.free_nodes(), 2 * SEGMENT);
+        }
+    }
+
+    #[test]
     fn utilization_accounting() {
-        let mut s: FcfsServer<()> = FcfsServer::new(1);
-        s.offer(at(0), ms(5), Priority::Normal, ());
-        s.complete(at(5));
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
+        s.offer(&mut p, at(0), ms(5), Priority::Normal, ());
+        s.complete(&mut p, at(5));
         // idle 5ms
-        s.offer(at(10), ms(10), Priority::Normal, ());
-        s.complete(at(20));
+        s.offer(&mut p, at(10), ms(10), Priority::Normal, ());
+        s.complete(&mut p, at(20));
         let u = s.utilization(at(20));
         assert!((u - 0.75).abs() < 1e-9, "15ms busy of 20ms: {u}");
         assert_eq!(s.served(), 2);
@@ -284,10 +503,10 @@ mod tests {
 
     #[test]
     fn windowed_utilization() {
-        let mut s: FcfsServer<()> = FcfsServer::new(1);
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
         let mut w = UtilizationWindow::default();
-        s.offer(at(0), ms(10), Priority::Normal, ());
-        s.complete(at(10));
+        s.offer(&mut p, at(0), ms(10), Priority::Normal, ());
+        s.complete(&mut p, at(10));
         let u1 = w.sample(at(10), s.busy_integral_at(at(10)), 1);
         assert!((u1 - 1.0).abs() < 1e-9);
         // Fully idle second window.
@@ -297,15 +516,120 @@ mod tests {
 
     #[test]
     fn mean_queue_len_integrates() {
-        let mut s: FcfsServer<u8> = FcfsServer::new(1);
-        s.offer(at(0), ms(10), Priority::Normal, 0);
-        s.offer(at(0), ms(10), Priority::Normal, 1); // queued 0..10
-        s.complete(at(10));
-        s.complete(at(20));
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
+        s.offer(&mut p, at(0), ms(10), Priority::Normal, 0u8);
+        s.offer(&mut p, at(0), ms(10), Priority::Normal, 1); // queued 0..10
+        s.complete(&mut p, at(10));
+        s.complete(&mut p, at(20));
         let q = s.mean_queue_len(at(20));
         assert!(
             (q - 0.5).abs() < 1e-9,
             "one waiter for half the horizon: {q}"
         );
+    }
+
+    /// The per-server `VecDeque` station the pooled lists replaced.
+    struct Reference {
+        units: u32,
+        busy: u32,
+        high: VecDeque<(SimDur, u32)>,
+        normal: VecDeque<(SimDur, u32)>,
+        busy_integral: u128,
+        last_change: SimTime,
+    }
+
+    impl Reference {
+        fn new(units: u32) -> Self {
+            Reference {
+                units,
+                busy: 0,
+                high: VecDeque::new(),
+                normal: VecDeque::new(),
+                busy_integral: 0,
+                last_change: SimTime::ZERO,
+            }
+        }
+
+        fn advance(&mut self, now: SimTime) {
+            self.busy_integral += (now - self.last_change).as_nanos() as u128 * self.busy as u128;
+            self.last_change = now;
+        }
+
+        fn offer(
+            &mut self,
+            now: SimTime,
+            service: SimDur,
+            prio: Priority,
+            tag: u32,
+        ) -> Option<Grant<u32>> {
+            self.advance(now);
+            if self.busy < self.units {
+                self.busy += 1;
+                return Some(Grant {
+                    done: now + service,
+                    tag,
+                });
+            }
+            match prio {
+                Priority::High => self.high.push_back((service, tag)),
+                Priority::Normal => self.normal.push_back((service, tag)),
+            }
+            None
+        }
+
+        fn complete(&mut self, now: SimTime) -> Option<Grant<u32>> {
+            self.advance(now);
+            self.busy -= 1;
+            let (service, tag) = self.high.pop_front().or_else(|| self.normal.pop_front())?;
+            self.busy += 1;
+            Some(Grant {
+                done: now + service,
+                tag,
+            })
+        }
+    }
+
+    proptest! {
+        /// Random offer/complete sequences on up to five servers of one
+        /// to three units sharing one pool, both priorities: every grant,
+        /// done time, busy integral and queued count equals the
+        /// `VecDeque` station's, and the pool holds exactly the queued
+        /// requests.
+        #[test]
+        fn prop_pooled_servers_match_vecdeque_reference(
+            units in proptest::collection::vec(1u32..4, 1..6),
+            ops in proptest::collection::vec((0usize..5, 0u64..3_000, 1u64..5_000, 0u8..5), 1..600),
+        ) {
+            let mut pool = FifoPool::new();
+            let mut servers: Vec<FcfsServer<u32>> = units.iter().map(|&u| FcfsServer::new(u)).collect();
+            let mut reference: Vec<Reference> = units.iter().map(|&u| Reference::new(u)).collect();
+            let mut now = SimTime::ZERO;
+            for (tag, &(idx, gap, service, op)) in ops.iter().enumerate() {
+                let k = idx % servers.len();
+                now += SimDur::from_nanos(gap);
+                let (got, want) = if op >= 2 && reference[k].busy > 0 {
+                    (servers[k].complete(&mut pool, now), reference[k].complete(now))
+                } else {
+                    let prio = if op == 1 { Priority::High } else { Priority::Normal };
+                    let service = SimDur::from_nanos(service);
+                    (
+                        servers[k].offer(&mut pool, now, service, prio, tag as u32),
+                        reference[k].offer(now, service, prio, tag as u32),
+                    )
+                };
+                prop_assert_eq!(got, want);
+                let r = &reference[k];
+                prop_assert_eq!(servers[k].queued(), r.high.len() + r.normal.len());
+                prop_assert_eq!(servers[k].in_service(), r.busy);
+                for (s, r) in servers.iter().zip(&reference) {
+                    let projected = r.busy_integral
+                        + (now - r.last_change).as_nanos() as u128 * r.busy as u128;
+                    prop_assert_eq!(s.busy_integral_at(now), projected);
+                }
+                let queued: usize = servers.iter().map(FcfsServer::queued).sum();
+                prop_assert_eq!(pool.live(), queued);
+            }
+            prop_assert_eq!(pool.free_nodes() + pool.live(), pool.allocated());
+        }
     }
 }

@@ -59,8 +59,13 @@ impl System {
             step: Step::MsgCpu,
             msg: Some(msg),
         };
-        if let Some(grant) = self.cpus[to as usize].request(self.events.now(), instr, false, token)
-        {
+        if let Some(grant) = self.cpus[to as usize].request(
+            &mut self.cpu_pool,
+            self.events.now(),
+            instr,
+            false,
+            token,
+        ) {
             self.events.at(
                 grant.done,
                 Ev::CpuDone {
@@ -141,7 +146,9 @@ impl System {
                 oltp,
                 token,
             } => {
-                if let Some(grant) = self.cpus[pe as usize].request(now, instr, oltp, token) {
+                if let Some(grant) =
+                    self.cpus[pe as usize].request(&mut self.cpu_pool, now, instr, oltp, token)
+                {
                     self.events.at(
                         grant.done,
                         Ev::CpuDone {
@@ -157,9 +164,13 @@ impl System {
                 req,
                 token,
             } => {
-                if let Some(grant) =
-                    self.disks[pe as usize].request(now, DiskId(disk), req, Some(token))
-                {
+                if let Some(grant) = self.disks[pe as usize].request(
+                    &mut self.disk_pool,
+                    now,
+                    DiskId(disk),
+                    req,
+                    Some(token),
+                ) {
                     self.events.at(
                         grant.done,
                         Ev::IoDone {
@@ -171,7 +182,13 @@ impl System {
                 }
             }
             Action::IoAsync { pe, disk, req } => {
-                if let Some(grant) = self.disks[pe as usize].request(now, DiskId(disk), req, None) {
+                if let Some(grant) = self.disks[pe as usize].request(
+                    &mut self.disk_pool,
+                    now,
+                    DiskId(disk),
+                    req,
+                    None,
+                ) {
                     self.events.at(
                         grant.done,
                         Ev::IoDone {
@@ -189,9 +206,13 @@ impl System {
                     page,
                     kind: IoKind::Write { pages },
                 };
-                if let Some(grant) =
-                    self.log_disks[pe as usize].request(now, DiskId(0), req, Some(token))
-                {
+                if let Some(grant) = self.log_disks[pe as usize].request(
+                    &mut self.disk_pool,
+                    now,
+                    DiskId(0),
+                    req,
+                    Some(token),
+                ) {
                     self.events.at(
                         grant.done,
                         Ev::LogDone {
@@ -213,8 +234,13 @@ impl System {
                         step: Step::SendCpu,
                         msg: Some(msg),
                     };
-                    if let Some(grant) = self.cpus[from as usize].request(now, instr, false, token)
-                    {
+                    if let Some(grant) = self.cpus[from as usize].request(
+                        &mut self.cpu_pool,
+                        now,
+                        instr,
+                        false,
+                        token,
+                    ) {
                         self.events.at(
                             grant.done,
                             Ev::CpuDone {

@@ -33,7 +33,7 @@ use lb_core::{
 use sched::{AdmissionTicket, ResourceSignals, Scheduler};
 use simkit::server::UtilizationWindow;
 use simkit::stats::OnlineStats;
-use simkit::{Dispatcher, EventQueue, SimDur, SimRng, SimTime, Simulation, Slab};
+use simkit::{Dispatcher, EventQueue, FifoPool, SimDur, SimRng, SimTime, Simulation, Slab};
 use std::collections::VecDeque;
 use workload::queries::CoordinatorPlacement;
 use workload::ArrivalSpec;
@@ -131,6 +131,10 @@ pub struct System {
     pub(crate) cpus: Vec<Cpu<Token>>,
     pub(crate) disks: Vec<DiskSubsystem<Option<Token>>>,
     pub(crate) log_disks: Vec<DiskSubsystem<Option<Token>>>,
+    /// Queued requests of every CPU.
+    pub(crate) cpu_pool: FifoPool<Token>,
+    /// Queued requests of every data and log disk.
+    pub(crate) disk_pool: FifoPool<Option<Token>>,
     pub(crate) net: Network,
     pub(crate) jobs: Slab<Job>,
     pub(crate) broker: Box<dyn ResourceBroker>,
@@ -253,7 +257,7 @@ impl System {
             .enabled
             .then(|| Box::new(obs::Recorder::new(cfg.trace, n)));
         let mut sys = System {
-            events: EventQueue::with_capacity(1 << 16),
+            events: EventQueue::new(),
             pes: (0..n)
                 .map(|i| {
                     Pe::new(
@@ -272,6 +276,8 @@ impl System {
             log_disks: (0..n)
                 .map(|_| DiskSubsystem::new(log_disk_params.clone()))
                 .collect(),
+            cpu_pool: FifoPool::new(),
+            disk_pool: FifoPool::new(),
             net: Network::new(cfg.hw.net.clone(), n),
             jobs: Slab::new(),
             broker,
@@ -583,7 +589,7 @@ impl System {
             }
             Ev::CpuDone { pe, token } => {
                 // Pump the CPU queue first (frees the unit at this instant).
-                if let Some(next) = self.cpus[pe as usize].complete(now) {
+                if let Some(next) = self.cpus[pe as usize].complete(&mut self.cpu_pool, now) {
                     self.events.at(
                         next.done,
                         Ev::CpuDone {
@@ -595,7 +601,9 @@ impl System {
                 self.handle_cpu_token(pe, token);
             }
             Ev::IoDone { pe, disk, token } => {
-                if let Some(next) = self.disks[pe as usize].complete(now, DiskId(disk)) {
+                if let Some(next) =
+                    self.disks[pe as usize].complete(&mut self.disk_pool, now, DiskId(disk))
+                {
                     self.events.at(
                         next.done,
                         Ev::IoDone {
@@ -610,7 +618,9 @@ impl System {
                 }
             }
             Ev::LogDone { pe, token } => {
-                if let Some(next) = self.log_disks[pe as usize].complete(now, DiskId(0)) {
+                if let Some(next) =
+                    self.log_disks[pe as usize].complete(&mut self.disk_pool, now, DiskId(0))
+                {
                     self.events.at(
                         next.done,
                         Ev::LogDone {
@@ -1181,6 +1191,37 @@ impl System {
         for pe in &self.pes {
             pe.locks.check_invariants(live);
         }
+    }
+
+    /// Panic unless each device FIFO pool holds exactly the queued
+    /// requests of its servers: the CPU pool's live nodes equal the
+    /// requests queued at every CPU, the disk pool's those queued at
+    /// every data and log disk, and in each pool free plus live nodes
+    /// equal the nodes allocated.
+    pub fn check_server_invariants(&self) {
+        let cpu_queued: usize = self.cpus.iter().map(Cpu::queued).sum();
+        let disk_queued: usize = self
+            .disks
+            .iter()
+            .chain(&self.log_disks)
+            .map(DiskSubsystem::queued)
+            .sum();
+        assert_eq!(self.cpu_pool.live(), cpu_queued, "CPU pool vs CPU queues");
+        assert_eq!(
+            self.disk_pool.live(),
+            disk_queued,
+            "disk pool vs disk queues"
+        );
+        assert_eq!(
+            self.cpu_pool.free_nodes() + self.cpu_pool.live(),
+            self.cpu_pool.allocated(),
+            "CPU pool free + live vs allocated"
+        );
+        assert_eq!(
+            self.disk_pool.free_nodes() + self.disk_pool.live(),
+            self.disk_pool.allocated(),
+            "disk pool free + live vs allocated"
+        );
     }
 
     /// Current simulated time.

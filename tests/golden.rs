@@ -8,8 +8,8 @@
 //! soak 0.08 s, and the warm-up is capped at a quarter of the horizon.
 //! The serialized `Summary` is hashed with 64-bit FNV-1a and compared,
 //! together with the headline response times, against the committed
-//! `GOLDEN.json`. After every run the buffer-pool frame accounting and
-//! every PE's lock table are checked as well.
+//! `GOLDEN.json`. After every run the buffer-pool frame accounting,
+//! every PE's lock table and the device FIFO pools are checked as well.
 //!
 //! An intended behaviour change regenerates the file in the same change:
 //!
@@ -77,6 +77,7 @@ fn run_point(label: String, cfg: SimConfig) -> Value {
     let summary = sys.run();
     sys.check_buffer_invariants();
     sys.check_lock_invariants();
+    sys.check_server_invariants();
     serde_json::json!({
         "run": label,
         "digest": digest(&summary),
