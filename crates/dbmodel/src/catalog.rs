@@ -8,6 +8,7 @@
 
 use crate::placement::{Fragment, PartitionMap, RelationPlacement};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// Identifies a relation in the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -71,7 +72,7 @@ impl PageAddr {
 }
 
 /// The system catalog: schema plus the dynamic partition map.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     relations: Vec<Relation>,
     placement: PartitionMap,
@@ -96,8 +97,8 @@ impl Catalog {
             "placement must cover the relation cardinality"
         );
         let id = rel.id;
+        self.placement.push(placement, rel.blocking_factor);
         self.relations.push(rel);
-        self.placement.push(placement);
         id
     }
 
@@ -135,9 +136,13 @@ impl Catalog {
     /// Page offset of a fragment within its home PE's page space for this
     /// relation (co-resident fragments must not alias buffer pages).
     pub fn fragment_page_base(&self, id: RelationId, index: u32) -> u64 {
-        self.placement
-            .relation(id.0)
-            .page_base(index, self.relation(id).blocking_factor)
+        self.placement.relation(id.0).page_base(index)
+    }
+
+    /// Home PE of every fragment of `id`, by fragment index: a shared
+    /// snapshot that later migrations leave as it is.
+    pub fn fragment_homes(&self, id: RelationId) -> Rc<[u32]> {
+        self.placement.relation(id.0).homes()
     }
 
     /// Tuples of `id` currently homed at `pe` (0 if none).
@@ -153,7 +158,7 @@ impl Catalog {
 
     /// Distinct PEs holding fragments of `id` (scan fan-out set), in
     /// fragment order.
-    pub fn scan_pes(&self, id: RelationId) -> Vec<u32> {
+    pub fn scan_pes(&self, id: RelationId) -> &[u32] {
         self.placement.relation(id.0).home_pes()
     }
 

@@ -23,6 +23,7 @@
 //! (asserted in debug builds).
 
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// One horizontal fragment of a relation: the unit of data placement and
 /// of online migration.
@@ -34,38 +35,38 @@ pub struct Fragment {
     pub tuples: u64,
 }
 
-/// The fragments of one relation, in fragment-index order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The fragments of one relation, in fragment-index order, with caches
+/// derived from them. The caches are rebuilt whenever a fragment moves
+/// ([`PartitionMap::move_fragment`]), so every read is O(1) even at
+/// thousand-PE scale, where a relation has a thousand fragments.
+#[derive(Debug, Clone)]
 pub struct RelationPlacement {
     fragments: Vec<Fragment>,
-    /// Derived cache: `tuples_by_pe[pe]` = tuples homed at `pe`. OLTP
-    /// affinity routing asks [`RelationPlacement::tuples_at`] several
-    /// times per transaction; a linear scan over 1000+ fragments there
-    /// dominated the whole event loop at thousand-PE scale. Rebuilt at
-    /// construction and patched on [`PartitionMap::move_fragment`];
-    /// empty (e.g. after deserialization) falls back to the scan.
-    #[serde(skip)]
+    /// Tuples per page: the page geometry [`RelationPlacement::page_base`]
+    /// follows (1 until the catalog registers the relation).
+    blocking_factor: u32,
+    /// `tuples_by_pe[pe]` = tuples homed at `pe`. OLTP affinity routing
+    /// asks [`RelationPlacement::tuples_at`] several times per
+    /// transaction.
     tuples_by_pe: Vec<u64>,
+    /// Home PE of every fragment, by fragment index: the snapshot a join
+    /// takes at placement time, shared instead of copied.
+    homes: Rc<[u32]>,
+    /// Distinct home PEs in first-appearance order (the scan fan-out set).
+    home_pes: Vec<u32>,
+    /// Page offset of every fragment within its home PE's page space.
+    page_bases: Vec<u64>,
 }
 
-/// Equality is over the fragments only: the per-PE cache is derived
-/// state (and absent on deserialized values).
+/// Equality is over the fragments and page geometry only: everything
+/// else is derived from them.
 impl PartialEq for RelationPlacement {
     fn eq(&self, other: &Self) -> bool {
-        self.fragments == other.fragments
+        self.fragments == other.fragments && self.blocking_factor == other.blocking_factor
     }
 }
 
 impl Eq for RelationPlacement {}
-
-fn tuples_by_pe(fragments: &[Fragment]) -> Vec<u64> {
-    let len = fragments.iter().map(|f| f.pe + 1).max().unwrap_or(0);
-    let mut v = vec![0u64; len as usize];
-    for f in fragments {
-        v[f.pe as usize] += f.tuples;
-    }
-    v
-}
 
 /// Zipf weights `1/i^theta` for `i = 1..=k`, normalized to sum 1.
 fn zipf_weights(k: u32, theta: f64) -> Vec<f64> {
@@ -150,11 +151,45 @@ impl RelationPlacement {
     }
 
     fn from_fragments(fragments: Vec<Fragment>) -> RelationPlacement {
-        let tuples_by_pe = tuples_by_pe(&fragments);
-        RelationPlacement {
+        let mut placement = RelationPlacement {
             fragments,
-            tuples_by_pe,
+            blocking_factor: 1,
+            tuples_by_pe: Vec::new(),
+            homes: Rc::default(),
+            home_pes: Vec::new(),
+            page_bases: Vec::new(),
+        };
+        placement.derive();
+        placement
+    }
+
+    /// Set the tuples per page that page offsets are counted in.
+    fn set_blocking_factor(&mut self, blocking_factor: u32) {
+        self.blocking_factor = blocking_factor.max(1);
+        self.derive();
+    }
+
+    /// Rebuild every derived cache from the fragments: O(fragments + PEs).
+    fn derive(&mut self) {
+        let len = self.fragments.iter().map(|f| f.pe as usize + 1).max();
+        let len = len.unwrap_or(0);
+        let mut tuples_by_pe = vec![0u64; len];
+        let mut pages_by_pe = vec![0u64; len];
+        let mut seen = vec![false; len];
+        self.home_pes.clear();
+        self.page_bases.clear();
+        for f in &self.fragments {
+            let pe = f.pe as usize;
+            if !seen[pe] {
+                seen[pe] = true;
+                self.home_pes.push(f.pe);
+            }
+            tuples_by_pe[pe] += f.tuples;
+            self.page_bases.push(pages_by_pe[pe]);
+            pages_by_pe[pe] += f.tuples.div_ceil(u64::from(self.blocking_factor));
         }
+        self.tuples_by_pe = tuples_by_pe;
+        self.homes = self.fragments.iter().map(|f| f.pe).collect();
     }
 
     /// The fragments, in fragment-index order.
@@ -183,36 +218,27 @@ impl RelationPlacement {
     }
 
     /// Tuples currently homed at `pe` (sum over co-resident fragments).
-    /// O(1) via the derived per-PE cache; the scan fallback only runs on
-    /// deserialized values that never saw a constructor.
     pub fn tuples_at(&self, pe: u32) -> u64 {
-        if self.tuples_by_pe.is_empty() && !self.fragments.is_empty() {
-            return self
-                .fragments
-                .iter()
-                .filter(|f| f.pe == pe)
-                .map(|f| f.tuples)
-                .sum();
-        }
         self.tuples_by_pe.get(pe as usize).copied().unwrap_or(0)
+    }
+
+    /// Home PE of every fragment, by fragment index, as one shared
+    /// snapshot: a later migration builds a new one and leaves this one
+    /// as it is.
+    pub fn homes(&self) -> Rc<[u32]> {
+        Rc::clone(&self.homes)
     }
 
     /// Distinct home PEs in first-appearance (fragment-index) order: the
     /// scan fan-out set. For the paper's uniform placement this is the old
     /// contiguous `first_pe..first_pe + pe_count` range, in order.
-    pub fn home_pes(&self) -> Vec<u32> {
-        let mut pes = Vec::with_capacity(self.fragments.len());
-        for f in &self.fragments {
-            if !pes.contains(&f.pe) {
-                pes.push(f.pe);
-            }
-        }
-        pes
+    pub fn home_pes(&self) -> &[u32] {
+        &self.home_pes
     }
 
     /// Number of distinct home PEs.
     pub fn home_pe_count(&self) -> u32 {
-        self.home_pes().len() as u32
+        self.home_pes.len() as u32
     }
 
     /// Page offset of fragment `index` within its home PE's per-object
@@ -220,13 +246,8 @@ impl RelationPlacement {
     /// each other's buffer/disk-cache pages. The offset is the page count
     /// of lower-indexed fragments currently homed at the same PE (0 for
     /// the paper's one-fragment-per-PE layout).
-    pub fn page_base(&self, index: u32, blocking_factor: u32) -> u64 {
-        let pe = self.fragments[index as usize].pe;
-        self.fragments[..index as usize]
-            .iter()
-            .filter(|f| f.pe == pe)
-            .map(|f| f.tuples.div_ceil(blocking_factor.max(1) as u64))
-            .sum()
+    pub fn page_base(&self, index: u32) -> u64 {
+        self.page_bases[index as usize]
     }
 }
 
@@ -234,7 +255,7 @@ impl RelationPlacement {
 /// indexed by relation id. Owned by the catalog and registered with the
 /// `ResourceBroker` (as a per-node tuple-count view) so placement policies
 /// can see data locality.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PartitionMap {
     rels: Vec<RelationPlacement>,
 }
@@ -246,8 +267,10 @@ impl PartitionMap {
     }
 
     /// Append the placement of the next relation (ids are dense and in
-    /// registration order, mirroring the catalog).
-    pub fn push(&mut self, placement: RelationPlacement) {
+    /// registration order, mirroring the catalog), whose pages hold
+    /// `blocking_factor` tuples.
+    pub fn push(&mut self, mut placement: RelationPlacement, blocking_factor: u32) {
+        placement.set_blocking_factor(blocking_factor);
         self.rels.push(placement);
     }
 
@@ -272,18 +295,9 @@ impl PartitionMap {
     pub fn move_fragment(&mut self, rel: u32, fragment: u32, to: u32) -> u64 {
         let rp = &mut self.rels[rel as usize];
         let f = &mut rp.fragments[fragment as usize];
-        let from = f.pe;
         f.pe = to;
         let tuples = f.tuples;
-        if rp.tuples_by_pe.is_empty() {
-            rp.tuples_by_pe = tuples_by_pe(&rp.fragments);
-        } else {
-            rp.tuples_by_pe[from as usize] -= tuples;
-            if rp.tuples_by_pe.len() <= to as usize {
-                rp.tuples_by_pe.resize(to as usize + 1, 0);
-            }
-            rp.tuples_by_pe[to as usize] += tuples;
-        }
+        rp.derive();
         tuples
     }
 
@@ -319,7 +333,8 @@ mod tests {
         assert_eq!(p.tuples_at(4), 3);
         assert_eq!(p.tuples_at(5), 0);
         assert_eq!(p.total_tuples(), 10);
-        assert_eq!(p.home_pes(), vec![2, 3, 4]);
+        assert_eq!(p.home_pes(), &[2, 3, 4]);
+        assert_eq!(p.home_pe_count(), 3);
     }
 
     #[test]
@@ -359,15 +374,16 @@ mod tests {
         let p = RelationPlacement::skewed(100, 4, 3, 7, 0.0);
         let homes: Vec<u32> = p.fragments().iter().map(|f| f.pe).collect();
         assert_eq!(homes, vec![4, 4, 4, 5, 5, 6, 6], "contiguous blocks");
-        assert_eq!(p.home_pes(), vec![4, 5, 6]);
+        assert_eq!(p.home_pes(), &[4, 5, 6]);
+        assert_eq!(&*p.homes(), &[4, 4, 4, 5, 5, 6, 6]);
         assert_eq!(p.total_tuples(), 100);
     }
 
     #[test]
     fn migration_preserves_total_tuples() {
         let mut map = PartitionMap::new();
-        map.push(RelationPlacement::skewed(250_000, 0, 4, 8, 0.7));
-        map.push(RelationPlacement::uniform(1_000_000, 4, 12));
+        map.push(RelationPlacement::skewed(250_000, 0, 4, 8, 0.7), 20);
+        map.push(RelationPlacement::uniform(1_000_000, 4, 12), 20);
         let before: Vec<u64> = (0..map.len())
             .map(|r| map.relation(r as u32).total_tuples())
             .collect();
@@ -386,20 +402,46 @@ mod tests {
     #[test]
     fn page_base_separates_coresident_fragments() {
         // 3 fragments on 2 PEs: frags 0 and 1 share PE 0 (blocked homes).
-        let p = RelationPlacement::skewed(120, 0, 2, 3, 0.0);
+        let mut p = RelationPlacement::skewed(120, 0, 2, 3, 0.0);
+        p.set_blocking_factor(20);
         assert_eq!(p.fragment(0).pe, 0);
         assert_eq!(p.fragment(1).pe, 0);
         assert_eq!(p.fragment(2).pe, 1);
-        assert_eq!(p.page_base(0, 20), 0);
-        assert_eq!(p.page_base(1, 20), 2, "offset past fragment 0's pages");
-        assert_eq!(p.page_base(2, 20), 0, "first fragment on PE 1");
+        assert_eq!(p.page_base(0), 0);
+        assert_eq!(p.page_base(1), 2, "offset past fragment 0's pages");
+        assert_eq!(p.page_base(2), 0, "first fragment on PE 1");
+    }
+
+    #[test]
+    fn migration_rebuilds_every_cache() {
+        let mut map = PartitionMap::new();
+        // 4 fragments of 40 tuples (2 pages each) on PEs 0, 0, 1, 1.
+        map.push(RelationPlacement::skewed(160, 0, 2, 4, 0.0), 20);
+        let before = map.relation(0).homes();
+        assert_eq!(map.relation(0).page_base(1), 2);
+        map.move_fragment(0, 1, 1);
+        let rp = map.relation(0);
+        assert_eq!(&*before, &[0, 0, 1, 1], "an old snapshot stays as taken");
+        assert_eq!(&*rp.homes(), &[0, 1, 1, 1]);
+        assert_eq!(rp.home_pes(), &[0, 1]);
+        assert_eq!((rp.tuples_at(0), rp.tuples_at(1)), (40, 120));
+        assert_eq!(
+            (0..4).map(|i| rp.page_base(i)).collect::<Vec<_>>(),
+            vec![0, 0, 2, 4],
+            "fragment 1 is now the first fragment on PE 1"
+        );
+        map.move_fragment(0, 0, 2);
+        let rp = map.relation(0);
+        assert_eq!(rp.home_pes(), &[2, 1], "first-appearance order");
+        assert_eq!(rp.home_pe_count(), 2);
+        assert_eq!(rp.tuples_at(0), 0);
     }
 
     #[test]
     fn tuples_by_node_aggregates_relations_separately() {
         let mut map = PartitionMap::new();
-        map.push(RelationPlacement::uniform(100, 0, 2));
-        map.push(RelationPlacement::uniform(60, 1, 2));
+        map.push(RelationPlacement::uniform(100, 0, 2), 20);
+        map.push(RelationPlacement::uniform(60, 1, 2), 20);
         let v = map.tuples_by_node(4);
         assert_eq!(v[0], vec![50, 50, 0, 0]);
         assert_eq!(v[1], vec![0, 30, 30, 0]);

@@ -81,11 +81,12 @@ pub struct JoinJob {
     /// Join tasks, then inner (A) scans, then — from the probe phase on —
     /// outer (B) scans: task id = index.
     tasks: Vec<Task>,
-    /// Inner-scan sources: (fragment index, home PE at placement time).
-    a_frags: Vec<(u32, PeId)>,
-    /// Probe-scan sources (fragment, home PE), or the coordinator's
-    /// in-memory intermediate for multi-way stages.
-    b_frags: Vec<(u32, PeId)>,
+    /// Inner-scan sources: the home PE of every fragment at placement
+    /// time, by fragment index (the catalog's shared snapshot).
+    a_frags: Rc<[PeId]>,
+    /// Probe-scan sources likewise, or the coordinator alone (holding the
+    /// in-memory intermediate) for multi-way stages.
+    b_frags: Rc<[PeId]>,
     ready_cnt: u32,
     builddone_cnt: u32,
     joindone_cnt: u32,
@@ -129,8 +130,8 @@ impl JoinJob {
             state: CState::Queued,
             placement: Rc::default(),
             tasks: Vec::new(),
-            a_frags: Vec::new(),
-            b_frags: Vec::new(),
+            a_frags: Rc::default(),
+            b_frags: Rc::default(),
             ready_cnt: 0,
             builddone_cnt: 0,
             joindone_cnt: 0,
@@ -218,8 +219,8 @@ impl JoinJob {
         self.state = CState::Init;
         self.placement = Rc::default();
         self.tasks.clear();
-        self.a_frags.clear();
-        self.b_frags.clear();
+        self.a_frags = Rc::default();
+        self.b_frags = Rc::default();
         self.ready_cnt = 0;
         self.builddone_cnt = 0;
         self.joindone_cnt = 0;
@@ -408,27 +409,11 @@ impl JoinJob {
         self.placement = nodes.into();
         let p = self.placement.len() as u32;
         let weights = self.share_weights(p);
-        self.a_frags = ctx
-            .catalog
-            .fragments(self.inner)
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i as u32, f.pe))
-            .collect();
-        match self.probe_override {
-            None => {
-                self.b_frags = ctx
-                    .catalog
-                    .fragments(self.outer)
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| (i as u32, f.pe))
-                    .collect();
-            }
-            Some(_) => {
-                self.b_frags = vec![(0, self.coord)];
-            }
-        }
+        self.a_frags = ctx.catalog.fragment_homes(self.inner);
+        self.b_frags = match self.probe_override {
+            None => ctx.catalog.fragment_homes(self.outer),
+            Some(_) => Rc::from([self.coord].as_slice()),
+        };
         let a_srcs = self.a_frags.len() as u32;
         let b_srcs = self.b_frags.len() as u32;
 
@@ -452,10 +437,10 @@ impl JoinJob {
         }
         // Inner (A) scan tasks, one per fragment.
         let txn = self.txn(job);
-        for &(frag, pe) in &self.a_frags {
+        for (frag, &pe) in self.a_frags.iter().enumerate() {
             let source = ScanSource::Fragment {
                 relation: self.inner,
-                fragment: frag,
+                fragment: frag as u32,
                 selectivity: self.selectivity,
                 access: ScanAccess::Clustered,
             };
@@ -496,7 +481,7 @@ impl JoinJob {
     fn start_build(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = CState::Build;
         let p = self.placement.len();
-        for (off, &(_, pe)) in self.a_frags.iter().enumerate() {
+        for (off, &pe) in self.a_frags.iter().enumerate() {
             ctx.send_to(
                 self.coord,
                 pe,
@@ -520,12 +505,12 @@ impl JoinJob {
         let weights = (self.skew > 0.0).then(|| self.share_weights(self.placement.len() as u32));
         let txn = self.txn(job);
         self.tasks.reserve_exact(self.b_frags.len());
-        for &(frag, pe) in &self.b_frags {
+        for (frag, &pe) in self.b_frags.iter().enumerate() {
             let tid = self.tasks.len() as TaskId;
             let source = match self.probe_override {
                 None => ScanSource::Fragment {
                     relation: self.outer,
-                    fragment: frag,
+                    fragment: frag as u32,
                     selectivity: self.selectivity,
                     access: ScanAccess::Clustered,
                 },

@@ -7,8 +7,9 @@
 //! event list reserved 65,536 entries up front. It is 7.51 MB with one
 //! FIFO node pool per device class and an event list that grows on
 //! demand; the pool alone saves about 1.6 MB of that, the reservation
-//! about 3.6 MB. The bound sits between, so undoing either change fails
-//! the test.
+//! about 3.6 MB. Joins that share the catalog's fragment-home snapshots
+//! instead of copying them bring it to 7.23 MB. The bound sits between,
+//! so undoing either of the first two changes fails the test.
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide. Live and peak bytes are kept
