@@ -47,6 +47,9 @@ pub struct OltpJob {
     pending_ios: u32,
     io_instr: u64,
     tuple_seed: u64,
+    /// The tuple of the current access: locked first, then read (and, for
+    /// an update, written) through the index.
+    tuple: u64,
 }
 
 impl OltpJob {
@@ -71,6 +74,7 @@ impl OltpJob {
             pending_ios: 0,
             io_instr: 0,
             tuple_seed,
+            tuple: 0,
         }
     }
 
@@ -127,15 +131,16 @@ impl OltpJob {
             self.start_log(job, ctx);
             return;
         }
-        // Lock the target tuple (X for updates, S otherwise).
+        // Lock the target tuple (X for updates, S otherwise); the access
+        // that follows, at once or after a lock wait, reads this tuple.
         let frag_tuples = ctx.catalog.tuples_at(self.relation, self.pe).max(1);
-        let tuple = self.pick_tuple(frag_tuples);
+        self.tuple = self.pick_tuple(frag_tuples);
         let mode = if self.access_done < self.updates {
             LockMode::Exclusive
         } else {
             LockMode::Shared
         };
-        let lock_obj = object::tuple_lock(self.relation, tuple);
+        let lock_obj = object::tuple_lock(self.relation, self.tuple);
         let outcome = ctx.pes[self.pe as usize]
             .locks
             .lock(self.txn(job), lock_obj, mode);
@@ -158,14 +163,14 @@ impl OltpJob {
         z % frag_tuples
     }
 
-    /// Fix the index path + data page; queue the misses sequentially.
+    /// Fix the locked tuple's index path + data page; queue the misses
+    /// sequentially.
     fn do_access(&mut self, job: JobId, ctx: &mut Ctx) {
         let frag_tuples = ctx.catalog.tuples_at(self.relation, self.pe).max(1);
         let frag_pages = ctx.catalog.pages_at(self.relation, self.pe).max(1);
         let tree = BTreeModel::new(ctx.cfg.btree_fanout, frag_tuples);
-        let tuple = self.pick_tuple(frag_tuples);
-        let leaf = tuple / ctx.cfg.btree_fanout as u64;
-        let data_page = tuple % frag_pages;
+        let leaf = self.tuple / ctx.cfg.btree_fanout as u64;
+        let data_page = self.tuple % frag_pages;
 
         self.pending_ios = 0;
         self.io_instr = 0;
@@ -255,5 +260,99 @@ impl OltpJob {
             true,
             Token::new(job, COORD_TASK, Step::TermCpu),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::EngineConfig;
+    use crate::Pe;
+    use dbmodel::catalog::{Catalog, IndexKind, Relation};
+    use dbmodel::log::LogParams;
+    use dbmodel::RelationPlacement;
+    use simkit::{SimRng, Slab};
+
+    fn account_catalog(tuples: u64) -> Catalog {
+        let mut c = Catalog::new();
+        c.add(
+            Relation {
+                id: RelationId(0),
+                name: "ACCOUNT".into(),
+                tuples,
+                tuple_bytes: 400,
+                blocking_factor: 20,
+                index: IndexKind::NonClusteredBTree,
+                memory_resident: false,
+                pinned: true,
+            },
+            RelationPlacement::uniform(tuples, 0, 1),
+        );
+        c
+    }
+
+    /// Two-phase locking covers the updated tuple: the X lock an update
+    /// takes is on the tuple whose leaf and data page it then reads, so a
+    /// second transaction asking for that tuple waits.
+    #[test]
+    fn update_locks_the_tuple_it_accesses() {
+        let catalog = account_catalog(1_000_000);
+        let cfg = EngineConfig::default();
+        let mut pes = vec![Pe::new(0, 1_000, 1, 64, LogParams::default())];
+        let (mut rng, mut temp, mut out) = (SimRng::new(1), 0, Vec::new());
+        let mut jobs: Slab<()> = Slab::new();
+        let (id, other) = (jobs.insert(()), jobs.insert(()));
+        for seed in 0..20 {
+            let mut job = OltpJob::new(0, 0, RelationId(0), 1, 1, SimTime::ZERO, seed);
+            let mut ctx = Ctx {
+                now: SimTime::ZERO,
+                cfg: &cfg,
+                catalog: &catalog,
+                pes: &mut pes,
+                rng: &mut rng,
+                out: &mut out,
+                temp_counter: &mut temp,
+                control_pe: 0,
+            };
+            for kind in [InKind::Start, InKind::Step(Step::Init)] {
+                job.handle(
+                    id,
+                    Input {
+                        task: COORD_TASK,
+                        kind,
+                    },
+                    &mut ctx,
+                );
+            }
+            assert_eq!(job.state, OState::Access, "an uncontended lock is granted");
+            let pages = catalog.pages_at(RelationId(0), 0);
+            let read: Vec<(u64, u64)> = out
+                .drain(..)
+                .filter_map(|a| match a {
+                    Action::Io { req, .. } => Some((req.object, req.page)),
+                    _ => None,
+                })
+                .collect();
+            let leaf = 64 + job.tuple / cfg.btree_fanout as u64;
+            assert!(
+                read.contains(&(object::index(RelationId(0)), leaf)),
+                "{read:?}"
+            );
+            assert!(read.contains(&(object::data(RelationId(0)), job.tuple % pages)));
+            let locks = &mut pes[0].locks;
+            let probe = TxnToken {
+                id: other.to_raw(),
+                birth: SimTime::ZERO,
+            };
+            let obj = object::tuple_lock(RelationId(0), job.tuple);
+            assert_eq!(
+                locks.lock(probe, obj, LockMode::Shared),
+                LockOutcome::Waiting
+            );
+            // Back to an empty lock table for the next seed.
+            locks.release_all(job.txn(id));
+            locks.release_all(probe);
+            assert!(locks.is_quiescent());
+        }
     }
 }
