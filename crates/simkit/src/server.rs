@@ -48,19 +48,24 @@ const NIL: u32 = u32::MAX;
 /// beyond its high-water mark.
 const SEGMENT: usize = 1024;
 
-/// One queued request, or a free node (`tag == None`).
+/// The request a node holds (`tag == None` on a free node).
 #[derive(Debug)]
-struct Node<T> {
+struct Slot<T> {
     service: SimDur,
-    next: u32,
     tag: Option<T>,
 }
 
 /// Node storage for the FIFOs of every [`FcfsServer`] of one device
-/// class: fixed-size segments threaded by index, with a free list.
+/// class, with a free list. The links live in an array of their own: a
+/// node with a 24-byte tag then takes 32 + 4 bytes, where a struct
+/// holding the link beside the request would pad to 40.
 #[derive(Debug)]
 pub struct FifoPool<T> {
-    segments: Vec<Box<[Node<T>]>>,
+    /// Link of every node: its successor in its server's list or in the
+    /// free list.
+    next: Vec<u32>,
+    /// The requests, in fixed-size segments.
+    slots: Vec<Box<[Slot<T>]>>,
     /// Head of the free list.
     free: u32,
     /// Nodes holding a queued request.
@@ -77,7 +82,8 @@ impl<T> FifoPool<T> {
     /// An empty pool; the first queued request allocates its first segment.
     pub fn new() -> Self {
         FifoPool {
-            segments: Vec::new(),
+            next: Vec::new(),
+            slots: Vec::new(),
             free: NIL,
             live: 0,
         }
@@ -90,7 +96,7 @@ impl<T> FifoPool<T> {
 
     /// Nodes allocated (live or free).
     pub fn allocated(&self) -> usize {
-        self.segments.len() * SEGMENT
+        self.slots.len() * SEGMENT
     }
 
     /// Nodes on the free list, counted by walking it.
@@ -98,20 +104,19 @@ impl<T> FifoPool<T> {
         let mut n = 0;
         let mut i = self.free;
         while i != NIL {
-            let node = self.node(i);
-            assert!(node.tag.is_none(), "free node {i} holds a request");
+            assert!(self.slot(i).tag.is_none(), "free node {i} holds a request");
             n += 1;
-            i = node.next;
+            i = self.next[i as usize];
         }
         n
     }
 
-    fn node(&self, i: u32) -> &Node<T> {
-        &self.segments[i as usize / SEGMENT][i as usize % SEGMENT]
+    fn slot(&self, i: u32) -> &Slot<T> {
+        &self.slots[i as usize / SEGMENT][i as usize % SEGMENT]
     }
 
-    fn node_mut(&mut self, i: u32) -> &mut Node<T> {
-        &mut self.segments[i as usize / SEGMENT][i as usize % SEGMENT]
+    fn slot_mut(&mut self, i: u32) -> &mut Slot<T> {
+        &mut self.slots[i as usize / SEGMENT][i as usize % SEGMENT]
     }
 
     /// Take a free node for a request, growing by one segment when the
@@ -120,40 +125,34 @@ impl<T> FifoPool<T> {
         if self.free == NIL {
             let base = self.allocated();
             assert!(base + SEGMENT <= NIL as usize, "FIFO pool index overflow");
-            let segment = (0..SEGMENT)
-                .map(|k| Node {
-                    service: SimDur::ZERO,
-                    next: if k + 1 < SEGMENT {
-                        (base + k + 1) as u32
-                    } else {
-                        NIL
-                    },
-                    tag: None,
-                })
-                .collect();
-            self.segments.push(segment);
+            self.next.extend((base as u32 + 1..).take(SEGMENT - 1));
+            self.next.push(NIL);
+            self.slots.push(
+                (0..SEGMENT)
+                    .map(|_| Slot {
+                        service: SimDur::ZERO,
+                        tag: None,
+                    })
+                    .collect(),
+            );
             self.free = base as u32;
         }
         let i = self.free;
-        let node = self.node_mut(i);
-        let next_free = node.next;
-        *node = Node {
+        self.free = std::mem::replace(&mut self.next[i as usize], NIL);
+        *self.slot_mut(i) = Slot {
             service,
-            next: NIL,
             tag: Some(tag),
         };
-        self.free = next_free;
         self.live += 1;
         i
     }
 
     /// Return node `i` to the free list; yields its request and successor.
     fn release(&mut self, i: u32) -> (SimDur, T, u32) {
-        let free = self.free;
-        let node = self.node_mut(i);
-        let tag = node.tag.take().expect("released a free node");
-        let next = std::mem::replace(&mut node.next, free);
-        let service = node.service;
+        let slot = self.slot_mut(i);
+        let tag = slot.tag.take().expect("released a free node");
+        let service = slot.service;
+        let next = std::mem::replace(&mut self.next[i as usize], self.free);
         self.free = i;
         self.live -= 1;
         (service, tag, next)
@@ -180,7 +179,7 @@ impl Fifo {
         if self.tail == NIL {
             self.head = i;
         } else {
-            pool.node_mut(self.tail).next = i;
+            pool.next[self.tail as usize] = i;
         }
         self.tail = i;
         self.len += 1;
