@@ -13,15 +13,16 @@
 //! request to schedule. This keeps the resource model decoupled from the
 //! event loop and unit-testable in isolation.
 //!
-//! A server owns no queue storage. Its two FIFOs are singly linked lists
-//! through a [`FifoPool`] that every server of one device class shares
-//! (all CPUs of a system, say), passed to `offer` and `complete`. A
-//! thousand-PE system has thousands of servers, each idle most of the
-//! time and deeply backlogged some of the time; per-server buffers would
-//! each keep the capacity of that server's worst burst, while the pool
-//! holds only the requests queued now, plus one segment of slack. Freed
-//! nodes go to the pool's free list, so a steady state makes no allocator
-//! call.
+//! A server owns no queue storage. Its two FIFOs are chains of
+//! eight-request blocks taken from a [`FifoPool`] that every server of
+//! one device class shares (all CPUs of a system, say), passed to
+//! `offer` and `complete`. A thousand-PE system has thousands of servers,
+//! each idle most of the time and deeply backlogged some of the time;
+//! per-server buffers would each keep the capacity of that server's worst
+//! burst, while the pool holds the requests queued now plus at most two
+//! partly used blocks per non-empty queue. A drained block goes to the
+//! pool's free list, so a steady state makes no allocator call, and a
+//! backlog is still served from consecutive memory.
 //!
 //! Busy time is accumulated as an integral of `busy_units × dt`, from which
 //! both cumulative and windowed utilization can be derived — the windowed
@@ -43,33 +44,38 @@ pub enum Priority {
 /// End of a list.
 const NIL: u32 = u32::MAX;
 
-/// Nodes per pool segment. The pool grows one segment at a time, so it
-/// never copies nodes and never holds more than one segment of slack
-/// beyond its high-water mark.
-const SEGMENT: usize = 1024;
+/// Requests per block. A queue keeps its requests in arrival order in a
+/// chain of blocks, so serving a backlog reads memory in sequence, and a
+/// non-empty queue holds at most two partly used blocks.
+const BLOCK: usize = 8;
 
-/// The request a node holds (`tag == None` on a free node).
+/// Blocks per segment. The pool grows one segment at a time, so it never
+/// copies a request and holds at most one segment beyond its high-water
+/// mark.
+const SEGMENT_BLOCKS: usize = 128;
+
+/// One request slot (`tag == None` when unused).
 #[derive(Debug)]
 struct Slot<T> {
     service: SimDur,
     tag: Option<T>,
 }
 
-/// Node storage for the FIFOs of every [`FcfsServer`] of one device
-/// class, with a free list. The links live in an array of their own: a
-/// node with a 24-byte tag then takes 32 + 4 bytes, where a struct
-/// holding the link beside the request would pad to 40.
+/// Block storage for the FIFOs of every [`FcfsServer`] of one device
+/// class, with a free list of blocks.
 #[derive(Debug)]
 pub struct FifoPool<T> {
-    /// Link of every node: its successor in its server's list or in the
-    /// free list.
+    /// Link of every block: the next block of its queue, or of the free
+    /// list.
     next: Vec<u32>,
-    /// The requests, in fixed-size segments.
-    slots: Vec<Box<[Slot<T>]>>,
+    /// The slots of blocks `SEGMENT_BLOCKS * i ..`, `BLOCK` per block.
+    segments: Vec<Box<[Slot<T>]>>,
     /// Head of the free list.
     free: u32,
-    /// Nodes holding a queued request.
+    /// Requests queued, over all servers of the pool.
     live: usize,
+    /// Blocks in some server's queue.
+    used: usize,
 }
 
 impl<T> Default for FifoPool<T> {
@@ -83,87 +89,95 @@ impl<T> FifoPool<T> {
     pub fn new() -> Self {
         FifoPool {
             next: Vec::new(),
-            slots: Vec::new(),
+            segments: Vec::new(),
             free: NIL,
             live: 0,
+            used: 0,
         }
     }
 
-    /// Nodes holding a queued request, over all servers of the pool.
+    /// Requests queued, over all servers of the pool.
     pub fn live(&self) -> usize {
         self.live
     }
 
-    /// Nodes allocated (live or free).
-    pub fn allocated(&self) -> usize {
-        self.slots.len() * SEGMENT
+    /// Blocks in some server's queue.
+    pub fn used_blocks(&self) -> usize {
+        self.used
     }
 
-    /// Nodes on the free list, counted by walking it.
-    pub fn free_nodes(&self) -> usize {
+    /// Blocks allocated (used or free).
+    pub fn allocated_blocks(&self) -> usize {
+        self.next.len()
+    }
+
+    /// Blocks on the free list, counted by walking it.
+    pub fn free_blocks(&self) -> usize {
         let mut n = 0;
-        let mut i = self.free;
-        while i != NIL {
-            assert!(self.slot(i).tag.is_none(), "free node {i} holds a request");
+        let mut b = self.free;
+        while b != NIL {
+            assert!(
+                (0..BLOCK).all(|k| self.slot(b, k).tag.is_none()),
+                "free block {b} holds a request"
+            );
             n += 1;
-            i = self.next[i as usize];
+            b = self.next[b as usize];
         }
         n
     }
 
-    fn slot(&self, i: u32) -> &Slot<T> {
-        &self.slots[i as usize / SEGMENT][i as usize % SEGMENT]
+    fn slot(&self, block: u32, k: usize) -> &Slot<T> {
+        let b = block as usize;
+        &self.segments[b / SEGMENT_BLOCKS][b % SEGMENT_BLOCKS * BLOCK + k]
     }
 
-    fn slot_mut(&mut self, i: u32) -> &mut Slot<T> {
-        &mut self.slots[i as usize / SEGMENT][i as usize % SEGMENT]
+    fn slot_mut(&mut self, block: u32, k: usize) -> &mut Slot<T> {
+        let b = block as usize;
+        &mut self.segments[b / SEGMENT_BLOCKS][b % SEGMENT_BLOCKS * BLOCK + k]
     }
 
-    /// Take a free node for a request, growing by one segment when the
-    /// free list is empty.
-    fn alloc(&mut self, service: SimDur, tag: T) -> u32 {
+    /// Take a free block, growing by one segment when the free list is
+    /// empty.
+    fn alloc_block(&mut self) -> u32 {
         if self.free == NIL {
-            let base = self.allocated();
-            assert!(base + SEGMENT <= NIL as usize, "FIFO pool index overflow");
-            self.next.extend((base as u32 + 1..).take(SEGMENT - 1));
-            self.next.push(NIL);
-            self.slots.push(
-                (0..SEGMENT)
-                    .map(|_| Slot {
-                        service: SimDur::ZERO,
-                        tag: None,
-                    })
-                    .collect(),
+            let base = self.next.len();
+            assert!(
+                base + SEGMENT_BLOCKS <= NIL as usize,
+                "FIFO pool index overflow"
             );
+            self.next
+                .extend((base as u32 + 1..).take(SEGMENT_BLOCKS - 1));
+            self.next.push(NIL);
+            let slots = (0..SEGMENT_BLOCKS * BLOCK)
+                .map(|_| Slot {
+                    service: SimDur::ZERO,
+                    tag: None,
+                })
+                .collect();
+            self.segments.push(slots);
             self.free = base as u32;
         }
-        let i = self.free;
-        self.free = std::mem::replace(&mut self.next[i as usize], NIL);
-        *self.slot_mut(i) = Slot {
-            service,
-            tag: Some(tag),
-        };
-        self.live += 1;
-        i
+        let b = self.free;
+        self.free = std::mem::replace(&mut self.next[b as usize], NIL);
+        self.used += 1;
+        b
     }
 
-    /// Return node `i` to the free list; yields its request and successor.
-    fn release(&mut self, i: u32) -> (SimDur, T, u32) {
-        let slot = self.slot_mut(i);
-        let tag = slot.tag.take().expect("released a free node");
-        let service = slot.service;
-        let next = std::mem::replace(&mut self.next[i as usize], self.free);
-        self.free = i;
-        self.live -= 1;
-        (service, tag, next)
+    fn free_block(&mut self, b: u32) {
+        self.next[b as usize] = self.free;
+        self.free = b;
+        self.used -= 1;
     }
 }
 
-/// A FIFO list through a [`FifoPool`].
+/// A FIFO list of requests through a [`FifoPool`]: the chain of blocks
+/// from `head` to `tail`, whose first request is slot `head_off` of
+/// `head`.
 #[derive(Debug, Clone, Copy)]
 struct Fifo {
     head: u32,
     tail: u32,
+    head_off: u32,
     len: u32,
 }
 
@@ -171,30 +185,48 @@ impl Fifo {
     const EMPTY: Fifo = Fifo {
         head: NIL,
         tail: NIL,
+        head_off: 0,
         len: 0,
     };
 
     fn push_back<T>(&mut self, pool: &mut FifoPool<T>, service: SimDur, tag: T) {
-        let i = pool.alloc(service, tag);
-        if self.tail == NIL {
-            self.head = i;
-        } else {
-            pool.next[self.tail as usize] = i;
+        let pos = (self.head_off + self.len) as usize % BLOCK;
+        if self.len == 0 {
+            self.head = pool.alloc_block();
+            self.tail = self.head;
+        } else if pos == 0 {
+            let b = pool.alloc_block();
+            pool.next[self.tail as usize] = b;
+            self.tail = b;
         }
-        self.tail = i;
+        *pool.slot_mut(self.tail, pos) = Slot {
+            service,
+            tag: Some(tag),
+        };
+        pool.live += 1;
         self.len += 1;
     }
 
     fn pop_front<T>(&mut self, pool: &mut FifoPool<T>) -> Option<(SimDur, T)> {
-        if self.head == NIL {
+        if self.len == 0 {
             return None;
         }
-        let (service, tag, next) = pool.release(self.head);
-        self.head = next;
-        if next == NIL {
-            self.tail = NIL;
-        }
+        let slot = pool.slot_mut(self.head, self.head_off as usize);
+        let tag = slot.tag.take().expect("a queued slot holds a request");
+        let service = slot.service;
+        pool.live -= 1;
         self.len -= 1;
+        self.head_off += 1;
+        if self.len == 0 || self.head_off as usize == BLOCK {
+            // An emptied queue's last block is its tail, whose link is NIL.
+            let next = pool.next[self.head as usize];
+            pool.free_block(self.head);
+            self.head = next;
+            self.head_off = 0;
+            if self.len == 0 {
+                self.tail = NIL;
+            }
+        }
         Some((service, tag))
     }
 }
@@ -401,7 +433,7 @@ mod tests {
         assert_eq!(g.done, at(5));
         assert_eq!(g.tag, 7);
         assert_eq!(s.in_service(), 1);
-        assert_eq!(p.allocated(), 0, "a grant queues nothing");
+        assert_eq!(p.allocated_blocks(), 0, "a grant queues nothing");
     }
 
     #[test]
@@ -421,7 +453,7 @@ mod tests {
         assert!(s.complete(&mut p, at(8)).is_none());
         assert_eq!(s.in_service(), 0);
         assert_eq!(p.live(), 0);
-        assert_eq!(p.free_nodes(), p.allocated());
+        assert_eq!(p.free_blocks(), p.allocated_blocks());
     }
 
     #[test]
@@ -471,20 +503,42 @@ mod tests {
     }
 
     #[test]
-    fn pool_grows_by_segments_and_reuses_freed_nodes() {
+    fn queues_take_blocks_as_they_grow_and_return_them_drained() {
         let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
         s.offer(&mut p, at(0), ms(1), Priority::Normal, 0u32);
         for round in 0..3 {
-            for k in 0..SEGMENT as u32 + 1 {
+            for k in 0..2 * BLOCK as u32 + 1 {
                 s.offer(&mut p, at(0), ms(1), Priority::Normal, k);
+                let blocks = (k as usize + BLOCK) / BLOCK;
+                assert_eq!(p.used_blocks(), blocks, "round {round}, {k}");
             }
-            assert_eq!(p.allocated(), 2 * SEGMENT, "round {round}");
-            for _ in 0..=SEGMENT {
-                s.complete(&mut p, at(0));
+            assert_eq!(p.allocated_blocks(), SEGMENT_BLOCKS, "round {round}");
+            for k in 0..=2 * BLOCK {
+                assert_eq!(s.complete(&mut p, at(0)).unwrap().tag, k as u32);
+                // The head block goes back once its last request leaves.
+                assert_eq!(
+                    p.used_blocks(),
+                    3 - (k + 1) / BLOCK - usize::from(k == 2 * BLOCK)
+                );
             }
             assert_eq!(p.live(), 0);
-            assert_eq!(p.free_nodes(), 2 * SEGMENT);
+            assert_eq!(p.free_blocks(), SEGMENT_BLOCKS);
         }
+    }
+
+    #[test]
+    fn pool_grows_by_segments_and_keeps_order_across_them() {
+        let (mut p, mut s) = (FifoPool::new(), FcfsServer::new(1));
+        s.offer(&mut p, at(0), ms(1), Priority::Normal, 0u32);
+        let n = (SEGMENT_BLOCKS * BLOCK + 1) as u32;
+        for k in 0..n {
+            s.offer(&mut p, at(0), ms(1), Priority::Normal, k);
+        }
+        assert_eq!(p.allocated_blocks(), 2 * SEGMENT_BLOCKS);
+        for k in 0..n {
+            assert_eq!(s.complete(&mut p, at(0)).unwrap().tag, k);
+        }
+        assert_eq!(p.free_blocks(), 2 * SEGMENT_BLOCKS);
     }
 
     #[test]
@@ -627,8 +681,11 @@ mod tests {
                 }
                 let queued: usize = servers.iter().map(FcfsServer::queued).sum();
                 prop_assert_eq!(pool.live(), queued);
+                // Each non-empty queue holds at most two partly used blocks.
+                let lists = servers.len() * 2;
+                prop_assert!(pool.used_blocks() * BLOCK <= queued + lists * 2 * (BLOCK - 1));
             }
-            prop_assert_eq!(pool.free_nodes() + pool.live(), pool.allocated());
+            prop_assert_eq!(pool.free_blocks() + pool.used_blocks(), pool.allocated_blocks());
         }
     }
 }

@@ -1194,10 +1194,10 @@ impl System {
     }
 
     /// Panic unless each device FIFO pool holds exactly the queued
-    /// requests of its servers: the CPU pool's live nodes equal the
-    /// requests queued at every CPU, the disk pool's those queued at
-    /// every data and log disk, and in each pool free plus live nodes
-    /// equal the nodes allocated.
+    /// requests of its servers: the CPU pool's live requests equal those
+    /// queued at every CPU, the disk pool's those queued at every data
+    /// and log disk, and in each pool free plus used blocks equal the
+    /// blocks allocated.
     pub fn check_server_invariants(&self) {
         let cpu_queued: usize = self.cpus.iter().map(Cpu::queued).sum();
         let disk_queued: usize = self
@@ -1213,14 +1213,14 @@ impl System {
             "disk pool vs disk queues"
         );
         assert_eq!(
-            self.cpu_pool.free_nodes() + self.cpu_pool.live(),
-            self.cpu_pool.allocated(),
-            "CPU pool free + live vs allocated"
+            self.cpu_pool.free_blocks() + self.cpu_pool.used_blocks(),
+            self.cpu_pool.allocated_blocks(),
+            "CPU pool free + used vs allocated"
         );
         assert_eq!(
-            self.disk_pool.free_nodes() + self.disk_pool.live(),
-            self.disk_pool.allocated(),
-            "disk pool free + live vs allocated"
+            self.disk_pool.free_blocks() + self.disk_pool.used_blocks(),
+            self.disk_pool.allocated_blocks(),
+            "disk pool free + used vs allocated"
         );
     }
 
