@@ -59,17 +59,37 @@ impl System {
             step: Step::MsgCpu,
             msg: Some(msg),
         };
-        if let Some(grant) = self.cpus[to as usize].request(
-            &mut self.cpu_pool,
-            self.events.now(),
-            instr,
-            false,
-            token,
-        ) {
+        self.request_cpu(to, instr, false, token);
+    }
+
+    /// Queue `instr` instructions at `pe`'s CPU, scheduling the
+    /// completion if a unit is free.
+    fn request_cpu(&mut self, pe: PeId, instr: u64, oltp: bool, token: Token) {
+        let now = self.events.now();
+        let cpu = &mut self.cpus[pe as usize];
+        if let Some(grant) = cpu.request(&mut self.cpu_pool, now, instr, oltp, token) {
             self.events.at(
                 grant.done,
                 Ev::CpuDone {
-                    pe: to,
+                    pe,
+                    token: grant.tag,
+                },
+            );
+        }
+    }
+
+    /// Queue `req` at data disk `disk` of `pe`, scheduling the completion
+    /// if the disk is free; `token` (none for a write-back) is routed
+    /// when it completes.
+    fn request_io(&mut self, pe: PeId, disk: u32, req: IoRequest, token: Option<Token>) {
+        let now = self.events.now();
+        let disks = &mut self.disks[pe as usize];
+        if let Some(grant) = disks.request(&mut self.disk_pool, now, DiskId(disk), req, token) {
+            self.events.at(
+                grant.done,
+                Ev::IoDone {
+                    pe,
+                    disk,
                     token: grant.tag,
                 },
             );
@@ -145,60 +165,14 @@ impl System {
                 instr,
                 oltp,
                 token,
-            } => {
-                if let Some(grant) =
-                    self.cpus[pe as usize].request(&mut self.cpu_pool, now, instr, oltp, token)
-                {
-                    self.events.at(
-                        grant.done,
-                        Ev::CpuDone {
-                            pe,
-                            token: grant.tag,
-                        },
-                    );
-                }
-            }
+            } => self.request_cpu(pe, instr, oltp, token),
             Action::Io {
                 pe,
                 disk,
                 req,
                 token,
-            } => {
-                if let Some(grant) = self.disks[pe as usize].request(
-                    &mut self.disk_pool,
-                    now,
-                    DiskId(disk),
-                    req,
-                    Some(token),
-                ) {
-                    self.events.at(
-                        grant.done,
-                        Ev::IoDone {
-                            pe,
-                            disk,
-                            token: grant.tag,
-                        },
-                    );
-                }
-            }
-            Action::IoAsync { pe, disk, req } => {
-                if let Some(grant) = self.disks[pe as usize].request(
-                    &mut self.disk_pool,
-                    now,
-                    DiskId(disk),
-                    req,
-                    None,
-                ) {
-                    self.events.at(
-                        grant.done,
-                        Ev::IoDone {
-                            pe,
-                            disk,
-                            token: grant.tag,
-                        },
-                    );
-                }
-            }
+            } => self.request_io(pe, disk, req, Some(token)),
+            Action::IoAsync { pe, disk, req } => self.request_io(pe, disk, req, None),
             Action::LogWrite { pe, pages, token } => {
                 let page = self.pes[pe as usize].log.alloc_pages(pages);
                 let req = IoRequest {
@@ -234,21 +208,7 @@ impl System {
                         step: Step::SendCpu,
                         msg: Some(msg),
                     };
-                    if let Some(grant) = self.cpus[from as usize].request(
-                        &mut self.cpu_pool,
-                        now,
-                        instr,
-                        false,
-                        token,
-                    ) {
-                        self.events.at(
-                            grant.done,
-                            Ev::CpuDone {
-                                pe: from,
-                                token: grant.tag,
-                            },
-                        );
-                    }
+                    self.request_cpu(from, instr, false, token);
                 }
             }
             Action::JobDone { job } => self.job_done(job),
