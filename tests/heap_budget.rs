@@ -4,12 +4,12 @@
 //!
 //! On this configuration the peak was 12.70 MB while every CPU and disk
 //! kept its own `VecDeque` queues, sized by its worst burst, and the
-//! event list reserved 65,536 entries up front. It is 7.51 MB with one
-//! FIFO node pool per device class and an event list that grows on
-//! demand; the pool alone saves about 1.6 MB of that, the reservation
-//! about 3.6 MB. Joins that share the catalog's fragment-home snapshots
-//! instead of copying them bring it to 7.23 MB. The bound sits between,
-//! so undoing either of the first two changes fails the test.
+//! event list reserved 65,536 entries up front. It is 7.16 MB with one
+//! FIFO block pool per device class, an event list that grows on demand
+//! and joins that share the catalog's fragment-home snapshots; the pool
+//! alone saves about 1.6 MB, the reservation about 3.6 MB. The bound
+//! sits between, so undoing either of the first two changes fails the
+//! test.
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide. Live and peak bytes are kept
