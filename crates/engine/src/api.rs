@@ -16,6 +16,7 @@ use hardware::IoRequest;
 use lb_core::costmodel::InstrCosts;
 use serde::{Deserialize, Serialize};
 use simkit::slab::SlabKey;
+use std::rc::Rc;
 
 /// Processing element index.
 pub type PeId = u32;
@@ -36,8 +37,6 @@ pub enum Step {
     PageIo,
     /// Page-batch processing CPU finished.
     PageCpu,
-    /// Receive CPU of a message finished; the message is in the token.
-    MsgCpu,
     /// A synchronous temp-file I/O finished (delayed join read).
     TempIo,
     /// CPU of one delayed-join page finished (drives the delayed loop;
@@ -47,31 +46,34 @@ pub enum Step {
     TermCpu,
     /// Log force finished.
     LogIo,
-    /// Send-side CPU of a message finished (handled by the simulator: the
-    /// message then enters the network; never routed into a job).
-    SendCpu,
     /// Generic wake-up (admission, lock grant) — payload distinguishes.
     Wake,
 }
 
 /// Completion routing token. Carried by every asynchronous request.
+///
+/// A message's token is the message itself: its job and receiving task
+/// are read from the message. Either way a token is 16 bytes, which is
+/// what a queued CPU or disk request and a completion event pay for it.
 #[derive(Debug, Clone)]
-pub struct Token {
-    pub job: JobId,
-    pub task: TaskId,
-    pub step: Step,
-    /// Message being charged receive-CPU (for `Step::MsgCpu`).
-    pub msg: Option<Box<Msg>>,
+pub enum Token {
+    /// `step` of task `task` of job `job` completed.
+    Step {
+        job: JobId,
+        task: TaskId,
+        step: Step,
+    },
+    /// The send-side CPU of a message finished: the simulator puts the
+    /// message on the network (never routed into a job).
+    Send(Box<Msg>),
+    /// The receive-side CPU of a message finished: the message is
+    /// routed to its job and task.
+    Recv(Box<Msg>),
 }
 
 impl Token {
     pub fn new(job: JobId, task: TaskId, step: Step) -> Token {
-        Token {
-            job,
-            task,
-            step,
-            msg: None,
-        }
+        Token::Step { job, task, step }
     }
 }
 
@@ -87,22 +89,12 @@ pub enum JoinPhase {
 #[derive(Debug, Clone, PartialEq)]
 pub enum MsgKind {
     /// Coordinator → control node: request a placement for a join.
-    ControlReq {
-        table_pages: f64,
-        psu_opt: u32,
-        psu_noio: u32,
-        /// Scan nodes feeding the probe side (for the RateMatch baseline).
-        outer_scan_nodes: u32,
-        /// Relation id of the build input (lets data-locality-aware
-        /// policies co-locate join processors with inner fragments).
-        inner_rel: u32,
-        /// Multi-join stage index: 0 for two-way joins and sorts, `k > 0`
-        /// for the k-th follow-on stage (the broker may govern stages with
-        /// a distinct placement policy).
-        stage: u32,
-    },
-    /// Control node → coordinator: the placement decision.
-    ControlRep { nodes: Vec<PeId> },
+    /// Boxed: two control messages per join do not set the size of the
+    /// tens of thousands of tuple batches in flight.
+    ControlReq(Box<ControlReq>),
+    /// Control node → coordinator: the placement decision, which the
+    /// job adopts as its shared destination list.
+    ControlRep { nodes: Nodes },
     /// Coordinator → join PE: prepare a join subquery (reserve memory).
     StartJoin {
         /// Expected local inner pages (for PPHJ partitioning).
@@ -151,7 +143,30 @@ pub enum MsgKind {
     MigrateDone,
 }
 
-/// A message in flight.
+/// The payload of [`MsgKind::ControlReq`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControlReq {
+    pub table_pages: f64,
+    pub psu_opt: u32,
+    pub psu_noio: u32,
+    /// Scan nodes feeding the probe side (for the RateMatch baseline).
+    pub outer_scan_nodes: u32,
+    /// Relation id of the build input (lets data-locality-aware
+    /// policies co-locate join processors with inner fragments).
+    pub inner_rel: u32,
+    /// Multi-join stage index: 0 for two-way joins and sorts, `k > 0`
+    /// for the k-th follow-on stage (the broker may govern stages with
+    /// a distinct placement policy).
+    pub stage: u32,
+}
+
+/// The PEs of a placement, shared by the job and its scans as their
+/// destination list. A thin pointer, so the reply that carries it keeps
+/// [`MsgKind`] at 16 bytes.
+pub type Nodes = Rc<Vec<PeId>>;
+
+/// A message in flight (40 bytes, so its box takes a 48-byte malloc
+/// chunk).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Msg {
     pub from: PeId,
@@ -185,10 +200,10 @@ pub enum Action {
     IoAsync { pe: PeId, disk: u32, req: IoRequest },
     /// Synchronous write to the dedicated log disk.
     LogWrite { pe: PeId, pages: u32, token: Token },
-    /// Send a message (send-CPU must have been charged by the caller).
+    /// Send a message (send/receive CPU is charged by the simulator).
     /// Boxed: the message rides one heap allocation end-to-end (action →
-    /// send token → network → delivery), keeping `Action`, `Ev` and the
-    /// event heap entries small.
+    /// send token → network → receive token → delivery), keeping
+    /// `Action`, `Ev` and the event heap entries small.
     Send(Box<Msg>),
     /// A job finished; the simulator records metrics and releases MPL.
     JobDone { job: JobId },
@@ -396,5 +411,24 @@ mod tests {
             counts[c.disk_of_rel_page(RelationId(0), p) as usize] += 1;
         }
         assert!(counts.iter().all(|&n| n >= 3));
+    }
+
+    /// Tens of thousands of messages sit in CPU queues of a 1000-PE join
+    /// load: their boxes, tokens and queue slots must not re-bloat.
+    #[test]
+    fn messages_and_tokens_stay_small() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<MsgKind>() <= 16,
+            "MsgKind: {}",
+            size_of::<MsgKind>()
+        );
+        assert!(size_of::<Msg>() <= 40, "Msg: {}", size_of::<Msg>());
+        assert!(size_of::<Token>() <= 16, "Token: {}", size_of::<Token>());
+        assert!(
+            size_of::<Option<Token>>() <= 16,
+            "Option<Token>: {}",
+            size_of::<Option<Token>>()
+        );
     }
 }

@@ -88,3 +88,17 @@ impl Job {
         matches!(self, Job::Join(_) | Job::MultiJoin(_))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The dispatch loop handles a job in its slab slot, and a 1000-PE
+    /// OLTP load keeps ~16k jobs live: the small variants held inline
+    /// set the size of every slot.
+    #[test]
+    fn small_jobs_stay_inline_and_small() {
+        let job = std::mem::size_of::<Job>();
+        assert!(job <= 72, "Job is {job} bytes");
+    }
+}

@@ -7,16 +7,25 @@
 //! processors), then the **probing phase** (scan of B, redistributed with
 //! the same partitioning function), merges the result stream and commits
 //! with the read-only single-phase optimization.
+//!
+//! The job keeps two typed task tables: the `p` join tasks (task ids
+//! `0..p`, so a scan's destination index is its consumer's task id) and
+//! the scans (ids `p..`): the inner scans from placement on, the outer
+//! scans appended when the probe phase starts. What the scans of one side
+//! share — relation, selectivity, phase, destinations, transaction,
+//! partitioning weights — is one [`ScanSide`] per side, passed to their
+//! handlers. The sides' destination list is the placement: the
+//! [`Nodes`] pointer the control node's reply carried, adopted as is.
 
 use crate::api::{
-    Action, InKind, Input, JobId, JoinPhase, Msg, MsgKind, PeId, Step, TaskId, Token, COORD_TASK,
+    Action, ControlReq, InKind, Input, JobId, JoinPhase, Msg, MsgKind, Nodes, PeId, Step, TaskId,
+    Token, COORD_TASK,
 };
 use crate::ctx::Ctx;
 use crate::pphj::JoinTask;
-use crate::scan::{ScanAccess, ScanSource, ScanTask};
+use crate::scan::{ScanAccess, ScanSide, ScanSource, ScanTask};
 use dbmodel::catalog::RelationId;
 use dbmodel::lock::TxnToken;
-use simkit::slab::SlabKey;
 use simkit::SimTime;
 use std::rc::Rc;
 
@@ -30,12 +39,6 @@ enum CState {
     Probe,
     Commit,
     Done,
-}
-
-/// Tasks of a join job.
-pub enum Task {
-    Join(JoinTask),
-    Scan(ScanTask),
 }
 
 /// Per-job record of the placement decision (for metrics).
@@ -76,16 +79,20 @@ pub struct JoinJob {
     pub finalize: bool,
 
     state: CState,
-    /// The join PEs, shared with every scan as its destination list.
-    pub placement: Rc<[PeId]>,
-    /// Join tasks, then inner (A) scans, then — from the probe phase on —
-    /// outer (B) scans: task id = index.
-    tasks: Vec<Task>,
-    /// Inner-scan sources: the home PE of every fragment at placement
-    /// time, by fragment index (the catalog's shared snapshot).
-    a_frags: Rc<[PeId]>,
-    /// Probe-scan sources likewise, or the coordinator alone (holding the
-    /// in-memory intermediate) for multi-way stages.
+    /// Join tasks, one per PE of the placement: task id = index.
+    joins: Vec<JoinTask>,
+    /// Inner (A) scans, then — from the probe phase on — outer (B)
+    /// scans: task id = `p` + index.
+    scans: Vec<ScanTask>,
+    /// The plan the inner scans share (from placement on); its `dests`
+    /// is the placement.
+    build: Option<ScanSide>,
+    /// The plan the outer scans share (from the probe phase on).
+    probe: Option<ScanSide>,
+    /// Probe-scan sources: the home PE of every fragment at placement
+    /// time, by fragment index (the catalog's shared snapshot), or the
+    /// coordinator alone (holding the in-memory intermediate) for
+    /// multi-way stages.
     b_frags: Rc<[PeId]>,
     ready_cnt: u32,
     builddone_cnt: u32,
@@ -128,9 +135,10 @@ impl JoinJob {
             stage: 0,
             finalize: true,
             state: CState::Queued,
-            placement: Rc::default(),
-            tasks: Vec::new(),
-            a_frags: Rc::default(),
+            joins: Vec::new(),
+            scans: Vec::new(),
+            build: None,
+            probe: None,
             b_frags: Rc::default(),
             ready_cnt: 0,
             builddone_cnt: 0,
@@ -153,47 +161,74 @@ impl JoinJob {
         format!(
             "Join state={:?} deg={} ready={}/{} builddone={} joindone={} acks={}/{} results={}/{}",
             self.state,
-            self.placement.len(),
+            self.joins.len(),
             self.ready_cnt,
-            self.placement.len(),
+            self.joins.len(),
             self.builddone_cnt,
             self.joindone_cnt,
             self.ack_cnt,
-            self.tasks.len(),
+            self.joins.len() + self.scans.len(),
             self.result_tuples,
             self.inner_out,
         )
     }
 
-    /// The task table (task id = index).
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+    /// The join tasks (task id = index).
+    pub fn joins(&self) -> &[JoinTask] {
+        &self.joins
+    }
+
+    /// The scans (task id = `p` + index): inner, then outer.
+    pub fn scans(&self) -> &[ScanTask] {
+        &self.scans
+    }
+
+    /// The plan the inner scans share (once placed).
+    pub fn build_side(&self) -> Option<&ScanSide> {
+        self.build.as_ref()
+    }
+
+    /// The plan the outer scans share (once the probe phase started).
+    pub fn probe_side(&self) -> Option<&ScanSide> {
+        self.probe.as_ref()
+    }
+
+    /// The side scan `tid` belongs to.
+    fn side_of<'a>(
+        build: &'a Option<ScanSide>,
+        probe: &'a Option<ScanSide>,
+        tid: TaskId,
+    ) -> &'a ScanSide {
+        match probe {
+            Some(side) if tid >= side.first => side,
+            _ => build.as_ref().expect("a scan belongs to a placed join"),
+        }
     }
 
     /// Detailed per-task state (diagnostics).
     pub fn debug_tasks(&self) -> Vec<String> {
-        self.tasks
-            .iter()
+        let joins = self.joins.iter().map(|j| j.debug_state());
+        let scans = self.scans.iter().map(|s| {
+            let side = Self::side_of(&self.build, &self.probe, s.task_id);
+            s.debug_state(side)
+        });
+        joins
+            .chain(scans)
             .enumerate()
-            .map(|(i, t)| match t {
-                Task::Join(j) => format!("  task{} {}", i, j.debug_state()),
-                Task::Scan(s) => format!("  task{} {}", i, s.debug_state()),
-            })
+            .map(|(i, line)| format!("  task{i} {line}"))
             .collect()
     }
 
     pub fn outcome(&self) -> JoinOutcome {
         let mut o = JoinOutcome {
-            degree: self.placement.len() as u32,
+            degree: self.joins.len() as u32,
             result_tuples: self.result_tuples,
             ..JoinOutcome::default()
         };
-        for t in &self.tasks {
-            if let Task::Join(j) = t {
-                o.spill_pages += j.spill_pages_written;
-                o.temp_reads += j.temp_pages_read;
-                o.mem_waits += u32::from(j.mem_wait);
-            }
+        for j in &self.joins {
+            o.spill_pages += j.spill_pages_written;
+            o.temp_reads += j.temp_pages_read;
+            o.mem_waits += u32::from(j.mem_wait);
         }
         o
     }
@@ -217,9 +252,10 @@ impl JoinJob {
         self.probe_override = Some(probe_tuples);
         self.stage += 1;
         self.state = CState::Init;
-        self.placement = Rc::default();
-        self.tasks.clear();
-        self.a_frags = Rc::default();
+        self.joins.clear();
+        self.scans.clear();
+        self.build = None;
+        self.probe = None;
         self.b_frags = Rc::default();
         self.ready_cnt = 0;
         self.builddone_cnt = 0;
@@ -238,7 +274,7 @@ impl JoinJob {
             job,
             COORD_TASK,
             ctx.cfg.ctrl_msg_bytes,
-            MsgKind::ControlReq {
+            MsgKind::ControlReq(Box::new(ControlReq {
                 table_pages: self.table_pages,
                 psu_opt: self.psu_opt,
                 psu_noio: self.psu_noio,
@@ -248,7 +284,7 @@ impl JoinJob {
                 },
                 inner_rel: self.inner.0,
                 stage: self.stage,
-            },
+            })),
         );
     }
 
@@ -260,28 +296,28 @@ impl JoinJob {
             InKind::MemGrant { pe, pages } => {
                 let (pe, pages) = (*pe, *pages);
                 if let Some(tid) = self.join_task_at(pe) {
-                    self.task_input(job, tid, InKind::MemGrant { pe, pages }, ctx);
+                    self.task_input(tid, InKind::MemGrant { pe, pages }, ctx);
                 }
                 return;
             }
             InKind::MemSteal { pe, pages } => {
                 let (pe, pages) = (*pe, *pages);
                 if let Some(tid) = self.join_task_at(pe) {
-                    self.task_input(job, tid, InKind::MemSteal { pe, pages }, ctx);
+                    self.task_input(tid, InKind::MemSteal { pe, pages }, ctx);
                 }
                 return;
             }
             InKind::LockGrant { pe, object } => {
                 let (pe, object) = (*pe, *object);
                 if let Some(tid) = self.scan_task_at(pe, object) {
-                    self.task_input(job, tid, InKind::LockGrant { pe, object }, ctx);
+                    self.task_input(tid, InKind::LockGrant { pe, object }, ctx);
                 }
                 return;
             }
             InKind::Alarm { pe } => {
                 let pe = *pe;
                 if let Some(tid) = self.join_task_at(pe) {
-                    self.task_input(job, tid, InKind::Alarm { pe }, ctx);
+                    self.task_input(tid, InKind::Alarm { pe }, ctx);
                 }
                 return;
             }
@@ -289,28 +325,35 @@ impl JoinJob {
         }
         match input.task {
             COORD_TASK => self.coordinator(job, input.kind, ctx),
-            t => self.task_input(job, t, input.kind, ctx),
+            t => self.task_input(t, input.kind, ctx),
         }
     }
 
     fn join_task_at(&self, pe: PeId) -> Option<TaskId> {
-        self.placement
+        self.joins
             .iter()
-            .position(|&p| p == pe)
+            .position(|j| j.pe == pe)
             .map(|i| i as TaskId)
     }
 
-    /// Scan task waiting on `object` at `pe`. Matching on the lock object
-    /// (a fragment lock) keeps routing exact when several fragments of one
-    /// relation share a home PE.
+    /// Scan task waiting on `object` at `pe`: an inner scan first, then
+    /// an outer one.
     fn scan_task_at(&self, pe: PeId, object: u64) -> Option<TaskId> {
-        self.tasks
-            .iter()
-            .position(|t| match t {
-                Task::Scan(s) => s.pe == pe && !s.is_done() && s.lock_object() == Some(object),
-                Task::Join(_) => false,
-            })
-            .map(|i| i as TaskId)
+        let p = self.joins.len();
+        let n_build = self
+            .probe
+            .as_ref()
+            .map_or(self.scans.len(), |side| side.first as usize - p);
+        let (inner, outer) = self.scans.split_at(n_build);
+        let found = self
+            .build
+            .as_ref()
+            .and_then(|side| side.waiting_at(inner, pe, object))
+            .or_else(|| {
+                let side = self.probe.as_ref()?;
+                side.waiting_at(outer, pe, object).map(|i| n_build + i)
+            });
+        found.map(|i| (p + i) as TaskId)
     }
 
     fn coordinator(&mut self, job: JobId, kind: InKind, ctx: &mut Ctx) {
@@ -350,14 +393,14 @@ impl JoinJob {
             MsgKind::JoinReady => {
                 debug_assert_eq!(self.state, CState::WaitReady);
                 self.ready_cnt += 1;
-                if self.ready_cnt == self.placement.len() as u32 {
+                if self.ready_cnt as usize == self.joins.len() {
                     self.start_build(job, ctx);
                 }
             }
             MsgKind::BuildDone => {
                 debug_assert_eq!(self.state, CState::Build);
                 self.builddone_cnt += 1;
-                if self.builddone_cnt == self.placement.len() as u32 {
+                if self.builddone_cnt as usize == self.joins.len() {
                     self.start_probe(job, ctx);
                 }
             }
@@ -367,14 +410,14 @@ impl JoinJob {
             MsgKind::JoinDone => {
                 debug_assert_eq!(self.state, CState::Probe);
                 self.joindone_cnt += 1;
-                if self.joindone_cnt == self.placement.len() as u32 {
+                if self.joindone_cnt as usize == self.joins.len() {
                     self.start_commit(job, ctx);
                 }
             }
             MsgKind::CommitAck => {
                 debug_assert_eq!(self.state, CState::Commit);
                 self.ack_cnt += 1;
-                if self.ack_cnt == self.tasks.len() as u32 {
+                if self.ack_cnt as usize == self.joins.len() + self.scans.len() {
                     ctx.cpu(
                         self.coord,
                         ctx.cfg.instr.term_txn,
@@ -404,27 +447,25 @@ impl JoinJob {
     /// The control node answered: build the join tasks and the inner
     /// scans, and start the join subqueries. The outer scans are built
     /// when the probe phase starts.
-    fn place(&mut self, job: JobId, nodes: Vec<PeId>, ctx: &mut Ctx) {
+    fn place(&mut self, job: JobId, nodes: Nodes, ctx: &mut Ctx) {
         debug_assert!(!nodes.is_empty());
-        self.placement = nodes.into();
-        let p = self.placement.len() as u32;
+        let p = nodes.len() as u32;
         let weights = self.share_weights(p);
-        self.a_frags = ctx.catalog.fragment_homes(self.inner);
+        let a_frags = ctx.catalog.fragment_homes(self.inner);
         self.b_frags = match self.probe_override {
             None => ctx.catalog.fragment_homes(self.outer),
             Some(_) => Rc::from([self.coord].as_slice()),
         };
-        let a_srcs = self.a_frags.len() as u32;
+        let a_srcs = a_frags.len() as u32;
         let b_srcs = self.b_frags.len() as u32;
 
         // Task ids: joins first (so scan destination index == task id).
-        self.tasks.clear();
-        self.tasks
-            .reserve_exact(self.placement.len() + self.a_frags.len());
-        for (i, &pe) in self.placement.iter().enumerate() {
+        self.joins.clear();
+        self.joins.reserve_exact(nodes.len());
+        for (i, &pe) in nodes.iter().enumerate() {
             let expected_inner_pages = ((self.table_pages * weights[i]).ceil() as u32).max(1);
             let expected_probe = ((self.outer_out as f64 * weights[i]).ceil() as u64).max(1);
-            self.tasks.push(Task::Join(JoinTask::new(
+            self.joins.push(JoinTask::new(
                 job,
                 i as TaskId,
                 pe,
@@ -433,35 +474,11 @@ impl JoinJob {
                 b_srcs,
                 expected_inner_pages,
                 expected_probe,
-            )));
-        }
-        // Inner (A) scan tasks, one per fragment.
-        let txn = self.txn(job);
-        for (frag, &pe) in self.a_frags.iter().enumerate() {
-            let source = ScanSource::Fragment {
-                relation: self.inner,
-                fragment: frag as u32,
-                selectivity: self.selectivity,
-                access: ScanAccess::Clustered,
-            };
-            let mut scan = ScanTask::new(
-                job,
-                self.tasks.len() as TaskId,
-                pe,
-                self.coord,
-                JoinPhase::Build,
-                Rc::clone(&self.placement),
-                source,
-                txn,
-            );
-            if self.skew > 0.0 {
-                scan.set_weights(&weights);
-            }
-            self.tasks.push(Task::Scan(scan));
+            ));
         }
         // Start the join subqueries.
         self.state = CState::WaitReady;
-        for (i, &pe) in self.placement.iter().enumerate() {
+        for (i, &pe) in nodes.iter().enumerate() {
             let expected_inner_pages = ((self.table_pages * weights[i]).ceil() as u32).max(1);
             ctx.send_to(
                 self.coord,
@@ -476,17 +493,40 @@ impl JoinJob {
                 },
             );
         }
+        // Inner (A) scan tasks, one per fragment.
+        let mut side = ScanSide::new(
+            job,
+            self.coord,
+            JoinPhase::Build,
+            nodes,
+            self.txn(job),
+            ScanSource::Relation {
+                relation: self.inner,
+                selectivity: self.selectivity,
+                access: ScanAccess::Clustered,
+            },
+            p,
+        );
+        if self.skew > 0.0 {
+            side.set_weights(&weights);
+        }
+        self.build = Some(side);
+        self.scans.clear();
+        self.scans.reserve_exact(a_frags.len());
+        for (frag, &pe) in a_frags.iter().enumerate() {
+            self.scans
+                .push(ScanTask::new(p + frag as TaskId, pe, frag as u32));
+        }
     }
 
     fn start_build(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = CState::Build;
-        let p = self.placement.len();
-        for (off, &pe) in self.a_frags.iter().enumerate() {
+        for scan in &self.scans {
             ctx.send_to(
                 self.coord,
-                pe,
+                scan.pe,
                 job,
-                (p + off) as TaskId,
+                scan.task_id,
                 ctx.cfg.ctrl_msg_bytes,
                 MsgKind::StartScan {
                     relation: self.inner,
@@ -501,35 +541,33 @@ impl JoinJob {
     /// inner scans) and start them.
     fn start_probe(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = CState::Probe;
-        debug_assert_eq!(self.tasks.len(), self.placement.len() + self.a_frags.len());
-        let weights = (self.skew > 0.0).then(|| self.share_weights(self.placement.len() as u32));
-        let txn = self.txn(job);
-        self.tasks.reserve_exact(self.b_frags.len());
+        let first = (self.joins.len() + self.scans.len()) as TaskId;
+        let source = match self.probe_override {
+            None => ScanSource::Relation {
+                relation: self.outer,
+                selectivity: self.selectivity,
+                access: ScanAccess::Clustered,
+            },
+            Some(tuples) => ScanSource::Memory { tuples },
+        };
+        let build = self.build.as_ref().expect("a probing join was placed");
+        let mut side = ScanSide::new(
+            job,
+            self.coord,
+            JoinPhase::Probe,
+            Nodes::clone(&build.dests),
+            self.txn(job),
+            source,
+            first,
+        );
+        if self.skew > 0.0 {
+            side.set_weights(&self.share_weights(self.joins.len() as u32));
+        }
+        self.probe = Some(side);
+        self.scans.reserve_exact(self.b_frags.len());
         for (frag, &pe) in self.b_frags.iter().enumerate() {
-            let tid = self.tasks.len() as TaskId;
-            let source = match self.probe_override {
-                None => ScanSource::Fragment {
-                    relation: self.outer,
-                    fragment: frag as u32,
-                    selectivity: self.selectivity,
-                    access: ScanAccess::Clustered,
-                },
-                Some(tuples) => ScanSource::Memory { tuples },
-            };
-            let mut scan = ScanTask::new(
-                job,
-                tid,
-                pe,
-                self.coord,
-                JoinPhase::Probe,
-                Rc::clone(&self.placement),
-                source,
-                txn,
-            );
-            if let Some(w) = &weights {
-                scan.set_weights(w);
-            }
-            self.tasks.push(Task::Scan(scan));
+            let tid = first + frag as TaskId;
+            self.scans.push(ScanTask::new(tid, pe, frag as u32));
             ctx.send_to(
                 self.coord,
                 pe,
@@ -552,11 +590,9 @@ impl JoinJob {
             self.result_tuples, self.inner_out
         );
         self.state = CState::Commit;
-        for (tid, task) in self.tasks.iter().enumerate() {
-            let pe = match task {
-                Task::Join(j) => j.pe,
-                Task::Scan(s) => s.pe,
-            };
+        let joins = self.joins.iter().map(|j| j.pe);
+        let scans = self.scans.iter().map(|s| s.pe);
+        for (tid, pe) in joins.chain(scans).enumerate() {
             ctx.send_to(
                 self.coord,
                 pe,
@@ -569,11 +605,18 @@ impl JoinJob {
     }
 
     /// Route an input to a subquery task.
-    fn task_input(&mut self, job: JobId, tid: TaskId, kind: InKind, ctx: &mut Ctx) {
+    fn task_input(&mut self, tid: TaskId, kind: InKind, ctx: &mut Ctx) {
         let idx = tid as usize;
-        debug_assert!(idx < self.tasks.len(), "task {tid} out of range");
-        match (&mut self.tasks[idx], kind) {
-            (Task::Join(j), InKind::Msg(msg)) => match msg.kind {
+        let p = self.joins.len();
+        if idx >= p {
+            debug_assert!(idx < p + self.scans.len(), "task {tid} out of range");
+            let side = Self::side_of(&self.build, &self.probe, tid);
+            self.scans[idx - p].handle(side, kind, ctx);
+            return;
+        }
+        let j = &mut self.joins[idx];
+        match kind {
+            InKind::Msg(msg) => match msg.kind {
                 MsgKind::StartJoin { .. } => j.start(ctx),
                 MsgKind::TupleBatch {
                     phase,
@@ -584,51 +627,11 @@ impl JoinJob {
                 MsgKind::Commit => j.commit(ctx),
                 other => unreachable!("join task: unexpected message {other:?}"),
             },
-            (Task::Join(j), InKind::Step(step)) => j.on_step(step, ctx),
-            (Task::Join(j), InKind::MemGrant { pages, .. }) => j.mem_granted(ctx, pages),
-            (Task::Join(j), InKind::MemSteal { pages, .. }) => j.mem_stolen(ctx, pages),
-            (Task::Join(j), InKind::Alarm { .. }) => j.mem_wait_timeout(ctx),
-            (Task::Scan(s), InKind::Msg(msg)) => match msg.kind {
-                MsgKind::StartScan { .. } => s.start(ctx),
-                MsgKind::Commit => {
-                    let pe = s.pe;
-                    let grants = s.commit(ctx);
-                    for (txn, object) in grants {
-                        ctx.out.push(Action::LockGranted {
-                            job: SlabKey::from_raw(txn.id),
-                            pe,
-                            object,
-                        });
-                    }
-                    ctx.cpu(
-                        pe,
-                        ctx.cfg.instr.term_txn,
-                        false,
-                        Token::new(job, tid, Step::TermCpu),
-                    );
-                    ctx.send_to(
-                        pe,
-                        self.coord,
-                        job,
-                        COORD_TASK,
-                        ctx.cfg.ctrl_msg_bytes,
-                        MsgKind::CommitAck,
-                    );
-                }
-                other => unreachable!("scan task: unexpected message {other:?}"),
-            },
-            (Task::Scan(s), InKind::Step(Step::TermCpu)) => {
-                let _ = s;
-            }
-            (Task::Scan(s), InKind::Step(step)) => s.on_step(step, ctx),
-            (Task::Scan(s), InKind::LockGrant { .. }) => s.lock_granted(ctx),
-            (t, k) => {
-                let kind_name = match t {
-                    Task::Join(_) => "join",
-                    Task::Scan(_) => "scan",
-                };
-                unreachable!("{kind_name} task: unexpected input {k:?}")
-            }
+            InKind::Step(step) => j.on_step(step, ctx),
+            InKind::MemGrant { pages, .. } => j.mem_granted(ctx, pages),
+            InKind::MemSteal { pages, .. } => j.mem_stolen(ctx, pages),
+            InKind::Alarm { .. } => j.mem_wait_timeout(ctx),
+            other => unreachable!("join task: unexpected input {other:?}"),
         }
     }
 }

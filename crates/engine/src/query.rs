@@ -3,17 +3,16 @@
 //! index support) — the remaining query types of §4.
 
 use crate::api::{
-    Action, InKind, Input, JobId, JoinPhase, MsgKind, PeId, Step, TaskId, Token, COORD_TASK,
+    Action, InKind, Input, JobId, JoinPhase, MsgKind, Nodes, PeId, Step, TaskId, Token, COORD_TASK,
 };
 use crate::ctx::{object, Ctx};
-use crate::scan::{ScanAccess, ScanSource, ScanTask};
+use crate::scan::{ScanAccess, ScanSide, ScanSource, ScanTask};
 use dbmodel::catalog::{PageAddr, RelationId};
 use dbmodel::lock::{LockMode, LockOutcome, TxnToken};
 use dbmodel::log::ForceOutcome;
 use hardware::IoKind;
 use simkit::slab::SlabKey;
 use simkit::SimTime;
-use std::rc::Rc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QState {
@@ -22,6 +21,13 @@ enum QState {
     Running,
     Commit,
     Done,
+}
+
+/// The scans of a scan query: one per fragment (task id = index), and
+/// the plan they share.
+struct Scans {
+    side: ScanSide,
+    tasks: Vec<ScanTask>,
 }
 
 /// A read-only scan query over one relation, executed in parallel at the
@@ -35,7 +41,9 @@ pub struct ScanQueryJob {
     pub submitted: SimTime,
 
     state: QState,
-    tasks: Vec<ScanTask>,
+    /// The scans, from their start on. Boxed: a scan query is one of the
+    /// small jobs held inline in the job table.
+    scans: Option<Box<Scans>>,
     done_cnt: u32,
     ack_cnt: u32,
     pub result_tuples: u64,
@@ -59,7 +67,7 @@ impl ScanQueryJob {
             access,
             submitted,
             state: QState::Queued,
-            tasks: Vec::new(),
+            scans: None,
             done_cnt: 0,
             ack_cnt: 0,
             result_tuples: 0,
@@ -77,12 +85,10 @@ impl ScanQueryJob {
         // PE-addressed lock grants (a scan blocked on an in-flight
         // fragment migration) route to the matching scan task.
         if let InKind::LockGrant { pe, object } = input.kind {
-            if let Some(tid) = self
-                .tasks
-                .iter()
-                .position(|s| s.pe == pe && !s.is_done() && s.lock_object() == Some(object))
-            {
-                self.tasks[tid].lock_granted(ctx);
+            if let Some(scans) = self.scans.as_deref_mut() {
+                if let Some(i) = scans.side.waiting_at(&scans.tasks, pe, object) {
+                    scans.tasks[i].lock_granted(&scans.side, ctx);
+                }
             }
             return;
         }
@@ -102,7 +108,7 @@ impl ScanQueryJob {
                     MsgKind::ResultBatch { tuples } => self.result_tuples += tuples as u64,
                     MsgKind::ScanDone => {
                         self.done_cnt += 1;
-                        if self.done_cnt == self.tasks.len() as u32 {
+                        if self.done_cnt as usize == self.scan_count() {
                             self.start_commit(job, ctx);
                         }
                     }
@@ -111,7 +117,7 @@ impl ScanQueryJob {
                 (QState::Commit, InKind::Msg(msg)) => match msg.kind {
                     MsgKind::CommitAck => {
                         self.ack_cnt += 1;
-                        if self.ack_cnt == self.tasks.len() as u32 {
+                        if self.ack_cnt as usize == self.scan_count() {
                             ctx.cpu(
                                 self.coord,
                                 ctx.cfg.instr.term_txn,
@@ -129,44 +135,38 @@ impl ScanQueryJob {
                 }
                 (s, k) => unreachable!("scan query coordinator: {k:?} in {s:?}"),
             },
-            tid => self.task_input(job, tid, input.kind, ctx),
+            tid => {
+                let scans = self.scans.as_deref_mut().expect("a started scan query");
+                scans.tasks[tid as usize].handle(&scans.side, input.kind, ctx);
+            }
         }
     }
 
     fn start_scans(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = QState::Running;
-        let txn = self.txn(job);
-        let frags: Vec<(u32, PeId)> = ctx
-            .catalog
-            .fragments(self.relation)
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i as u32, f.pe))
-            .collect();
         // Empty destination list: results go to the coordinator.
-        let to_coord: Rc<[PeId]> = Rc::default();
-        self.tasks.reserve_exact(frags.len());
-        for (i, &(frag, pe)) in frags.iter().enumerate() {
-            self.tasks.push(ScanTask::new(
-                job,
-                i as TaskId,
-                pe,
-                self.coord,
-                JoinPhase::Build,
-                Rc::clone(&to_coord),
-                ScanSource::Fragment {
-                    relation: self.relation,
-                    fragment: frag,
-                    selectivity: self.selectivity,
-                    access: self.access,
-                },
-                txn,
-            ));
+        let side = ScanSide::new(
+            job,
+            self.coord,
+            JoinPhase::Build,
+            Nodes::default(),
+            self.txn(job),
+            ScanSource::Relation {
+                relation: self.relation,
+                selectivity: self.selectivity,
+                access: self.access,
+            },
+            0,
+        );
+        let homes = ctx.catalog.fragment_homes(self.relation);
+        let mut tasks = Vec::with_capacity(homes.len());
+        for (frag, &pe) in homes.iter().enumerate() {
+            tasks.push(ScanTask::new(frag as TaskId, pe, frag as u32));
             ctx.send_to(
                 self.coord,
                 pe,
                 job,
-                i as TaskId,
+                frag as TaskId,
                 ctx.cfg.ctrl_msg_bytes,
                 MsgKind::StartScan {
                     relation: self.relation,
@@ -175,11 +175,17 @@ impl ScanQueryJob {
                 },
             );
         }
+        self.scans = Some(Box::new(Scans { side, tasks }));
+    }
+
+    fn scan_count(&self) -> usize {
+        self.scans.as_ref().map_or(0, |s| s.tasks.len())
     }
 
     fn start_commit(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = QState::Commit;
-        for (tid, task) in self.tasks.iter().enumerate() {
+        let tasks = self.scans.as_ref().map_or(&[][..], |s| &s.tasks);
+        for (tid, task) in tasks.iter().enumerate() {
             ctx.send_to(
                 self.coord,
                 task.pe,
@@ -188,44 +194,6 @@ impl ScanQueryJob {
                 ctx.cfg.ctrl_msg_bytes,
                 MsgKind::Commit,
             );
-        }
-    }
-
-    fn task_input(&mut self, job: JobId, tid: TaskId, kind: InKind, ctx: &mut Ctx) {
-        let s = &mut self.tasks[tid as usize];
-        match kind {
-            InKind::Msg(msg) => match msg.kind {
-                MsgKind::StartScan { .. } => s.start(ctx),
-                MsgKind::Commit => {
-                    let pe = s.pe;
-                    let grants = s.commit(ctx);
-                    for (txn, obj) in grants {
-                        ctx.out.push(Action::LockGranted {
-                            job: SlabKey::from_raw(txn.id),
-                            pe,
-                            object: obj,
-                        });
-                    }
-                    ctx.cpu(
-                        pe,
-                        ctx.cfg.instr.term_txn,
-                        false,
-                        Token::new(job, tid, Step::TermCpu),
-                    );
-                    ctx.send_to(
-                        pe,
-                        self.coord,
-                        job,
-                        COORD_TASK,
-                        ctx.cfg.ctrl_msg_bytes,
-                        MsgKind::CommitAck,
-                    );
-                }
-                other => unreachable!("scan query task: message {other:?}"),
-            },
-            InKind::Step(Step::TermCpu) => {}
-            InKind::Step(step) => s.on_step(step, ctx),
-            other => unreachable!("scan query task: input {other:?}"),
         }
     }
 }

@@ -297,11 +297,10 @@ impl SortTask {
     }
 }
 
-use crate::api::{InKind, Input, JoinPhase, Msg, COORD_TASK};
-use crate::scan::{ScanAccess, ScanSource, ScanTask};
+use crate::api::{ControlReq, InKind, Input, JoinPhase, Msg, Nodes, COORD_TASK};
+use crate::scan::{ScanAccess, ScanSide, ScanSource, ScanTask};
 use dbmodel::catalog::RelationId;
 use dbmodel::lock::TxnToken;
-use simkit::slab::SlabKey;
 use simkit::SimTime;
 use std::rc::Rc;
 
@@ -316,13 +315,10 @@ enum QState {
     Done,
 }
 
-/// Tasks of a sort query.
-enum STask {
-    Sort(SortTask),
-    Scan(ScanTask),
-}
-
 /// A parallel sort query: scan + redistribute + local external sorts.
+///
+/// Like a join, it keeps two typed task tables: the sort tasks (ids
+/// `0..p`) and the scans (ids `p..`), which share one [`ScanSide`].
 pub struct SortQueryJob {
     pub class: u32,
     pub coord: PeId,
@@ -336,11 +332,16 @@ pub struct SortQueryJob {
     pub expected_out: u64,
 
     state: QState,
-    /// The sort PEs, shared with every scan as its destination list.
-    placement: Rc<[PeId]>,
-    tasks: Vec<STask>,
-    /// Scan sources: (fragment index, home PE at placement time).
-    scan_frags: Vec<(u32, PeId)>,
+    /// Sort tasks, one per PE of the placement: task id = index.
+    sorts: Vec<SortTask>,
+    /// Scans, built when the sort tasks are ready: task id = `p` + index.
+    scans: Vec<ScanTask>,
+    /// The plan the scans share (from placement on); its `dests` is the
+    /// placement.
+    side: Option<ScanSide>,
+    /// Scan sources: the home PE of every fragment at placement time, by
+    /// fragment index (the catalog's shared snapshot).
+    scan_frags: Rc<[PeId]>,
     ready_cnt: u32,
     done_cnt: u32,
     ack_cnt: u32,
@@ -371,9 +372,10 @@ impl SortQueryJob {
             psu_noio,
             expected_out,
             state: QState::Queued,
-            placement: Rc::default(),
-            tasks: Vec::new(),
-            scan_frags: Vec::new(),
+            sorts: Vec::new(),
+            scans: Vec::new(),
+            side: None,
+            scan_frags: Rc::default(),
             ready_cnt: 0,
             done_cnt: 0,
             ack_cnt: 0,
@@ -391,19 +393,16 @@ impl SortQueryJob {
     pub fn handle(&mut self, job: JobId, input: Input, ctx: &mut Ctx) {
         // PE-addressed wake-ups (locks) route to the scan task there.
         if let InKind::LockGrant { pe, object } = input.kind {
-            if let Some(tid) = self.tasks.iter().position(|t| match t {
-                STask::Scan(s) => s.pe == pe && !s.is_done() && s.lock_object() == Some(object),
-                STask::Sort(_) => false,
-            }) {
-                if let STask::Scan(s) = &mut self.tasks[tid] {
-                    s.lock_granted(ctx);
+            if let Some(side) = &self.side {
+                if let Some(i) = side.waiting_at(&self.scans, pe, object) {
+                    self.scans[i].lock_granted(side, ctx);
                 }
             }
             return;
         }
         match input.task {
             COORD_TASK => self.coordinator(job, input.kind, ctx),
-            tid => self.task_input(job, tid, input.kind, ctx),
+            tid => self.task_input(tid, input.kind, ctx),
         }
     }
 
@@ -428,14 +427,14 @@ impl SortQueryJob {
                     job,
                     COORD_TASK,
                     ctx.cfg.ctrl_msg_bytes,
-                    MsgKind::ControlReq {
+                    MsgKind::ControlReq(Box::new(ControlReq {
                         table_pages: self.table_pages,
                         psu_opt: self.psu_opt,
                         psu_noio: self.psu_noio,
                         outer_scan_nodes: srcs,
                         inner_rel: self.relation.0,
                         stage: 0,
-                    },
+                    })),
                 );
             }
             InKind::Msg(msg) => self.coord_msg(job, *msg, ctx),
@@ -453,20 +452,20 @@ impl SortQueryJob {
             MsgKind::ControlRep { nodes } => self.place(job, nodes, ctx),
             MsgKind::JoinReady => {
                 self.ready_cnt += 1;
-                if self.ready_cnt == self.placement.len() as u32 {
-                    self.start_scans(job, ctx);
+                if self.ready_cnt as usize == self.sorts.len() {
+                    self.start_scans(ctx);
                 }
             }
             MsgKind::ResultBatch { tuples } => self.result_tuples += tuples as u64,
             MsgKind::JoinDone => {
                 self.done_cnt += 1;
-                if self.done_cnt == self.placement.len() as u32 {
+                if self.done_cnt as usize == self.sorts.len() {
                     self.start_commit(job, ctx);
                 }
             }
             MsgKind::CommitAck => {
                 self.ack_cnt += 1;
-                if self.ack_cnt == self.tasks.len() as u32 {
+                if self.ack_cnt as usize == self.sorts.len() + self.scans.len() {
                     ctx.cpu(
                         self.coord,
                         ctx.cfg.instr.term_txn,
@@ -479,31 +478,23 @@ impl SortQueryJob {
         }
     }
 
-    fn place(&mut self, job: JobId, nodes: Vec<PeId>, ctx: &mut Ctx) {
+    fn place(&mut self, job: JobId, nodes: Nodes, ctx: &mut Ctx) {
         debug_assert_eq!(self.state, QState::WaitPlacement);
-        self.placement = nodes.into();
         self.state = QState::WaitReady;
-        let p = self.placement.len() as u32;
-        self.scan_frags = ctx
-            .catalog
-            .fragments(self.relation)
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i as u32, f.pe))
-            .collect();
+        let p = nodes.len() as u32;
+        self.scan_frags = ctx.catalog.fragment_homes(self.relation);
         let srcs = self.scan_frags.len() as u32;
         let expected = ((self.table_pages / p as f64).ceil() as u32).max(1);
-        self.tasks
-            .reserve_exact(self.placement.len() + self.scan_frags.len());
-        for (i, &pe) in self.placement.iter().enumerate() {
-            self.tasks.push(STask::Sort(SortTask::new(
+        self.sorts.reserve_exact(nodes.len());
+        for (i, &pe) in nodes.iter().enumerate() {
+            self.sorts.push(SortTask::new(
                 job,
                 i as TaskId,
                 pe,
                 self.coord,
                 srcs,
                 expected,
-            )));
+            ));
             ctx.send_to(
                 self.coord,
                 pe,
@@ -517,32 +508,32 @@ impl SortQueryJob {
                 },
             );
         }
+        self.side = Some(ScanSide::new(
+            job,
+            self.coord,
+            JoinPhase::Build,
+            nodes,
+            self.txn(job),
+            ScanSource::Relation {
+                relation: self.relation,
+                selectivity: self.selectivity,
+                access: ScanAccess::Clustered,
+            },
+            p,
+        ));
     }
 
-    fn start_scans(&mut self, job: JobId, ctx: &mut Ctx) {
+    fn start_scans(&mut self, ctx: &mut Ctx) {
         self.state = QState::Running;
-        let txn = self.txn(job);
-        for &(frag, pe) in &self.scan_frags {
-            let tid = self.tasks.len() as TaskId;
-            self.tasks.push(STask::Scan(ScanTask::new(
-                job,
-                tid,
-                pe,
-                self.coord,
-                JoinPhase::Build,
-                Rc::clone(&self.placement),
-                ScanSource::Fragment {
-                    relation: self.relation,
-                    fragment: frag,
-                    selectivity: self.selectivity,
-                    access: ScanAccess::Clustered,
-                },
-                txn,
-            )));
+        let side = self.side.as_ref().expect("placed before the scans start");
+        self.scans.reserve_exact(self.scan_frags.len());
+        for (frag, &pe) in self.scan_frags.iter().enumerate() {
+            let tid = side.first + frag as TaskId;
+            self.scans.push(ScanTask::new(tid, pe, frag as u32));
             ctx.send_to(
                 self.coord,
                 pe,
-                job,
+                side.job,
                 tid,
                 ctx.cfg.ctrl_msg_bytes,
                 MsgKind::StartScan {
@@ -560,11 +551,9 @@ impl SortQueryJob {
             "sorted output must equal the scan output"
         );
         self.state = QState::Commit;
-        for (tid, t) in self.tasks.iter().enumerate() {
-            let pe = match t {
-                STask::Sort(s) => s.pe,
-                STask::Scan(s) => s.pe,
-            };
+        let sorts = self.sorts.iter().map(|s| s.pe);
+        let scans = self.scans.iter().map(|s| s.pe);
+        for (tid, pe) in sorts.chain(scans).enumerate() {
             ctx.send_to(
                 self.coord,
                 pe,
@@ -576,47 +565,25 @@ impl SortQueryJob {
         }
     }
 
-    fn task_input(&mut self, job: JobId, tid: TaskId, kind: InKind, ctx: &mut Ctx) {
-        match (&mut self.tasks[tid as usize], kind) {
-            (STask::Sort(t), InKind::Msg(msg)) => match msg.kind {
+    fn task_input(&mut self, tid: TaskId, kind: InKind, ctx: &mut Ctx) {
+        let idx = tid as usize;
+        let p = self.sorts.len();
+        if idx >= p {
+            let side = self.side.as_ref().expect("a scan belongs to a placed sort");
+            self.scans[idx - p].handle(side, kind, ctx);
+            return;
+        }
+        let t = &mut self.sorts[idx];
+        match kind {
+            InKind::Msg(msg) => match msg.kind {
                 MsgKind::StartJoin { .. } => t.start(ctx),
                 MsgKind::TupleBatch { tuples, last, .. } => t.on_batch(tuples, last, ctx),
                 MsgKind::PhaseEnd { .. } => t.on_phase_end(ctx),
                 MsgKind::Commit => t.commit(ctx),
                 other => unreachable!("sort task: message {other:?}"),
             },
-            (STask::Sort(t), InKind::Step(step)) => t.on_step(step, ctx),
-            (STask::Scan(s), InKind::Msg(msg)) => match msg.kind {
-                MsgKind::StartScan { .. } => s.start(ctx),
-                MsgKind::Commit => {
-                    let pe = s.pe;
-                    for (t, object) in s.commit(ctx) {
-                        ctx.out.push(Action::LockGranted {
-                            job: SlabKey::from_raw(t.id),
-                            pe,
-                            object,
-                        });
-                    }
-                    ctx.cpu(
-                        pe,
-                        ctx.cfg.instr.term_txn,
-                        false,
-                        Token::new(job, tid, Step::TermCpu),
-                    );
-                    ctx.send_to(
-                        pe,
-                        self.coord,
-                        job,
-                        COORD_TASK,
-                        ctx.cfg.ctrl_msg_bytes,
-                        MsgKind::CommitAck,
-                    );
-                }
-                other => unreachable!("sort scan: message {other:?}"),
-            },
-            (STask::Scan(_), InKind::Step(Step::TermCpu)) => {}
-            (STask::Scan(s), InKind::Step(step)) => s.on_step(step, ctx),
-            (_, k) => unreachable!("sort task: unexpected input {k:?}"),
+            InKind::Step(step) => t.on_step(step, ctx),
+            k => unreachable!("sort task: unexpected input {k:?}"),
         }
     }
 }

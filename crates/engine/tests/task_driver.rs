@@ -6,11 +6,13 @@ use dbmodel::catalog::Catalog;
 use dbmodel::lock::TxnToken;
 use dbmodel::log::LogParams;
 use dbmodel::RelationId;
-use engine::api::{Action, EngineConfig, InKind, Input, JoinPhase, Msg, MsgKind, Step, COORD_TASK};
+use engine::api::{
+    Action, EngineConfig, InKind, Input, JoinPhase, Msg, MsgKind, Nodes, Step, Token, COORD_TASK,
+};
 use engine::ctx::Ctx;
-use engine::join::{JoinJob, Task};
+use engine::join::JoinJob;
 use engine::pphj::JoinTask;
-use engine::scan::{ScanAccess, ScanSource, ScanTask};
+use engine::scan::{ScanAccess, ScanSide, ScanSource, ScanTask};
 use engine::Pe;
 use simkit::{SimRng, SimTime, Slab};
 use std::rc::Rc;
@@ -58,7 +60,12 @@ impl Driver {
 
     /// Drain the action log, feeding completions back synchronously.
     /// Returns the messages sent. `scan`/`join` receive their steps.
-    fn pump_scan(&mut self, scan: &mut ScanTask, max_iters: usize) -> Vec<MsgKind> {
+    fn pump_scan(
+        &mut self,
+        side: &ScanSide,
+        scan: &mut ScanTask,
+        max_iters: usize,
+    ) -> Vec<MsgKind> {
         let mut msgs = Vec::new();
         for _ in 0..max_iters {
             let pending = std::mem::take(&mut self.actions);
@@ -67,13 +74,9 @@ impl Driver {
             }
             for a in pending {
                 match a {
-                    Action::Cpu { token, .. } => {
+                    Action::Cpu { token, .. } | Action::Io { token, .. } => {
                         let mut ctx = self.ctx();
-                        scan.on_step(token.step, &mut ctx);
-                    }
-                    Action::Io { token, .. } => {
-                        let mut ctx = self.ctx();
-                        scan.on_step(token.step, &mut ctx);
+                        scan.on_step(side, step_of(token), &mut ctx);
                     }
                     Action::IoAsync { .. } => {}
                     Action::Send(m) => msgs.push(m.kind),
@@ -95,12 +98,12 @@ impl Driver {
                 match a {
                     Action::Cpu { token, .. } => {
                         let mut ctx = self.ctx();
-                        join.on_step(token.step, &mut ctx);
+                        join.on_step(step_of(token), &mut ctx);
                     }
                     Action::Io { token, .. } => {
                         // Temp reads come back as TempIo.
                         let mut ctx = self.ctx();
-                        join.on_step(token.step, &mut ctx);
+                        join.on_step(step_of(token), &mut ctx);
                     }
                     Action::IoAsync { .. } => {}
                     Action::Send(m) => msgs.push(m.kind),
@@ -119,6 +122,14 @@ impl Driver {
     }
 }
 
+/// The step a task's own CPU or I/O request completes.
+fn step_of(token: Token) -> Step {
+    match token {
+        Token::Step { step, .. } => step,
+        other => panic!("a task request carries a step token, not {other:?}"),
+    }
+}
+
 fn txn(d: &Driver) -> TxnToken {
     TxnToken {
         id: d.job.to_raw(),
@@ -130,27 +141,25 @@ fn txn(d: &Driver) -> TxnToken {
 fn scan_emits_exact_output_with_last_flags() {
     let mut d = Driver::new(10, 50);
     // A fragment at PE 0: 125 000 tuples, 1% → 1 250 out, to 4 dests.
-    let t = txn(&d);
-    let mut scan = ScanTask::new(
+    let side = ScanSide::new(
         d.job,
-        100,
-        0,
         9,
         JoinPhase::Build,
-        vec![5, 6, 7, 8].into(),
-        ScanSource::Fragment {
+        Nodes::new(vec![5, 6, 7, 8]),
+        txn(&d),
+        ScanSource::Relation {
             relation: dbmodel::RelationId(0),
-            fragment: 0,
             selectivity: 0.01,
             access: ScanAccess::Clustered,
         },
-        t,
+        100,
     );
+    let mut scan = ScanTask::new(100, 0, 0);
     {
         let mut ctx = d.ctx();
-        scan.start(&mut ctx);
+        scan.start(&side, &mut ctx);
     }
-    let msgs = d.pump_scan(&mut scan, 10_000);
+    let msgs = d.pump_scan(&side, &mut scan, 10_000);
     assert!(scan.is_done());
     let mut per_dest = [0u64; 4];
     let mut lasts = 0;
@@ -187,23 +196,22 @@ fn scan_emits_exact_output_with_last_flags() {
 #[test]
 fn scan_weighted_distribution_respects_weights() {
     let mut d = Driver::new(10, 50);
-    let t = txn(&d);
-    let mut scan = ScanTask::new(
+    let mut side = ScanSide::new(
         d.job,
-        100,
-        0,
         9,
         JoinPhase::Build,
-        vec![5, 6].into(),
+        Nodes::new(vec![5, 6]),
+        txn(&d),
         ScanSource::Memory { tuples: 1_000 },
-        t,
+        100,
     );
-    scan.set_weights(&[3.0, 1.0]);
+    side.set_weights(&[3.0, 1.0]);
+    let mut scan = ScanTask::new(100, 0, 0);
     {
         let mut ctx = d.ctx();
-        scan.start(&mut ctx);
+        scan.start(&side, &mut ctx);
     }
-    let msgs = d.pump_scan(&mut scan, 10_000);
+    let msgs = d.pump_scan(&side, &mut scan, 10_000);
     let total: u64 = msgs
         .iter()
         .filter_map(|m| match m {
@@ -242,18 +250,11 @@ fn coord_msg(d: &mut Driver, join: &mut JoinJob, from: u32, kind: MsgKind) {
     coord_input(d, join, InKind::Msg(Box::new(msg)));
 }
 
-fn scans(join: &JoinJob) -> impl Iterator<Item = &ScanTask> {
-    join.tasks().iter().filter_map(|t| match t {
-        Task::Scan(s) => Some(s),
-        Task::Join(_) => None,
-    })
-}
-
 /// The outer (B) scans of a join exist only from the probe phase on:
-/// while building, the task table holds the p join tasks and the |A|
-/// inner scans; `start_probe` appends the |B| outer scans with ids
-/// p + |A| + i, the same weights, transaction and destination list, and
-/// fragment i of B as source.
+/// while building, the scan table holds the |A| inner scans (after the p
+/// join tasks); `start_probe` appends the |B| outer scans with ids
+/// p + |A| + i and fragment i of B as source, under a probe side with
+/// the same weights, transaction and destination list.
 #[test]
 fn join_builds_probe_scans_when_the_probe_starts() {
     let mut d = Driver::new(10, 50);
@@ -278,6 +279,7 @@ fn join_builds_probe_scans_when_the_probe_starts() {
     join.skew = 0.8;
     let nodes = vec![7, 3, 5];
     let p = nodes.len();
+    let reply = Nodes::new(nodes.clone());
     coord_input(&mut d, &mut join, InKind::Start);
     coord_input(&mut d, &mut join, InKind::Step(Step::Init));
     coord_msg(
@@ -285,63 +287,63 @@ fn join_builds_probe_scans_when_the_probe_starts() {
         &mut join,
         0,
         MsgKind::ControlRep {
-            nodes: nodes.clone(),
+            nodes: Nodes::clone(&reply),
         },
     );
-    assert_eq!(
-        join.tasks().len(),
-        p + n_a,
-        "placed: joins and inner scans only"
-    );
+    assert_eq!(join.joins().len(), p, "placed: the join tasks");
+    assert_eq!(join.scans().len(), n_a, "placed: inner scans only");
     for i in 0..p {
         coord_msg(&mut d, &mut join, nodes[i], MsgKind::JoinReady);
     }
-    assert_eq!(
-        join.tasks().len(),
-        p + n_a,
-        "building: joins and inner scans only"
+    assert_eq!(join.scans().len(), n_a, "building: inner scans only");
+    assert!(join.probe_side().is_none(), "building: no probe side");
+    let build = join.build_side().expect("placed join has a build side");
+    assert_eq!(build.phase, JoinPhase::Build);
+    assert_eq!(build.first as usize, p);
+    assert!(
+        Rc::ptr_eq(&build.dests, &reply),
+        "the reply's node list, adopted without a copy"
     );
-    assert!(scans(&join).all(|s| s.phase == JoinPhase::Build));
-    let first = scans(&join).next().expect("an inner scan");
-    let inner_txn = first.txn();
-    let inner_weights: Vec<Option<f64>> = (0..p).map(|j| first.weight(j)).collect();
+    let inner_txn = build.txn;
+    let inner_weights: Vec<Option<f64>> = (0..p).map(|j| build.weight(j)).collect();
     d.actions.clear();
 
     for i in 0..p {
         coord_msg(&mut d, &mut join, nodes[i], MsgKind::BuildDone);
     }
     assert_eq!(
-        join.tasks().len(),
-        p + n_a + n_b,
+        join.scans().len(),
+        n_a + n_b,
         "probing: outer scans appended"
     );
-    let outer: Vec<&ScanTask> = scans(&join).skip(n_a).collect();
-    assert_eq!(outer.len(), n_b);
+    let side = join.probe_side().expect("probing join has a probe side");
+    assert_eq!(side.phase, JoinPhase::Probe);
+    assert_eq!(side.first as usize, p + n_a);
+    assert_eq!(side.txn, inner_txn);
+    assert!(
+        Rc::ptr_eq(&side.dests, &reply),
+        "one shared destination list"
+    );
+    assert_eq!(
+        side.source,
+        ScanSource::Relation {
+            relation: RelationId(1),
+            selectivity: 0.01,
+            access: ScanAccess::Clustered,
+        }
+    );
+    let weights: Vec<Option<f64>> = (0..p).map(|j| side.weight(j)).collect();
+    assert_eq!(weights, inner_weights);
+    assert!(
+        weights.iter().all(Option::is_some),
+        "skewed join weights its scans"
+    );
+    let outer = &join.scans()[n_a..];
     for (i, s) in outer.iter().enumerate() {
         let frag = d.catalog.fragments(RelationId(1))[i].pe;
         assert_eq!(s.task_id as usize, p + n_a + i);
-        assert_eq!(s.phase, JoinPhase::Probe);
         assert_eq!(s.pe, frag);
-        assert_eq!(s.txn(), inner_txn);
-        assert!(
-            Rc::ptr_eq(&s.dests, &join.placement),
-            "one shared destination list"
-        );
-        assert_eq!(
-            s.source(),
-            &ScanSource::Fragment {
-                relation: RelationId(1),
-                fragment: i as u32,
-                selectivity: 0.01,
-                access: ScanAccess::Clustered,
-            }
-        );
-        let weights: Vec<Option<f64>> = (0..p).map(|j| s.weight(j)).collect();
-        assert_eq!(weights, inner_weights);
-        assert!(
-            weights.iter().all(Option::is_some),
-            "skewed join weights its scans"
-        );
+        assert_eq!(s.fragment(), i as u32);
     }
     // The probe start sends one StartScan per outer scan, to its task.
     let starts: Vec<(u32, u32)> = d

@@ -54,7 +54,9 @@ const BLOCK: usize = 8;
 /// mark.
 const SEGMENT_BLOCKS: usize = 128;
 
-/// One request slot (`tag == None` when unused).
+/// One request slot (`tag == None` when unused): the service time and
+/// the caller's tag. With a 16-byte tag whose `Option` fits a niche (the
+/// simulator's completion token) a slot is 24 bytes and a block 192.
 #[derive(Debug)]
 struct Slot<T> {
     service: SimDur,
@@ -85,6 +87,9 @@ impl<T> Default for FifoPool<T> {
 }
 
 impl<T> FifoPool<T> {
+    /// Bytes of one request slot of this pool.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// An empty pool; the first queued request allocates its first segment.
     pub fn new() -> Self {
         FifoPool {

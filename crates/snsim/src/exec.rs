@@ -2,38 +2,38 @@
 //!
 //! The adapter between the engine's action/input protocol and the hardware
 //! model: executes queued [`Action`]s against CPUs, disks, log disks and
-//! the network, routes completion [`Token`]s back into jobs, and drains
+//! the network, routes completion [`Token`]s back into jobs (a message's
+//! token is its box: job and task are read from the message), and drains
 //! the (job, input) work queue until quiescent after every event. Pure
 //! mechanism — placement policy lives in the broker, event ordering in
 //! `simkit::Dispatcher`.
 
 use crate::system::{Ev, System};
-use engine::api::{Action, InKind, Input, Msg, MsgKind, Step, Token, COORD_TASK};
+use engine::api::{Action, InKind, Input, JobId, Msg, MsgKind, TaskId, Token, COORD_TASK};
 use engine::ctx::Ctx;
 use engine::{Job, PeId};
 use hardware::{DiskId, IoKind, IoRequest};
 
 impl System {
-    /// A CPU grant completed: route by step.
-    pub(crate) fn handle_cpu_token(&mut self, _pe: PeId, mut token: Token) {
-        match token.step {
-            Step::SendCpu => {
-                let msg = token.msg.expect("send token carries the message");
+    /// A CPU or disk request completed: put a sent message on the
+    /// network, or route the token into its job.
+    pub(crate) fn handle_token(&mut self, token: Token) {
+        match token {
+            Token::Send(msg) => {
                 let release = self
                     .net
                     .send(self.events.now(), msg.from as usize, msg.bytes);
                 let latency = self.net.latency();
                 self.events.at(release + latency, Ev::Deliver(msg));
             }
-            Step::MsgCpu => {
-                let msg = token.msg.take().expect("msg token carries the message");
-                if matches!(msg.kind, MsgKind::ControlReq { .. }) {
-                    self.handle_control_req(*msg);
+            Token::Recv(msg) => {
+                if let MsgKind::ControlReq(req) = msg.kind {
+                    self.handle_control_req(msg.from, msg.job, *req);
                 } else {
-                    self.route_token(token, Some(msg));
+                    self.route(msg.job, msg.task, InKind::Msg(msg));
                 }
             }
-            _ => self.route_token(token, None),
+            Token::Step { job, task, step } => self.route(job, task, InKind::Step(step)),
         }
     }
 
@@ -41,25 +41,12 @@ impl System {
     pub(crate) fn deliver(&mut self, msg: Box<Msg>) {
         if msg.from == msg.to {
             // Local messages skip the network and CPU costs entirely.
-            let to = msg.to;
-            let token = Token {
-                job: msg.job,
-                task: msg.task,
-                step: Step::MsgCpu,
-                msg: Some(msg),
-            };
-            self.handle_cpu_token(to, token);
+            self.handle_token(Token::Recv(msg));
             return;
         }
         let to = msg.to;
         let instr = self.cfg.engine.recv_instr(msg.bytes);
-        let token = Token {
-            job: msg.job,
-            task: msg.task,
-            step: Step::MsgCpu,
-            msg: Some(msg),
-        };
-        self.request_cpu(to, instr, false, token);
+        self.request_cpu(to, instr, false, Token::Recv(msg));
     }
 
     /// Queue `instr` instructions at `pe`'s CPU, scheduling the
@@ -96,19 +83,9 @@ impl System {
         }
     }
 
-    /// Route a completed token into the owning job.
-    pub(crate) fn route_token(&mut self, token: Token, msg: Option<Box<Msg>>) {
-        let kind = match msg {
-            Some(m) => InKind::Msg(m),
-            None => InKind::Step(token.step),
-        };
-        self.pending.push_back((
-            token.job,
-            Input {
-                task: token.task,
-                kind,
-            },
-        ));
+    /// Queue `kind` for task `task` of `job`.
+    pub(crate) fn route(&mut self, job: JobId, task: TaskId, kind: InKind) {
+        self.pending.push_back((job, Input { task, kind }));
     }
 
     /// Drain pending inputs and actions until quiescent.
@@ -202,42 +179,18 @@ impl System {
                 } else {
                     let instr = self.cfg.engine.send_instr(msg.bytes);
                     let from = msg.from;
-                    let token = Token {
-                        job: msg.job,
-                        task: msg.task,
-                        step: Step::SendCpu,
-                        msg: Some(msg),
-                    };
-                    self.request_cpu(from, instr, false, token);
+                    self.request_cpu(from, instr, false, Token::Send(msg));
                 }
             }
             Action::JobDone { job } => self.job_done(job),
             Action::MemoryGranted { job, pe, pages } => {
-                self.pending.push_back((
-                    job,
-                    Input {
-                        task: COORD_TASK,
-                        kind: InKind::MemGrant { pe, pages },
-                    },
-                ));
+                self.route(job, COORD_TASK, InKind::MemGrant { pe, pages });
             }
             Action::MemoryStolen { job, pe, pages } => {
-                self.pending.push_back((
-                    job,
-                    Input {
-                        task: COORD_TASK,
-                        kind: InKind::MemSteal { pe, pages },
-                    },
-                ));
+                self.route(job, COORD_TASK, InKind::MemSteal { pe, pages });
             }
             Action::LockGranted { job, pe, object } => {
-                self.pending.push_back((
-                    job,
-                    Input {
-                        task: COORD_TASK,
-                        kind: InKind::LockGrant { pe, object },
-                    },
-                ));
+                self.route(job, COORD_TASK, InKind::LockGrant { pe, object });
             }
             Action::Alarm { job, pe, after } => {
                 self.events.after(after, Ev::Alarm { job, pe });

@@ -21,7 +21,9 @@ use crate::planner::Planner;
 use dbmodel::catalog::Catalog;
 use dbmodel::deadlock;
 use dbmodel::log::LogParams;
-use engine::api::{Action, InKind, Input, Msg, MsgKind, Step, Token, COORD_TASK};
+use engine::api::{
+    Action, ControlReq, InKind, Input, Msg, MsgKind, Nodes, Step, Token, COORD_TASK,
+};
 use engine::migrate::MigrationJob;
 use engine::{Job, JobId, Pe, PeId};
 use hardware::{Cpu, DiskId, DiskSubsystem, Network};
@@ -598,7 +600,7 @@ impl System {
                         },
                     );
                 }
-                self.handle_cpu_token(pe, token);
+                self.handle_token(token);
             }
             Ev::IoDone { pe, disk, token } => {
                 if let Some(next) =
@@ -614,7 +616,7 @@ impl System {
                     );
                 }
                 if let Some(token) = token {
-                    self.route_token(token, None);
+                    self.handle_token(token);
                 }
             }
             Ev::LogDone { pe, token } => {
@@ -630,12 +632,13 @@ impl System {
                     );
                 }
                 self.pes[pe as usize].log.write_done();
-                // Wake the forcing job and all group-commit joiners.
+                // Wake the forcing job and all group-commit joiners. The
+                // joiners are drained in place, so the waiter list keeps
+                // its buffer for the next group commit.
                 if let Some(token) = token {
-                    self.route_token(token, None);
+                    self.handle_token(token);
                 }
-                let waiters = std::mem::take(&mut self.pes[pe as usize].log_waiters);
-                for job in waiters {
+                for job in self.pes[pe as usize].log_waiters.drain(..) {
                     self.pending.push_back((
                         job,
                         Input {
@@ -673,21 +676,18 @@ impl System {
     /// placed work classes flow through here or through [`System::spawn`]:
     /// two-way joins and sorts arrive with `stage == 0`, multi-join stages
     /// with `stage > 0`.
-    pub(crate) fn handle_control_req(&mut self, msg: Msg) {
-        let MsgKind::ControlReq {
+    pub(crate) fn handle_control_req(&mut self, from: PeId, job: JobId, req: ControlReq) {
+        let ControlReq {
             table_pages,
             psu_opt,
             psu_noio,
             outer_scan_nodes,
             inner_rel,
             stage,
-        } = msg.kind
-        else {
-            unreachable!()
-        };
+        } = req;
         // Malleable admission: a shrunken query carries a degree cap that
         // every placement strategy honours (0 = unconstrained).
-        let degree_cap = self.sched.degree_cap(msg.job.to_raw());
+        let degree_cap = self.sched.degree_cap(job.to_raw());
         let req = PlacementRequest::join(
             stage,
             JoinRequest {
@@ -714,7 +714,7 @@ impl System {
         if let Some(o) = self.obs.as_mut() {
             o.placement(
                 Self::t_ms(self.events.now()),
-                msg.job.to_raw(),
+                job.to_raw(),
                 stage,
                 self.broker.policy_name(WorkClass::Join { stage }),
                 &self.obs_scores,
@@ -724,12 +724,12 @@ impl System {
         let bytes = self.cfg.engine.ctrl_msg_bytes + 4 * placement.nodes.len() as u32;
         let reply = Msg {
             from: self.cfg.control_pe,
-            to: msg.from,
-            job: msg.job,
+            to: from,
+            job,
             task: COORD_TASK,
             bytes,
             kind: MsgKind::ControlRep {
-                nodes: placement.nodes,
+                nodes: Nodes::new(placement.nodes),
             },
         };
         self.actions.push(Action::Send(Box::new(reply)));
@@ -1255,5 +1255,23 @@ impl Simulation for System {
 
     fn quiesce(&mut self) {
         self.drain();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 1000-PE join load keeps ~190k requests queued at CPUs and disks
+    /// and a deep event list: a field that re-bloats a completion token
+    /// grows every queue slot and every event.
+    #[test]
+    fn events_and_queue_slots_stay_small() {
+        let ev = std::mem::size_of::<Ev>();
+        assert!(ev <= 32, "Ev is {ev} bytes");
+        let cpu = FifoPool::<Token>::SLOT_BYTES;
+        assert!(cpu <= 24, "a CPU pool slot is {cpu} bytes");
+        let disk = FifoPool::<Option<Token>>::SLOT_BYTES;
+        assert!(disk <= 24, "a disk pool slot is {disk} bytes");
     }
 }

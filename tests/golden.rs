@@ -149,16 +149,69 @@ fn every_scenario_point_matches_its_golden_digest() {
     }
     // Name the points that moved before failing.
     let old: Value = serde_json::from_str(&committed).expect("GOLDEN.json parses");
-    let mut moved = Vec::new();
-    if let (Some(Value::Object(old_s)), Some(Value::Object(new_s))) =
-        (old.get("scenarios"), fresh.get("scenarios"))
-    {
-        for (name, new_runs) in new_s {
-            let old_runs = old_s.iter().find(|(n, _)| n == name).map(|(_, r)| r);
-            if old_runs != Some(new_runs) {
-                moved.push(name.clone());
-            }
+    let moved = moved_points(&old, &fresh);
+    panic!("GOLDEN.json differs; points whose digests moved: {moved:?}");
+}
+
+/// `(scenario/label, digest)` of every point of a golden file.
+fn point_digests(golden: &Value) -> Vec<(String, &str)> {
+    let Some(Value::Object(scenarios)) = golden.get("scenarios") else {
+        return Vec::new();
+    };
+    let mut points = Vec::new();
+    for (name, runs) in scenarios {
+        for run in runs.as_array().into_iter().flatten() {
+            let label = run.get("run").and_then(Value::as_str).unwrap_or("?");
+            let digest = run.get("digest").and_then(Value::as_str).unwrap_or("");
+            points.push((format!("{name}/{label}"), digest));
         }
     }
-    panic!("GOLDEN.json differs; scenarios whose digests moved: {moved:?}");
+    points
+}
+
+/// The points, as `scenario/label`, whose digest differs between two
+/// golden files, or that only one of them has. Only the digest strings
+/// are compared: the float fields beside them need not parse back to
+/// the same `f64`, so comparing parsed values names unmoved points.
+fn moved_points(old: &Value, new: &Value) -> Vec<String> {
+    let old = point_digests(old);
+    let new = point_digests(new);
+    let mut moved: Vec<String> = new
+        .iter()
+        .filter(|point| !old.contains(point))
+        .chain(
+            old.iter()
+                .filter(|point| !new.iter().any(|(n, _)| *n == point.0)),
+        )
+        .map(|(name, _)| name.clone())
+        .collect();
+    moved.sort();
+    moved.dedup();
+    moved
+}
+
+#[test]
+fn moved_points_compare_digests_not_float_fields() {
+    let golden = |resp: f64, digest: &str| -> Value {
+        let text = format!(
+            r#"{{"scenarios": {{"fig7": [
+                {{"run": "a", "digest": "00000000000000aa", "join_resp_ms": 1.5}},
+                {{"run": "b", "digest": "{digest}", "join_resp_ms": {resp}}}
+            ]}}}}"#
+        );
+        serde_json::from_str(&text).expect("test golden parses")
+    };
+    let resp = 1_234.567_890_123_456_7_f64;
+    let old = golden(resp, "00000000000000bb");
+    // The same point with a float field one ulp away: not moved.
+    let ulp = golden(f64::from_bits(resp.to_bits() + 1), "00000000000000bb");
+    assert_ne!(old, ulp);
+    assert!(moved_points(&old, &ulp).is_empty());
+    // A moved digest is named as scenario/label.
+    let moved = golden(resp, "00000000000000cc");
+    assert_eq!(moved_points(&old, &moved), vec!["fig7/b".to_string()]);
+    // So are points only one side has.
+    let empty: Value = serde_json::from_str(r#"{"scenarios": {}}"#).unwrap();
+    assert_eq!(moved_points(&old, &empty), vec!["fig7/a", "fig7/b"]);
+    assert_eq!(moved_points(&empty, &old), vec!["fig7/a", "fig7/b"]);
 }

@@ -7,9 +7,12 @@
 //! event list reserved 65,536 entries up front. It is 7.16 MB with one
 //! FIFO block pool per device class, an event list that grows on demand
 //! and joins that share the catalog's fragment-home snapshots; the pool
-//! alone saves about 1.6 MB, the reservation about 3.6 MB. The bound
-//! sits between, so undoing either of the first two changes fails the
-//! test.
+//! alone saves about 1.6 MB, the reservation about 3.6 MB. It is
+//! 5.24 MB once the scans of one join side share one plan and sit in a
+//! scan table of their own (104 bytes a scan, not a 208-byte task enum),
+//! messages are 40 bytes and completion tokens 16 (24-byte queue slots,
+//! 32-byte events). The bound sits between 7.16 and 5.24 MB, so undoing
+//! these layout changes together fails the test.
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide. Live and peak bytes are kept
@@ -61,7 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Peak live heap bytes a run of [`backlogged_join_cfg`] may reach.
-const PEAK_BUDGET_BYTES: i64 = 8_500_000;
+const PEAK_BUDGET_BYTES: i64 = 6_200_000;
 
 fn backlogged_join_cfg() -> SimConfig {
     SimConfig::paper_default(
