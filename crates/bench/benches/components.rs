@@ -1,5 +1,5 @@
 //! Component benchmarks: buffer manager, lock manager, deadlock detector,
-//! B+-tree planning, disk subsystem, trace codec.
+//! B+-tree planning, disk subsystem.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dbmodel::btree::{BTreeModel, ScanPlan};
@@ -9,7 +9,6 @@ use dbmodel::deadlock::find_victims;
 use dbmodel::lock::{LockManager, LockMode, TxnToken};
 use hardware::{DiskId, DiskParams, DiskSubsystem, IoKind, IoRequest};
 use simkit::{FifoPool, SimRng, SimTime};
-use workload::trace::{decode, encode, synthesize};
 
 fn bench_buffer(c: &mut Criterion) {
     c.bench_function("buffer/fix_1k_with_working_space", |b| {
@@ -139,17 +138,6 @@ fn bench_disk(c: &mut Criterion) {
     });
 }
 
-fn bench_trace_codec(c: &mut Criterion) {
-    let mut rng = SimRng::new(7);
-    let records = synthesize(&mut rng, 10_000, 1_000.0, 0, 0, 64, 42);
-    c.bench_function("trace/encode_decode_10k", |b| {
-        b.iter(|| {
-            let bytes = encode(&records);
-            black_box(decode(bytes).expect("round trip").len())
-        })
-    });
-}
-
 /// Placement dispatch overhead: direct enum dispatch (`Strategy::place`)
 /// vs the broker's trait-object path (`dyn PlacementPolicy` behind
 /// `dyn ResourceBroker`). Confirms the Scheduler/ResourceBroker refactor
@@ -237,7 +225,6 @@ criterion_group!(
     bench_deadlock,
     bench_btree,
     bench_disk,
-    bench_trace_codec,
     bench_placement_dispatch
 );
 criterion_main!(benches);

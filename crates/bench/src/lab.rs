@@ -494,75 +494,120 @@ fn csv_escape(s: &str) -> String {
     }
 }
 
-/// Write the headline metrics to `results/<name>.csv`, one row per run
-/// with one column per sweep axis.
+/// One CSV cell for a serialized scalar.
+fn csv_cell(v: &serde_json::Value) -> String {
+    use serde_json::Value;
+    match v {
+        Value::Null => String::new(),
+        Value::Bool(b) => b.to_string(),
+        Value::U64(x) => x.to_string(),
+        Value::I64(x) => x.to_string(),
+        Value::F64(x) => x.to_string(),
+        Value::Str(s) => s.clone(),
+        Value::Array(_) | Value::Object(_) => unreachable!("a scalar field"),
+    }
+}
+
+/// `(column, cell)` for every field of a serialized `Summary`: each
+/// scalar by its field name (`strategy` aside: the row's series label
+/// carries it) and `<class>_<field>` for each field of each class.
+fn summary_columns(s: &Summary) -> Vec<(String, String)> {
+    use serde_json::Value;
+    let Value::Object(fields) = serde_json::to_value(s) else {
+        unreachable!("a Summary serializes to an object")
+    };
+    let mut columns = Vec::new();
+    for (key, value) in fields {
+        match value {
+            Value::Array(classes) => {
+                for class in classes {
+                    let Value::Object(class) = class else {
+                        unreachable!("a class serializes to an object")
+                    };
+                    let name = class
+                        .iter()
+                        .find(|(k, _)| k == "name")
+                        .map(|(_, v)| csv_cell(v))
+                        .unwrap_or_default();
+                    for (field, v) in class.iter().filter(|(k, _)| k != "name") {
+                        columns.push((format!("{name}_{field}"), csv_cell(v)));
+                    }
+                }
+            }
+            _ if key == "strategy" => {}
+            scalar => columns.push((key, csv_cell(&scalar))),
+        }
+    }
+    columns
+}
+
+/// Write `results/<name>.csv`, one row per run: a column per sweep axis,
+/// the series label, the headline response times, then one column per
+/// serialized `Summary` field and per class field, in first-appearance
+/// order over all rows (empty where a row lacks a class).
 pub fn write_lab_csv(name: &str, rows: &[LabRow]) -> Option<PathBuf> {
+    let dir = PathBuf::from("results");
+    let _ = std::fs::create_dir_all(&dir);
+    write_results_file(&dir.join(format!("{name}.csv")), lab_csv(name, rows))
+}
+
+fn lab_csv(name: &str, rows: &[LabRow]) -> String {
     use std::fmt::Write;
-    // The strategy axis gets its own fixed column below.
-    let axis_names: Vec<String> = rows
+    // The strategy axis is the series label's column.
+    let axis_names: Vec<&str> = rows
         .first()
         .map(|r| {
             r.axes
                 .iter()
-                .map(|(a, _)| a.clone())
-                .filter(|a| a != "strategy")
+                .map(|(a, _)| a.as_str())
+                .filter(|&a| a != "strategy")
                 .collect()
         })
         .unwrap_or_default();
-    let mut out = String::new();
-    let _ = write!(out, "scenario");
-    for a in &axis_names {
-        let _ = write!(out, ",{}", csv_escape(a));
-    }
-    let _ = writeln!(
-        out,
-        ",strategy,n_pes,join_resp_ms,oltp_resp_ms,avg_cpu_util,avg_disk_util,\
-         avg_mem_util,avg_net_util,p95_cpu_util,p95_mem_util,p95_disk_util,\
-         p95_net_util,avg_join_degree,policy_switches,events,\
-         stale_reads_p95_ms,false_suspicions,suspected_node_rounds"
-    );
-    for r in rows {
-        let _ = write!(out, "{}", csv_escape(name));
-        for a in &axis_names {
-            let v = r
-                .axes
-                .iter()
-                .find(|(name, _)| name == a)
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            let _ = write!(out, ",{}", csv_escape(v));
+    let cells: Vec<Vec<(String, String)>> =
+        rows.iter().map(|r| summary_columns(&r.summary)).collect();
+    let mut columns: Vec<&str> = Vec::new();
+    for (column, _) in cells.iter().flatten() {
+        if !columns.contains(&column.as_str()) {
+            columns.push(column);
         }
-        let s = &r.summary;
-        let oltp = s
+    }
+
+    let mut out = String::from("scenario");
+    for column in axis_names
+        .iter()
+        .chain(&["strategy", "join_resp_ms", "oltp_resp_ms"])
+        .chain(&columns)
+    {
+        let _ = write!(out, ",{}", csv_escape(column));
+    }
+    out.push('\n');
+    for (r, row_cells) in rows.iter().zip(&cells) {
+        out.push_str(&csv_escape(name));
+        for a in &axis_names {
+            let _ = write!(out, ",{}", csv_escape(r.axis(a).unwrap_or("")));
+        }
+        let oltp = r
+            .summary
             .oltp_resp_ms()
             .map(|v| format!("{v:.3}"))
             .unwrap_or_default();
-        let _ = writeln!(
+        let _ = write!(
             out,
-            ",{},{},{:.3},{oltp},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.3},{},{},\
-             {:.1},{},{}",
+            ",{},{:.3},{oltp}",
             csv_escape(&r.strategy),
-            s.n_pes,
-            s.join_resp_ms(),
-            s.avg_cpu_util,
-            s.avg_disk_util,
-            s.avg_mem_util,
-            s.avg_net_util,
-            s.p95_cpu_util,
-            s.p95_mem_util,
-            s.p95_disk_util,
-            s.p95_net_util,
-            s.avg_join_degree,
-            s.policy_switches,
-            s.events,
-            s.stale_reads_p95_ms,
-            s.false_suspicions,
-            s.suspected_node_rounds,
+            r.summary.join_resp_ms()
         );
+        for column in &columns {
+            let cell = row_cells
+                .iter()
+                .find(|(c, _)| c == column)
+                .map_or("", |(_, v)| v.as_str());
+            let _ = write!(out, ",{}", csv_escape(cell));
+        }
+        out.push('\n');
     }
-    let dir = PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    write_results_file(&dir.join(format!("{name}.csv")), out)
+    out
 }
 
 /// Run a bundled figure spec (embedded JSON) and return its rows: the
@@ -665,6 +710,56 @@ mod tests {
             "ok"
         )
         .is_ok());
+    }
+
+    #[test]
+    fn lab_csv_has_a_column_for_every_summary_field() {
+        let spec = ScenarioSpec {
+            name: "csv".into(),
+            base: Knobs {
+                n_pes: 4,
+                workload: workload::WorkloadShape::Mixed,
+                sim_secs: 2.0,
+                warmup_secs: 0.5,
+                ..Knobs::default()
+            },
+            ..ScenarioSpec::default()
+        };
+        let rows = run_scenario(&spec, RunLength::Spec);
+        let csv = lab_csv("csv", &rows);
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let cells: Vec<&str> = lines.next().unwrap().split(',').collect();
+        assert_eq!(header.len(), cells.len());
+        let cell = |column: &str| {
+            let i = header.iter().position(|&h| h == column);
+            cells[i.unwrap_or_else(|| panic!("no `{column}` column in {header:?}"))]
+        };
+        let summary = &rows[0].summary;
+        let serde_json::Value::Object(fields) = serde_json::to_value(summary) else {
+            panic!("a Summary serializes to an object")
+        };
+        let mut scalars = 0;
+        for (key, value) in &fields {
+            if !matches!(value, serde_json::Value::Array(_)) {
+                cell(key);
+                scalars += 1;
+            }
+        }
+        assert!(scalars > 30, "{scalars} scalar fields");
+        assert_eq!(cell("arrivals"), summary.arrivals.to_string());
+        assert_eq!(cell("strategy"), rows[0].strategy);
+        assert!(summary.classes.len() >= 2, "joins and OLTP");
+        for class in &summary.classes {
+            let name = &class.name;
+            assert_eq!(
+                cell(&format!("{name}_completed")),
+                class.completed.to_string()
+            );
+            for field in ["mean_ms", "p95_ms", "throughput"] {
+                cell(&format!("{name}_{field}"));
+            }
+        }
     }
 
     #[test]

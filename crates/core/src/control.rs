@@ -325,11 +325,6 @@ impl ControlNode {
         self.locality = Some(locality);
     }
 
-    /// The registered data-locality view, if any.
-    pub fn locality(&self) -> Option<&DataLocality> {
-        self.locality.as_ref()
-    }
-
     /// Nodes sorted descending by local tuples of `rel` (ties rotated like
     /// every other ranking). Data-locality-aware selection uses this to
     /// co-locate join processors with the build input's fragments.
@@ -448,11 +443,6 @@ impl ControlNode {
     /// Is this node currently suspected failed by the broker's detector?
     pub fn is_suspected(&self, id: u32) -> bool {
         self.suspected[id as usize]
-    }
-
-    /// Nodes currently under suspicion.
-    pub fn suspected_count(&self) -> u32 {
-        self.n_suspected
     }
 
     /// Average utilization of one resource over all live nodes (`u_cpu`

@@ -39,16 +39,6 @@ pub fn ks_avoiding_io(avail: &[(u32, u32)], table_pages: f64) -> Vec<u32> {
         .collect()
 }
 
-/// Total overflow pages of the top-k selection: each selected node gets an
-/// equal share of the table; shortfall below the share spills.
-pub fn overflow_pages(avail: &[(u32, u32)], k: u32, table_pages: f64) -> f64 {
-    let share = table_pages / k as f64;
-    avail[..k as usize]
-        .iter()
-        .map(|&(_, free)| (share - free as f64).max(0.0))
-        .sum()
-}
-
 /// Overflow at the **critical processor** of the top-k selection: "the one
 /// with the minimum amount of available memory is critical since it is
 /// likely to cause the highest I/O delays from all subqueries. Hence, it
@@ -316,14 +306,5 @@ mod tests {
         };
         assert_eq!(min_io(&loose, &mut c).0, 3);
         assert_eq!(min_io_suopt(&loose, &mut c).0, 30);
-    }
-
-    #[test]
-    fn overflow_accounts_per_node_shortfall() {
-        let avail = vec![(0, 8), (1, 1), (2, 0), (3, 0)];
-        // k=4, share=2.5: shortfalls 0, 1.5, 2.5, 2.5 = 6.5.
-        assert!((overflow_pages(&avail, 4, 10.0) - 6.5).abs() < 1e-9);
-        // k=1, share=10: shortfall 2.
-        assert!((overflow_pages(&avail, 1, 10.0) - 2.0).abs() < 1e-9);
     }
 }

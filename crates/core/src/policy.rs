@@ -216,11 +216,6 @@ impl CoordinatorPolicy {
     pub fn new(kind: CoordPolicyKind) -> CoordinatorPolicy {
         CoordinatorPolicy { kind, rr: 0 }
     }
-
-    /// The wrapped policy kind.
-    pub fn kind(&self) -> CoordPolicyKind {
-        self.kind
-    }
 }
 
 impl PlacementPolicy for CoordinatorPolicy {

@@ -61,12 +61,6 @@ pub enum FixOutcome {
     },
 }
 
-impl FixOutcome {
-    pub fn is_hit(&self) -> bool {
-        matches!(self, FixOutcome::Hit)
-    }
-}
-
 /// Result of a working-space reservation request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReserveOutcome {
@@ -257,13 +251,6 @@ impl BufferManager {
             Some(addr)
         } else {
             None
-        }
-    }
-
-    /// Mark a resident page dirty (no-op if absent).
-    pub fn mark_dirty(&mut self, addr: PageAddr) {
-        if let Some(meta) = self.global.get_mut(&addr) {
-            meta.dirty = true;
         }
     }
 

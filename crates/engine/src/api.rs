@@ -53,8 +53,9 @@ pub enum Step {
 /// Completion routing token. Carried by every asynchronous request.
 ///
 /// A message's token is the message itself: its job and receiving task
-/// are read from the message. Either way a token is 16 bytes, which is
-/// what a queued CPU or disk request and a completion event pay for it.
+/// are read from the message. Either way a token is two words: every
+/// queued CPU or disk request and every completion event carries one
+/// (`messages_and_tokens_stay_small` pins its size).
 #[derive(Debug, Clone)]
 pub enum Token {
     /// `step` of task `task` of job `job` completed.
@@ -162,11 +163,11 @@ pub struct ControlReq {
 
 /// The PEs of a placement, shared by the job and its scans as their
 /// destination list. A thin pointer, so the reply that carries it keeps
-/// [`MsgKind`] at 16 bytes.
+/// [`MsgKind`] at two words.
 pub type Nodes = Rc<Vec<PeId>>;
 
-/// A message in flight (40 bytes, so its box takes a 48-byte malloc
-/// chunk).
+/// A message in flight. Its size sets the malloc chunk of every message
+/// box; `messages_and_tokens_stay_small` pins it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Msg {
     pub from: PeId,

@@ -156,23 +156,6 @@ impl JoinJob {
         }
     }
 
-    /// One-line state summary for stuck-job diagnostics.
-    pub fn debug_state(&self) -> String {
-        format!(
-            "Join state={:?} deg={} ready={}/{} builddone={} joindone={} acks={}/{} results={}/{}",
-            self.state,
-            self.joins.len(),
-            self.ready_cnt,
-            self.joins.len(),
-            self.builddone_cnt,
-            self.joindone_cnt,
-            self.ack_cnt,
-            self.joins.len() + self.scans.len(),
-            self.result_tuples,
-            self.inner_out,
-        )
-    }
-
     /// The join tasks (task id = index).
     pub fn joins(&self) -> &[JoinTask] {
         &self.joins
@@ -203,20 +186,6 @@ impl JoinJob {
             Some(side) if tid >= side.first => side,
             _ => build.as_ref().expect("a scan belongs to a placed join"),
         }
-    }
-
-    /// Detailed per-task state (diagnostics).
-    pub fn debug_tasks(&self) -> Vec<String> {
-        let joins = self.joins.iter().map(|j| j.debug_state());
-        let scans = self.scans.iter().map(|s| {
-            let side = Self::side_of(&self.build, &self.probe, s.task_id);
-            s.debug_state(side)
-        });
-        joins
-            .chain(scans)
-            .enumerate()
-            .map(|(i, line)| format!("  task{i} {line}"))
-            .collect()
     }
 
     pub fn outcome(&self) -> JoinOutcome {

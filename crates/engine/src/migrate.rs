@@ -116,21 +116,6 @@ impl MigrationJob {
         }
     }
 
-    /// One-line diagnostic summary.
-    pub fn debug_state(&self) -> String {
-        format!(
-            "migrate {:?}#{} {}→{} st={:?} sent={}/{} written={}",
-            self.relation,
-            self.fragment,
-            self.from,
-            self.to,
-            self.state,
-            self.pages_sent,
-            self.pages,
-            self.pages_written,
-        )
-    }
-
     pub fn handle(&mut self, job: JobId, input: Input, ctx: &mut Ctx) {
         debug_assert_eq!(input.task, COORD_TASK);
         match (self.state, input.kind) {

@@ -54,10 +54,6 @@ impl MultiJoinJob {
         self.join.coord
     }
 
-    pub fn stages_done(&self) -> usize {
-        self.current
-    }
-
     pub fn handle(&mut self, job: JobId, input: Input, ctx: &mut Ctx) {
         self.join.handle(job, input, ctx);
         if self.join.stage_complete && self.current + 1 < self.stages.len() {

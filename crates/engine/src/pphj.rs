@@ -736,30 +736,6 @@ impl JoinTask {
         );
     }
 
-    pub fn is_waiting_for_memory(&self) -> bool {
-        self.state == JState::WaitMem
-    }
-
-    /// One-line diagnostic summary.
-    pub fn debug_state(&self) -> String {
-        format!(
-            "join pe={} st={:?} parts={} res={} used={} a_ends={}/{} b_ends={}/{} a={} res_emit={} dpart={} dpage={}",
-            self.pe,
-            self.state,
-            self.part_count,
-            self.reserved,
-            self.used,
-            self.a_ends,
-            self.a_srcs,
-            self.b_ends,
-            self.b_srcs,
-            self.total_a,
-            self.results_emitted,
-            self.delayed_part,
-            self.delayed_page,
-        )
-    }
-
     pub fn results_produced(&self) -> u64 {
         self.results_emitted
     }

@@ -19,8 +19,9 @@
 //! [`ScanSide`], kept by the owning job and passed to each scan's
 //! handlers; a [`ScanTask`] holds only its fragment's state. At 1000 PEs
 //! a join holds about a thousand scans per side, so the shared plan and
-//! `u32` page counters keep a scan at 104 bytes. Its per-destination
-//! output state is allocated at start and freed at finish.
+//! `u32` page counters keep a scan small (`scan_task_stays_within_104_bytes`
+//! pins its size). Its per-destination output state is allocated at start
+//! and freed at finish.
 
 use crate::api::{
     even_share, Action, InKind, JobId, JoinPhase, MsgKind, Nodes, PeId, Step, TaskId, Token,
@@ -667,22 +668,6 @@ impl ScanTask {
             }
             ScanSource::Memory { .. } => None,
         }
-    }
-
-    /// One-line diagnostic summary.
-    pub fn debug_state(&self, side: &ScanSide) -> String {
-        format!(
-            "scan pe={} st={:?} phase={:?} idx={}/{} pages={}/{} out={}/{}",
-            self.pe,
-            self.state,
-            side.phase,
-            self.idx_done,
-            self.index_pages,
-            self.pages_done,
-            self.data_pages,
-            self.out_done,
-            self.tuples_out_total,
-        )
     }
 
     pub fn tuples_out(&self) -> u64 {

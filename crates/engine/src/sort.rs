@@ -291,10 +291,6 @@ impl SortTask {
             MsgKind::CommitAck,
         );
     }
-
-    pub fn tuples_in(&self) -> u64 {
-        self.total_in
-    }
 }
 
 use crate::api::{ControlReq, InKind, Input, JoinPhase, Msg, Nodes, COORD_TASK};

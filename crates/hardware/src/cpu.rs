@@ -17,18 +17,12 @@ use simkit::{FcfsServer, Priority, SimTime};
 pub struct Cpu<T> {
     params: CpuParams,
     server: FcfsServer<T>,
-    /// Total instructions requested (for reporting).
-    instructions: u64,
 }
 
 impl<T> Cpu<T> {
     pub fn new(params: CpuParams) -> Self {
         let server = FcfsServer::new(params.cpus_per_pe);
-        Cpu {
-            params,
-            server,
-            instructions: 0,
-        }
+        Cpu { params, server }
     }
 
     /// Request `instr` instructions of CPU service. On an idle unit the
@@ -43,7 +37,6 @@ impl<T> Cpu<T> {
         oltp: bool,
         tag: T,
     ) -> Option<Grant<T>> {
-        self.instructions += instr;
         let prio = if oltp && self.params.oltp_priority {
             Priority::High
         } else {
@@ -79,10 +72,6 @@ impl<T> Cpu<T> {
 
     pub fn in_service(&self) -> u32 {
         self.server.in_service()
-    }
-
-    pub fn total_instructions(&self) -> u64 {
-        self.instructions
     }
 
     pub fn params(&self) -> &CpuParams {
@@ -143,9 +132,9 @@ mod tests {
     fn tracks_instruction_totals_and_utilization() {
         let mut cpu: Cpu<()> = Cpu::new(CpuParams::default());
         let mut p = FifoPool::new();
-        cpu.request(&mut p, at(0), 40_000, false, ()); // 2 ms
+        let g = cpu.request(&mut p, at(0), 40_000, false, ()).unwrap();
+        assert_eq!(g.done, at(2), "40,000 instructions at 20 MIPS");
         cpu.complete(&mut p, at(2));
-        assert_eq!(cpu.total_instructions(), 40_000);
         let u = cpu.utilization(at(4));
         assert!((u - 0.5).abs() < 1e-9);
     }

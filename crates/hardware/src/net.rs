@@ -40,8 +40,6 @@ pub struct Network {
     params: NetParams,
     egress: Vec<Link>,
     msgs: u64,
-    bytes: u64,
-    packets: u64,
 }
 
 impl Network {
@@ -50,8 +48,6 @@ impl Network {
             egress: vec![Link::default(); pes],
             params,
             msgs: 0,
-            bytes: 0,
-            packets: 0,
         }
     }
 
@@ -65,8 +61,6 @@ impl Network {
     /// `release + latency()`.
     pub fn send(&mut self, now: SimTime, src: usize, bytes: u32) -> SimTime {
         self.msgs += 1;
-        self.bytes += bytes as u64;
-        self.packets += self.params.packets(bytes) as u64;
         let wire = self.params.wire_time(bytes);
         let link = &mut self.egress[src];
         link.free_at = link.free_at.max(now) + wire;
@@ -90,14 +84,6 @@ impl Network {
     pub fn messages_sent(&self) -> u64 {
         self.msgs
     }
-
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes
-    }
-
-    pub fn packets_sent(&self) -> u64 {
-        self.packets
-    }
 }
 
 #[cfg(test)]
@@ -115,16 +101,16 @@ mod tests {
     fn wire_time_scales_with_packets() {
         let mut n = Network::new(NetParams::default(), 4);
         // 8 KB = 64 packets × 6.4 us = 409.6 us
+        assert_eq!(n.params().packets(8192), 64);
         assert_eq!(n.send(at_us(0), 0, 8192), SimTime(4_096_000 / 10));
-        assert_eq!(n.packets_sent(), 64);
     }
 
     #[test]
     fn small_message_is_one_packet() {
         let mut n = Network::new(NetParams::default(), 2);
+        assert_eq!(n.params().packets(16), 1);
         let done = n.send(at_us(0), 1, 16);
         assert_eq!(done, SimTime::ZERO + SimDur::from_nanos(6_400));
-        assert_eq!(n.packets_sent(), 1);
     }
 
     #[test]
@@ -149,10 +135,11 @@ mod tests {
     #[test]
     fn counters() {
         let mut n = Network::new(NetParams::default(), 2);
-        n.send(at_us(0), 0, 300);
+        // 300 bytes over 128-byte packets: three packets on the wire.
+        assert_eq!(n.params().packets(300), 3);
+        let done = n.send(at_us(0), 0, 300);
+        assert_eq!(done, SimTime::ZERO + SimDur::from_nanos(3 * 6_400));
         assert_eq!(n.messages_sent(), 1);
-        assert_eq!(n.bytes_sent(), 300);
-        assert_eq!(n.packets_sent(), 3);
     }
 
     /// The event-driven link model the self-timed one replaced: an

@@ -53,12 +53,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// The seed this stream was created from.
     pub fn seed(&self) -> u64 {
         self.seed

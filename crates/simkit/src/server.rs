@@ -55,8 +55,9 @@ const BLOCK: usize = 8;
 const SEGMENT_BLOCKS: usize = 128;
 
 /// One request slot (`tag == None` when unused): the service time and
-/// the caller's tag. With a 16-byte tag whose `Option` fits a niche (the
-/// simulator's completion token) a slot is 24 bytes and a block 192.
+/// the caller's tag. A tag whose `Option` fits a niche (the simulator's
+/// completion token) adds no discriminant; `snsim`'s
+/// `events_and_queue_slots_stay_small` pins the simulator's slot size.
 #[derive(Debug)]
 struct Slot<T> {
     service: SimDur,

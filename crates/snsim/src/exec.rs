@@ -11,7 +11,7 @@
 use crate::system::{Ev, System};
 use engine::api::{Action, InKind, Input, JobId, Msg, MsgKind, TaskId, Token, COORD_TASK};
 use engine::ctx::Ctx;
-use engine::{Job, PeId};
+use engine::PeId;
 use hardware::{DiskId, IoKind, IoRequest};
 
 impl System {
@@ -196,54 +196,5 @@ impl System {
                 self.events.after(after, Ev::Alarm { job, pe });
             }
         }
-    }
-
-    /// Summaries of up to `max` live jobs (stuck-state diagnostics).
-    pub fn debug_live_jobs(&self, max: usize) -> Vec<String> {
-        self.jobs
-            .iter()
-            .take(max)
-            .map(|(_, j)| match j {
-                Job::Join(j) => format!("submitted={} {}", j.submitted, j.debug_state()),
-                Job::MultiJoin(m) => format!(
-                    "submitted={} multi[{}] {}",
-                    m.join.submitted,
-                    m.stages_done(),
-                    m.join.debug_state()
-                ),
-                Job::Oltp(o) => format!("oltp pe={} submitted={}", o.pe, o.submitted),
-                Job::ScanQ(s) => format!("scanq submitted={}", s.submitted),
-                Job::UpdateQ(u) => format!("updateq submitted={}", u.submitted),
-                Job::SortQ(s) => format!("sortq submitted={}", s.submitted),
-                Job::Migrate(m) => m.debug_state(),
-            })
-            .collect()
-    }
-
-    /// Tasks of the first stuck join job (diagnostics).
-    pub fn debug_live_tasks_of_first_stuck(&self) -> Vec<(usize, String)> {
-        for (_, j) in self.jobs.iter() {
-            if let Job::Join(j) = j {
-                let lines = j.debug_tasks();
-                return lines.into_iter().enumerate().collect();
-            }
-        }
-        Vec::new()
-    }
-
-    /// Hardware server occupancy (diagnostics): (pe, cpu_in_service,
-    /// cpu_queued, disk_outstanding) for PEs with anything in flight.
-    pub fn debug_server_state(&self) -> Vec<(u32, u32, usize, usize)> {
-        (0..self.pes.len())
-            .map(|i| {
-                (
-                    i as u32,
-                    self.cpus[i].in_service(),
-                    self.cpus[i].queued(),
-                    self.disks[i].outstanding(),
-                )
-            })
-            .filter(|&(_, a, b, c)| a > 0 || b > 0 || c > 0)
-            .collect()
     }
 }

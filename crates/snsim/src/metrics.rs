@@ -329,11 +329,6 @@ impl ClassSummary {
     }
 }
 
-/// Helper: duration of the measurement window.
-pub fn measured_window(sim_time: SimDur, warmup: SimDur) -> SimDur {
-    sim_time.saturating_sub(warmup)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1172,10 +1172,6 @@ impl System {
         self.jobs.len()
     }
 
-    pub fn events_processed(&self) -> u64 {
-        self.events.processed()
-    }
-
     pub fn check_buffer_invariants(&self) {
         for pe in &self.pes {
             pe.buffer.check_invariants();

@@ -134,14 +134,6 @@ impl ArrivalProcess {
         self.spec
     }
 
-    /// Time until the next arrival; `None` for single-user mode (the
-    /// driver launches the next instance on completion instead).
-    /// Equivalent to [`ArrivalProcess::next_interarrival_at`] at time
-    /// zero — stationary processes ignore the clock entirely.
-    pub fn next_interarrival(&self, rng: &mut SimRng) -> Option<SimDur> {
-        self.next_interarrival_at(SimTime::ZERO, rng)
-    }
-
     /// Remaining pause when arrivals are switched off at `now` but will
     /// come back: a `Burst` with `factor <= 0` pauses the class for the
     /// rest of its burst window. Everything else that zeroes the rate
@@ -216,7 +208,11 @@ mod tests {
         let mut rng = SimRng::new(5);
         let n = 100_000;
         let mean: f64 = (0..n)
-            .map(|_| p.next_interarrival(&mut rng).unwrap().as_secs_f64())
+            .map(|_| {
+                p.next_interarrival_at(SimTime::ZERO, &mut rng)
+                    .unwrap()
+                    .as_secs_f64()
+            })
             .sum::<f64>()
             / n as f64;
         assert!((mean - 0.02).abs() < 0.001, "mean {mean}");
@@ -232,11 +228,11 @@ mod tests {
         );
         let mut rng = SimRng::new(5);
         assert_eq!(
-            p.next_interarrival(&mut rng),
+            p.next_interarrival_at(SimTime::ZERO, &mut rng),
             Some(SimDur::from_millis(100))
         );
         assert_eq!(
-            p.next_interarrival(&mut rng),
+            p.next_interarrival_at(SimTime::ZERO, &mut rng),
             Some(SimDur::from_millis(100))
         );
     }
@@ -245,7 +241,7 @@ mod tests {
     fn single_user_has_no_arrivals() {
         let p = ArrivalProcess::new(ArrivalSpec::SingleUser, 4);
         let mut rng = SimRng::new(5);
-        assert_eq!(p.next_interarrival(&mut rng), None);
+        assert_eq!(p.next_interarrival_at(SimTime::ZERO, &mut rng), None);
         assert!(ArrivalSpec::SingleUser.is_single_user());
     }
 
@@ -253,7 +249,7 @@ mod tests {
     fn zero_rate_yields_none() {
         let p = ArrivalProcess::new(ArrivalSpec::PoissonTotal { rate: 0.0 }, 4);
         let mut rng = SimRng::new(5);
-        assert_eq!(p.next_interarrival(&mut rng), None);
+        assert_eq!(p.next_interarrival_at(SimTime::ZERO, &mut rng), None);
     }
 
     #[test]

@@ -17,16 +17,13 @@
 //! * [`mix`] — ready-made workloads for each experiment of §5;
 //! * [`scenario`] — declarative experiment scenarios: a serializable
 //!   [`scenario::ScenarioSpec`] describing a base point plus
-//!   parameter sweeps, expanded into labelled runs by the scenario lab;
-//! * [`trace`] — a compact binary trace format (writer/reader/synthesizer)
-//!   standing in for the real-life traces of \[18\] (see DESIGN.md).
+//!   parameter sweeps, expanded into labelled runs by the scenario lab.
 
 pub mod arrivals;
 pub mod mix;
 pub mod oltp;
 pub mod queries;
 pub mod scenario;
-pub mod trace;
 
 pub use arrivals::{ArrivalProcess, ArrivalSpec, Modulation};
 pub use mix::WorkloadSpec;

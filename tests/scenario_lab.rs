@@ -32,6 +32,7 @@ fn bundled_specs_parse_and_expand() {
         ("phase_shift_adaptive", 5),
         ("data_skew_rebalance", 6),
         ("static_vs_dynamic_placement", 6),
+        ("ratematch_baseline", 4),
     ] {
         let spec = load(name);
         assert_eq!(spec.name, name, "spec name matches file stem");
