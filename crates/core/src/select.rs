@@ -219,6 +219,47 @@ mod tests {
     }
 
     #[test]
+    fn dl_picks_the_nodes_holding_the_inner_relation() {
+        use crate::control::DataLocality;
+        // Relation 1 (the inner) is skewed onto nodes 4 and 1; relation 0
+        // is skewed the other way, so picking by the wrong relation shows.
+        let mut c = ctl(&[50; 6], &[0.0; 6]);
+        c.set_locality(DataLocality {
+            tuples: vec![vec![900, 0, 0, 0, 0, 0], vec![0, 300, 0, 0, 700, 0]],
+        });
+        let mut rng = SimRng::new(1);
+        let nodes = SelectPolicy::DataLocal.select(2, &mut c, &mut rng, 0, 1);
+        assert_eq!(nodes, vec![4, 1], "most local tuples first");
+        assert_eq!(SelectPolicy::DataLocal.name(), "DL");
+    }
+
+    #[test]
+    fn dl_rotates_ties_like_the_other_rankings() {
+        use crate::control::DataLocality;
+        // Node 5 holds the inner relation; nodes 0–4 tie at no tuples.
+        let mut c = ctl(&[50; 6], &[0.0; 6]);
+        c.luc_bump = 0.0;
+        c.set_locality(DataLocality {
+            tuples: vec![vec![], vec![0, 0, 0, 0, 0, 100]],
+        });
+        let mut rng = SimRng::new(1);
+        let first = SelectPolicy::DataLocal.select(3, &mut c, &mut rng, 0, 1);
+        assert_eq!(first, vec![5, 0, 1]);
+        // The assignment advanced the cursor by 3: the leader stays first,
+        // the tied nodes start at id 3 and wrap round, as LUM's do.
+        let tied: Vec<u32> = c.by_local_data(1).iter().map(|&(i, _)| i).collect();
+        let lum: Vec<u32> = c.avail_memory().iter().map(|&(i, _)| i).collect();
+        assert_eq!(tied, vec![5, 3, 4, 0, 1, 2]);
+        assert_eq!(
+            lum,
+            vec![3, 4, 5, 0, 1, 2],
+            "LUM ties rotate by the same cursor"
+        );
+        let second = SelectPolicy::DataLocal.select(3, &mut c, &mut rng, 0, 1);
+        assert_eq!(second, vec![5, 3, 4]);
+    }
+
+    #[test]
     fn selection_caps_at_system_size() {
         let mut c = ctl(&[10; 3], &[0.0; 3]);
         let mut rng = SimRng::new(1);

@@ -107,18 +107,6 @@ struct Waiter {
     desired: u32,
 }
 
-/// Buffer manager statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BufferStats {
-    pub fixes: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub steals: u64,
-    pub writebacks: u64,
-    pub reservations: u64,
-    pub queued_reservations: u64,
-}
-
 /// The buffer manager of one PE.
 pub struct BufferManager {
     capacity: u32,
@@ -127,7 +115,6 @@ pub struct BufferManager {
     global: LruMap<PageAddr, PageMeta>,
     reservations: Vec<(JobMemKey, Reservation)>,
     mem_queue: VecDeque<Waiter>,
-    stats: BufferStats,
     epoch: u32,
     hot_this: u32,
     hot_prev: u32,
@@ -146,7 +133,6 @@ impl BufferManager {
             global: LruMap::new(capacity as usize),
             reservations: Vec::new(),
             mem_queue: VecDeque::new(),
-            stats: BufferStats::default(),
             epoch: 0,
             hot_this: 0,
             hot_prev: 0,
@@ -181,10 +167,6 @@ impl BufferManager {
         self.mem_queue.len()
     }
 
-    pub fn stats(&self) -> BufferStats {
-        self.stats
-    }
-
     // ---------------------------------------------------------------
     // Global buffer (page cache)
     // ---------------------------------------------------------------
@@ -192,10 +174,8 @@ impl BufferManager {
     /// Fix a page. `write` marks it dirty. `priority` marks an OLTP access
     /// that may steal working-space frames.
     pub fn fix(&mut self, addr: PageAddr, write: bool, priority: bool) -> FixOutcome {
-        self.stats.fixes += 1;
         let epoch = self.epoch;
         if let Some(meta) = self.global.get_mut(&addr) {
-            self.stats.hits += 1;
             meta.dirty |= write;
             if meta.epoch != epoch {
                 meta.epoch = epoch;
@@ -208,7 +188,6 @@ impl BufferManager {
             }
             return FixOutcome::Hit;
         }
-        self.stats.misses += 1;
         let meta = PageMeta {
             dirty: write,
             epoch,
@@ -224,7 +203,6 @@ impl BufferManager {
         if priority {
             if let Some(victim) = self.steal_victim() {
                 self.shrink_reservation(victim, 1);
-                self.stats.steals += 1;
                 let evicted = self.global.insert(addr, meta);
                 debug_assert!(evicted.is_none());
                 return FixOutcome::MissSteal {
@@ -246,12 +224,7 @@ impl BufferManager {
             .global
             .evict_lru()
             .expect("evict_one called with empty global buffer");
-        if meta.dirty {
-            self.stats.writebacks += 1;
-            Some(addr)
-        } else {
-            None
-        }
+        meta.dirty.then_some(addr)
     }
 
     /// Drop all pages of an object (e.g. a deleted temporary file).
@@ -309,9 +282,7 @@ impl BufferManager {
     pub fn reserve(&mut self, job: JobMemKey, min: u32, desired: u32) -> ReserveOutcome {
         let min = min.max(1);
         let desired = desired.max(min);
-        self.stats.reservations += 1;
         if !self.mem_queue.is_empty() || self.reservable() < min {
-            self.stats.queued_reservations += 1;
             self.mem_queue.push_back(Waiter { job, min, desired });
             return ReserveOutcome::Queued;
         }
@@ -333,10 +304,8 @@ impl BufferManager {
     /// stalling; a multi-node join must never hold memory on some nodes
     /// while queueing on others (cross-node admission convoy).
     pub fn reserve_best_effort(&mut self, job: JobMemKey, desired: u32) -> (u32, Vec<PageAddr>) {
-        self.stats.reservations += 1;
         let pages = self.reservable().min(desired.max(1));
         if pages == 0 {
-            self.stats.queued_reservations += 1;
             return (0, Vec::new());
         }
         self.grant(job, 1, pages);
@@ -480,8 +449,6 @@ mod tests {
             FixOutcome::Miss { .. }
         ));
         assert_eq!(b.fix(addr(1, 0), false, false), FixOutcome::Hit);
-        assert_eq!(b.stats().hits, 1);
-        assert_eq!(b.stats().misses, 1);
     }
 
     #[test]
@@ -494,7 +461,6 @@ mod tests {
             FixOutcome::Miss { writeback: Some(a) } => assert_eq!(a, addr(1, 0)),
             other => panic!("expected dirty writeback, got {other:?}"),
         }
-        assert_eq!(b.stats().writebacks, 1);
     }
 
     #[test]
@@ -579,7 +545,6 @@ mod tests {
             other => panic!("expected steal, got {other:?}"),
         }
         assert_eq!(b.reserved_of(JobMemKey(1)), 8);
-        assert_eq!(b.stats().steals, 1);
         b.check_invariants();
     }
 

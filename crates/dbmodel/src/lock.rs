@@ -13,18 +13,40 @@
 //! # Layout
 //!
 //! A debit-credit transaction takes four uncontended tuple locks and
-//! releases them at commit, on every one of 1000 PEs, so the table is
-//! shaped for that case:
+//! releases them at commit, on every one of 1000 PEs. On the 1000-PE OLTP
+//! soak each table grows to 64 buckets in the cold-start transient and
+//! then holds about five locks, so the size of a bucket, not the contents
+//! of an entry, sets the tables' footprint. Both maps are shaped for that:
 //!
-//! * an entry keeps its first holder inline and spills co-holders (shared
-//!   locks) to a `Vec` in grant order; its waiter queue is a `VecDeque`,
-//!   which allocates only when someone waits. An uncontended entry owns no
-//!   heap buffer, so creating and dropping one per access is free;
-//! * the per-transaction list of held objects keeps its first four
-//!   objects inline and spills the rest to a `Vec` that is recycled
-//!   through a small free list;
+//! * a lock entry is 32 bytes (a 40-byte bucket with its key). It keeps
+//!   its first holder (id, birth and mode) and a holder count inline.
+//!   Co-holders (shared locks, in grant order) and the FIFO waiter queue
+//!   live in one boxed side record that exists only under contention. An
+//!   emptied record goes back to a pool in the manager, so a warm
+//!   contended lock → commit cycle takes its record from there, not from
+//!   the allocator;
+//! * a held list is 40 bytes (a 48-byte bucket). It keeps a transaction's
+//!   first four objects inline, with a length and the index of a buffer
+//!   in the manager's spill pool for the rest; a retired list returns its
+//!   buffer with its capacity;
 //! * `release`/`release_all` reach each entry with one hash lookup and
 //!   remove an emptied entry through the same lookup.
+//!
+//! The uncontended cycle therefore touches no allocator once the tables
+//! are warm, and the tables need no entry pool.
+//!
+//! The maps keep their keys, their hasher and the order of the operations
+//! on them. The hash table places and iterates buckets by hash and by the
+//! history of inserts, removals and resizes alone, never by entry size, so
+//! the bucket layout is the one the 96- and 72-byte buckets had, and so
+//! are the orders of [`LockManager::wait_edges`] and
+//! [`LockManager::births`]. That order must stay: the deadlock detector
+//! can abort several victims in one pass, and the edge order can reach the
+//! abort order. A capacity policy would change that history, since every
+//! shrink rehashes a table and reorders its iteration. It also costs time:
+//! shrinking on release reallocates on the hot path, and trimming every
+//! table at each report round lowered the soak's peak RSS about as much as
+//! this layout does but made its runs about half as slow again.
 //!
 //! A held list records one entry per grant, in grant order: an upgrade
 //! granted from the wait queue appends its object a second time, and
@@ -66,74 +88,118 @@ pub enum LockOutcome {
     Waiting,
 }
 
-/// Ordered list keeping its first `N` items inline and the rest in
-/// `spill` (so `spill.len() == len.saturating_sub(N)`).
-#[derive(Debug)]
-struct SmallList<T: Copy, const N: usize> {
-    len: usize,
-    /// Slots `len..N` hold stale copies, never read.
-    inline: [T; N],
-    spill: Vec<T>,
+/// A holder record or a queued request.
+type Request = (TxnToken, LockMode);
+
+/// Bound on each free list (side records, spare spill capacity): enough
+/// for every plausible steady state, small enough that a burst of
+/// contention or of large transactions cannot pin memory.
+const POOL_CAP: usize = 256;
+
+/// The part of a lock entry that only contention needs.
+#[derive(Debug, Default)]
+struct Contention {
+    /// Holders after the first, in grant order.
+    co_holders: Vec<Request>,
+    waiters: VecDeque<Request>,
 }
 
-impl<T: Copy, const N: usize> SmallList<T, N> {
-    fn one(x: T) -> Self {
-        SmallList {
-            len: 1,
-            inline: [x; N],
-            spill: Vec::new(),
+impl Contention {
+    fn is_empty(&self) -> bool {
+        self.co_holders.is_empty() && self.waiters.is_empty()
+    }
+}
+
+/// Emptied side records, kept boxed: a record drawn from here costs no
+/// allocation, neither for the box nor for its buffers' capacity.
+#[allow(clippy::vec_box)]
+type SidePool = Vec<Box<Contention>>;
+
+#[derive(Debug)]
+struct LockEntry {
+    /// First holder in grant order; stale while `n_holders == 0`.
+    first: TxnToken,
+    /// Co-holders and waiters; `None` between calls when there are none.
+    side: Option<Box<Contention>>,
+    /// `first` plus `side.co_holders`; nonzero between calls.
+    n_holders: u32,
+    /// Mode of `first`.
+    mode: LockMode,
+}
+
+impl LockEntry {
+    fn new(txn: TxnToken, mode: LockMode) -> Self {
+        LockEntry {
+            first: txn,
+            side: None,
+            n_holders: 1,
+            mode,
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    /// Holders in grant order.
+    fn holders(&self) -> impl Iterator<Item = Request> + '_ {
+        let first = (self.n_holders > 0).then_some((self.first, self.mode));
+        first
+            .into_iter()
+            .chain(self.side.iter().flat_map(|s| s.co_holders.iter().copied()))
+    }
+
+    fn waiters(&self) -> impl Iterator<Item = &Request> + '_ {
+        self.side.iter().flat_map(|s| s.waiters.iter())
+    }
+
+    fn front_waiter(&self) -> Option<Request> {
+        self.side.as_ref()?.waiters.front().copied()
+    }
+
+    fn has_waiters(&self) -> bool {
+        self.side.as_ref().is_some_and(|s| !s.waiters.is_empty())
     }
 
     fn is_empty(&self) -> bool {
-        self.len == 0
+        self.n_holders == 0 && !self.has_waiters()
     }
 
-    fn get(&self, i: usize) -> T {
-        if i < N {
-            self.inline[i]
+    /// The side record, drawn from `pool` if the entry has none.
+    fn side_mut(&mut self, pool: &mut SidePool) -> &mut Contention {
+        self.side
+            .get_or_insert_with(|| pool.pop().unwrap_or_default())
+    }
+
+    fn push_holder(&mut self, (txn, mode): Request, pool: &mut SidePool) {
+        if self.n_holders == 0 {
+            self.first = txn;
+            self.mode = mode;
         } else {
-            self.spill[i - N]
+            self.side_mut(pool).co_holders.push((txn, mode));
         }
+        self.n_holders += 1;
     }
 
-    fn get_mut(&mut self, i: usize) -> &mut T {
-        if i < N {
-            &mut self.inline[i]
-        } else {
-            &mut self.spill[i - N]
+    /// Drop `id`'s holder records, keeping the others in grant order.
+    fn remove_holder(&mut self, id: u64) {
+        let mut co = self.side.as_deref_mut().map(|s| &mut s.co_holders);
+        if let Some(m) = &mut co {
+            m.retain(|(t, _)| t.id != id);
         }
-    }
-
-    fn iter(&self) -> std::iter::Chain<std::slice::Iter<'_, T>, std::slice::Iter<'_, T>> {
-        self.inline[..self.len.min(N)].iter().chain(&self.spill)
-    }
-
-    fn push(&mut self, x: T) {
-        if self.len < N {
-            self.inline[self.len] = x;
-        } else {
-            self.spill.push(x);
-        }
-        self.len += 1;
-    }
-
-    /// Keep the items `keep` accepts, in order.
-    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let mut kept = 0;
-        for i in 0..self.len {
-            let x = self.get(i);
-            if keep(&x) {
-                *self.get_mut(kept) = x;
-                kept += 1;
+        if self.n_holders > 0 && self.first.id == id {
+            // The next co-holder, if any, moves into the inline slot.
+            match &mut co {
+                Some(m) if !m.is_empty() => (self.first, self.mode) = m.remove(0),
+                _ => self.n_holders = 0,
             }
         }
-        self.spill.truncate(kept.saturating_sub(N));
-        self.len = kept;
+        self.n_holders = u32::from(self.n_holders > 0) + co.map_or(0, |m| m.len() as u32);
+    }
+
+    /// Hand an emptied side record back to `pool`.
+    fn settle(&mut self, pool: &mut SidePool) {
+        if let Some(side) = self.side.take_if(|s| s.is_empty()) {
+            if pool.len() < POOL_CAP {
+                pool.push(side);
+            }
+        }
     }
 }
 
@@ -141,13 +207,125 @@ impl<T: Copy, const N: usize> SmallList<T, N> {
 /// takes four tuple locks.
 const HELD_INLINE: usize = 4;
 
-type Held = SmallList<u64, HELD_INLINE>;
+/// `Held::spill` of a list that has no spill buffer.
+const NO_SPILL: u32 = u32::MAX;
 
+/// Objects one transaction holds, in grant order: the first
+/// [`HELD_INLINE`] inline, the rest in its buffer of the [`SpillPool`].
 #[derive(Debug)]
-struct LockEntry {
-    /// Holders in grant order; never empty between calls.
-    holders: SmallList<(TxnToken, LockMode), 1>,
-    waiters: VecDeque<(TxnToken, LockMode)>,
+struct Held {
+    /// Slots `len..` hold stale copies, never read.
+    inline: [u64; HELD_INLINE],
+    len: u32,
+    /// Index of this list's spill buffer, or [`NO_SPILL`].
+    spill: u32,
+}
+
+impl Held {
+    fn one(object: u64) -> Self {
+        Held {
+            inline: [object; HELD_INLINE],
+            len: 1,
+            spill: NO_SPILL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn get(&self, i: usize, spills: &SpillPool) -> u64 {
+        if i < HELD_INLINE {
+            self.inline[i]
+        } else {
+            spills.bufs[self.spill as usize][i - HELD_INLINE]
+        }
+    }
+
+    fn iter<'a>(&'a self, spills: &'a SpillPool) -> impl Iterator<Item = u64> + 'a {
+        let spill: &[u64] = match self.spill {
+            NO_SPILL => &[],
+            i => &spills.bufs[i as usize],
+        };
+        self.inline[..self.len().min(HELD_INLINE)]
+            .iter()
+            .chain(spill)
+            .copied()
+    }
+
+    fn push(&mut self, object: u64, spills: &mut SpillPool) {
+        let len = self.len();
+        if len < HELD_INLINE {
+            self.inline[len] = object;
+        } else {
+            if self.spill == NO_SPILL {
+                self.spill = spills.take();
+            }
+            spills.bufs[self.spill as usize].push(object);
+        }
+        self.len += 1;
+    }
+
+    /// Drop every copy of `object`, keeping the rest in order. Returns
+    /// whether it was listed.
+    fn remove(&mut self, object: u64, spills: &mut SpillPool) -> bool {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            let x = self.get(i, spills);
+            if x == object {
+                continue;
+            }
+            if kept < HELD_INLINE {
+                self.inline[kept] = x;
+            } else {
+                spills.bufs[self.spill as usize][kept - HELD_INLINE] = x;
+            }
+            kept += 1;
+        }
+        if self.spill != NO_SPILL {
+            spills.bufs[self.spill as usize].truncate(kept.saturating_sub(HELD_INLINE));
+        }
+        let removed = kept != self.len();
+        self.len = kept as u32;
+        removed
+    }
+}
+
+/// Spill buffers of the held lists longer than [`HELD_INLINE`], indexed by
+/// `Held::spill`. A retired list's buffer is emptied and its index reused,
+/// so such a transaction does not allocate in steady state.
+#[derive(Debug, Default)]
+struct SpillPool {
+    bufs: Vec<Vec<u64>>,
+    /// Indices of `bufs` no live list uses.
+    free: Vec<u32>,
+}
+
+impl SpillPool {
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.bufs.push(Vec::new());
+            (self.bufs.len() - 1) as u32
+        })
+    }
+
+    /// Return a retired held list's buffer.
+    fn retire(&mut self, held: Held) {
+        if held.spill == NO_SPILL {
+            return;
+        }
+        let buf = &mut self.bufs[held.spill as usize];
+        if self.free.len() < POOL_CAP {
+            buf.clear();
+        } else {
+            *buf = Vec::new();
+        }
+        self.free.push(held.spill);
+    }
 }
 
 /// Per-PE lock table.
@@ -161,42 +339,22 @@ pub struct LockManager {
     /// no-contention commit, where the sweep would visit every bucket
     /// just to find nothing.
     waiting: usize,
-    /// Emptied spill buffers of retired held lists (capacity kept), so a
-    /// transaction holding more than [`HELD_INLINE`] objects does not
+    /// Emptied side records (capacity kept), so contention does not
     /// allocate in steady state.
-    spill_pool: Vec<Vec<u64>>,
+    side_pool: SidePool,
+    spills: SpillPool,
     grants: u64,
     waits: u64,
 }
 
-/// Bound on the spill free list: enough for every plausible steady state,
-/// small enough that a burst of large transactions cannot pin memory.
-const POOL_CAP: usize = 256;
-
-/// Record `object` as newly held by `txn`, drawing a spill buffer from
-/// the pool once the inline slots are full (free function: callers hold
+/// Record `object` as newly held by `txn` (free function: callers hold
 /// disjoint field borrows).
-fn note_held(held_by: &mut FxHashMap<u64, Held>, pool: &mut Vec<Vec<u64>>, txn: u64, object: u64) {
+fn note_held(held_by: &mut FxHashMap<u64, Held>, spills: &mut SpillPool, txn: u64, object: u64) {
     match held_by.entry(txn) {
-        MapEntry::Occupied(mut e) => {
-            let held = e.get_mut();
-            if held.len() == HELD_INLINE && held.spill.capacity() == 0 {
-                held.spill = pool.pop().unwrap_or_default();
-            }
-            held.push(object);
-        }
+        MapEntry::Occupied(mut e) => e.get_mut().push(object, spills),
         MapEntry::Vacant(v) => {
             v.insert(Held::one(object));
         }
-    }
-}
-
-/// Return a retired held list's spill buffer to the pool.
-fn retire_held(pool: &mut Vec<Vec<u64>>, held: Held) {
-    let mut spill = held.spill;
-    if spill.capacity() > 0 && pool.len() < POOL_CAP {
-        spill.clear();
-        pool.push(spill);
     }
 }
 
@@ -214,82 +372,72 @@ impl LockManager {
         let entry = match self.table.entry(object) {
             MapEntry::Occupied(e) => e.into_mut(),
             MapEntry::Vacant(v) => {
-                v.insert(LockEntry {
-                    holders: SmallList::one((txn, mode)),
-                    waiters: VecDeque::new(),
-                });
-                note_held(&mut self.held_by, &mut self.spill_pool, txn.id, object);
+                v.insert(LockEntry::new(txn, mode));
+                note_held(&mut self.held_by, &mut self.spills, txn.id, object);
                 self.grants += 1;
                 return LockOutcome::Granted;
             }
         };
-        // Already holding?
-        if let Some(pos) = entry.holders.iter().position(|(t, _)| t.id == txn.id) {
-            let held_mode = entry.holders.get(pos).1;
-            match (held_mode, mode) {
-                (LockMode::Exclusive, _) | (LockMode::Shared, LockMode::Shared) => {
-                    return LockOutcome::Granted;
-                }
-                (LockMode::Shared, LockMode::Exclusive) => {
-                    if entry.holders.len() == 1 {
-                        entry.holders.get_mut(pos).1 = LockMode::Exclusive;
-                        self.grants += 1;
-                        return LockOutcome::Granted;
-                    }
-                    entry.waiters.push_back((txn, LockMode::Exclusive));
-                    self.waiting += 1;
-                    self.waits += 1;
-                    return LockOutcome::Waiting;
-                }
+        let held_mode = entry
+            .holders()
+            .find(|(t, _)| t.id == txn.id)
+            .map(|(_, m)| m);
+        if let Some(held_mode) = held_mode {
+            if held_mode == LockMode::Exclusive || mode == LockMode::Shared {
+                return LockOutcome::Granted;
             }
-        }
-        let compatible_with_holders = entry.holders.iter().all(|(_, m)| m.compatible(mode));
-        if compatible_with_holders && entry.waiters.is_empty() {
-            entry.holders.push((txn, mode));
-            note_held(&mut self.held_by, &mut self.spill_pool, txn.id, object);
+            // A shared holder asking for exclusive: upgrade in place when
+            // alone, otherwise queue the upgrade.
+            if entry.n_holders == 1 {
+                entry.mode = LockMode::Exclusive;
+                self.grants += 1;
+                return LockOutcome::Granted;
+            }
+        } else if entry.holders().all(|(_, m)| m.compatible(mode)) && !entry.has_waiters() {
+            entry.push_holder((txn, mode), &mut self.side_pool);
+            note_held(&mut self.held_by, &mut self.spills, txn.id, object);
             self.grants += 1;
-            LockOutcome::Granted
-        } else {
-            entry.waiters.push_back((txn, mode));
-            self.waiting += 1;
-            self.waits += 1;
-            LockOutcome::Waiting
+            return LockOutcome::Granted;
         }
+        entry
+            .side_mut(&mut self.side_pool)
+            .waiters
+            .push_back((txn, mode));
+        self.waiting += 1;
+        self.waits += 1;
+        LockOutcome::Waiting
     }
 
     /// Grant `entry`'s waiters from the front while they are compatible,
-    /// appending each grant to `granted` and to its grantee's held list.
+    /// appending each grant to `granted` and to its grantee's held list,
+    /// then return an emptied side record to `side_pool`.
     fn promote_waiters(
         entry: &mut LockEntry,
         object: u64,
         granted: &mut Vec<(TxnToken, u64)>,
         waiting: &mut usize,
         held_by: &mut FxHashMap<u64, Held>,
-        pool: &mut Vec<Vec<u64>>,
+        spills: &mut SpillPool,
+        side_pool: &mut SidePool,
     ) {
-        while let Some(&(txn, mode)) = entry.waiters.front() {
-            // Upgrade case: waiter already holds shared and is alone.
-            if let Some(pos) = entry.holders.iter().position(|(t, _)| t.id == txn.id) {
-                if entry.holders.len() == 1 && mode == LockMode::Exclusive {
-                    entry.holders.get_mut(pos).1 = LockMode::Exclusive;
-                    entry.waiters.pop_front();
-                    *waiting -= 1;
-                    granted.push((txn, object));
-                    note_held(held_by, pool, txn.id, object);
-                    continue;
+        while let Some((txn, mode)) = entry.front_waiter() {
+            if entry.holders().any(|(t, _)| t.id == txn.id) {
+                // Upgrade case: the waiter already holds shared and is alone.
+                if entry.n_holders != 1 || mode != LockMode::Exclusive {
+                    break;
                 }
+                entry.mode = LockMode::Exclusive;
+            } else if entry.holders().all(|(_, m)| m.compatible(mode)) {
+                entry.push_holder((txn, mode), side_pool);
+            } else {
                 break;
             }
-            let ok = entry.holders.iter().all(|(_, m)| m.compatible(mode));
-            if !ok {
-                break;
-            }
-            entry.holders.push((txn, mode));
-            entry.waiters.pop_front();
+            entry.side_mut(side_pool).waiters.pop_front();
             *waiting -= 1;
             granted.push((txn, object));
-            note_held(held_by, pool, txn.id, object);
+            note_held(held_by, spills, txn.id, object);
         }
+        entry.settle(side_pool);
     }
 
     /// Drop `txn`'s holder record on `object`, promote the waiters behind
@@ -302,16 +450,17 @@ impl LockManager {
             return;
         };
         let entry = e.get_mut();
-        entry.holders.retain(|(t, _)| t.id != txn.id);
+        entry.remove_holder(txn.id);
         Self::promote_waiters(
             entry,
             object,
             granted,
             &mut self.waiting,
             &mut self.held_by,
-            &mut self.spill_pool,
+            &mut self.spills,
+            &mut self.side_pool,
         );
-        if entry.holders.is_empty() && entry.waiters.is_empty() {
+        if entry.is_empty() {
             e.remove();
         }
     }
@@ -325,15 +474,12 @@ impl LockManager {
         let MapEntry::Occupied(mut e) = self.held_by.entry(txn.id) else {
             return granted;
         };
-        let held = e.get_mut();
-        let before = held.len();
-        held.retain(|&o| o != object);
-        if held.len() == before {
+        if !e.get_mut().remove(object, &mut self.spills) {
             // Not a holder: nothing to release.
             return granted;
         }
-        if held.is_empty() {
-            retire_held(&mut self.spill_pool, e.remove());
+        if e.get().is_empty() {
+            self.spills.retire(e.remove());
         }
         self.release_holder(txn, object, &mut granted);
         self.grants += granted.len() as u64;
@@ -346,13 +492,16 @@ impl LockManager {
     pub fn release_all(&mut self, txn: TxnToken) -> Vec<(TxnToken, u64)> {
         let mut granted = Vec::new();
         if let Some(held) = self.held_by.remove(&txn.id) {
-            for (i, &object) in held.iter().enumerate() {
-                let repeat = held.iter().take(i).any(|&o| o == object);
+            // `held` keeps its spill buffer until it is retired below, so
+            // the grants made meanwhile cannot reuse it.
+            for i in 0..held.len() {
+                let object = held.get(i, &self.spills);
+                let repeat = (0..i).any(|j| held.get(j, &self.spills) == object);
                 if !repeat || self.table.contains_key(&object) {
                     self.release_holder(txn, object, &mut granted);
                 }
             }
-            retire_held(&mut self.spill_pool, held);
+            self.spills.retire(held);
         }
         // Drop any outstanding waits of this txn (abort path). With no
         // waiters anywhere the sweep cannot find anything — skip it.
@@ -361,24 +510,29 @@ impl LockManager {
                 table,
                 held_by,
                 waiting,
-                spill_pool,
+                side_pool,
+                spills,
                 ..
             } = self;
             table.retain(|&object, entry| {
-                let before = entry.waiters.len();
-                entry.waiters.retain(|(t, _)| t.id != txn.id);
-                if entry.waiters.len() != before {
-                    *waiting -= before - entry.waiters.len();
-                    Self::promote_waiters(
-                        entry,
-                        object,
-                        &mut granted,
-                        waiting,
-                        held_by,
-                        spill_pool,
-                    );
+                if let Some(side) = entry.side.as_deref_mut() {
+                    let before = side.waiters.len();
+                    side.waiters.retain(|(t, _)| t.id != txn.id);
+                    let dropped = before - side.waiters.len();
+                    if dropped > 0 {
+                        *waiting -= dropped;
+                        Self::promote_waiters(
+                            entry,
+                            object,
+                            &mut granted,
+                            waiting,
+                            held_by,
+                            spills,
+                            side_pool,
+                        );
+                    }
                 }
-                !(entry.holders.is_empty() && entry.waiters.is_empty())
+                !entry.is_empty()
             });
         }
         self.grants += granted.len() as u64;
@@ -390,14 +544,14 @@ impl LockManager {
     pub fn wait_edges(&self) -> Vec<(u64, u64)> {
         let mut edges = Vec::new();
         for entry in self.table.values() {
-            for (w, _) in &entry.waiters {
-                for (h, _) in entry.holders.iter() {
+            for (w, _) in entry.waiters() {
+                for (h, _) in entry.holders() {
                     if w.id != h.id {
                         edges.push((w.id, h.id));
                     }
                 }
                 // Waiters also wait for earlier waiters (FIFO queue).
-                for (w2, _) in &entry.waiters {
+                for (w2, _) in entry.waiters() {
                     if w2.id == w.id {
                         break;
                     }
@@ -412,9 +566,8 @@ impl LockManager {
     pub fn births(&self) -> Vec<TxnToken> {
         let mut txns = Vec::new();
         for entry in self.table.values() {
-            for (t, _) in entry.holders.iter().chain(entry.waiters.iter()) {
-                txns.push(*t);
-            }
+            txns.extend(entry.holders().map(|(t, _)| t));
+            txns.extend(entry.waiters().map(|(t, _)| *t));
         }
         txns
     }
@@ -440,37 +593,42 @@ impl LockManager {
     ///   ways (a transaction that queued requests behind its own can leave
     ///   a stale entry and fail this; the engine never does);
     /// * the waiter count equals the number of queued waiters;
-    /// * no entry is left with neither holders nor waiters.
+    /// * no entry is left with neither holders nor waiters, and a side
+    ///   record exists only while its entry has co-holders or waiters.
     pub fn check_invariants(&self, live: impl Fn(u64) -> bool) {
         let mut waiters = 0;
         for (&object, entry) in &self.table {
             assert!(
-                !(entry.holders.is_empty() && entry.waiters.is_empty()),
+                !entry.is_empty(),
                 "object {object}: entry with no holders and no waiters"
             );
-            for (t, _) in entry.holders.iter().chain(&entry.waiters) {
+            assert!(
+                entry.side.as_ref().is_none_or(|s| !s.is_empty()),
+                "object {object}: empty side record kept"
+            );
+            for (t, _) in entry.holders().chain(entry.waiters().copied()) {
                 assert!(live(t.id), "object {object}: txn {} is not live", t.id);
             }
-            for (t, _) in entry.holders.iter() {
+            for (t, _) in entry.holders() {
                 let listed = self
                     .held_by
                     .get(&t.id)
-                    .is_some_and(|h| h.iter().any(|&o| o == object));
+                    .is_some_and(|h| h.iter(&self.spills).any(|o| o == object));
                 assert!(
                     listed,
                     "object {object}: holder {} not in its held list",
                     t.id
                 );
             }
-            waiters += entry.waiters.len();
+            waiters += entry.waiters().count();
         }
         for (&txn, held) in &self.held_by {
             assert!(!held.is_empty(), "txn {txn}: empty held list kept");
-            for &object in held.iter() {
+            for object in held.iter(&self.spills) {
                 let holds = self
                     .table
                     .get(&object)
-                    .is_some_and(|e| e.holders.iter().any(|(t, _)| t.id == txn));
+                    .is_some_and(|e| e.holders().any(|(t, _)| t.id == txn));
                 assert!(holds, "txn {txn}: listed object {object} is not held");
             }
         }
@@ -487,6 +645,56 @@ mod tests {
             id,
             birth: SimTime(id),
         }
+    }
+
+    /// Bucket sizes of the two maps (see the module's "Layout"): 96 and 72
+    /// bytes with inline co-holder and waiter queues and a `Vec` spill.
+    #[test]
+    fn lock_table_buckets_stay_compact() {
+        assert!(std::mem::size_of::<(u64, LockEntry)>() <= 40);
+        assert!(std::mem::size_of::<(u64, Held)>() <= 48);
+    }
+
+    /// A side record exists only under contention and is recycled through
+    /// the pool once the entry is uncontended again.
+    #[test]
+    fn side_records_are_pooled() {
+        let mut lm = LockManager::new();
+        lm.lock(t(1), 5, LockMode::Exclusive);
+        assert!(lm.table[&5].side.is_none());
+        lm.lock(t(2), 5, LockMode::Shared);
+        assert!(lm.table[&5].side.is_some());
+        lm.release_all(t(1));
+        assert!(lm.table[&5].side.is_none(), "t2 holds alone");
+        assert_eq!(lm.side_pool.len(), 1);
+        lm.lock(t(3), 5, LockMode::Shared);
+        assert_eq!(lm.side_pool.len(), 0, "co-holder reuses the record");
+        lm.release_all(t(2));
+        lm.release_all(t(3));
+        assert!(lm.is_quiescent());
+        assert_eq!(lm.side_pool.len(), 1);
+    }
+
+    /// Held lists longer than the inline slots share the spill pool; a
+    /// retired list's buffer index is reused.
+    #[test]
+    fn spill_buffers_are_reused() {
+        let mut lm = LockManager::new();
+        for o in 0..6 {
+            lm.lock(t(1), o, LockMode::Shared);
+        }
+        assert_eq!(lm.release(t(1), 4), vec![]);
+        let held: Vec<u64> = lm.held_by[&1].iter(&lm.spills).collect();
+        assert_eq!(held, vec![0, 1, 2, 3, 5]);
+        lm.check_invariants(|_| true);
+        lm.release_all(t(1));
+        for o in 0..6 {
+            lm.lock(t(2), o, LockMode::Shared);
+        }
+        assert_eq!(lm.spills.bufs.len(), 1, "one buffer serves both");
+        lm.release_all(t(2));
+        assert!(lm.is_quiescent());
+        assert_eq!(lm.spills.free, vec![0]);
     }
 
     #[test]

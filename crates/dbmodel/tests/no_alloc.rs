@@ -142,6 +142,42 @@ fn pooled_entries_preserve_waiter_semantics() {
     assert!(mgr.is_quiescent());
 }
 
+/// A warm contended cycle: an exclusive holder and a shared waiter
+/// queued behind it, both committing with `release_all`. The waiter
+/// lives in the entry's boxed side record, which goes back to the
+/// manager's pool when the entry empties, so a round allocates only the
+/// grant list `release_all` returns to the holder. A round that boxed a
+/// fresh record would allocate three times (record, waiter queue, grant
+/// list); the bound is the two of a waiter queue kept inline in the
+/// entry.
+#[test]
+fn contended_cycle_recycles_its_side_record() {
+    let mut mgr = LockManager::new();
+    let round = |mgr: &mut LockManager, r: u64| {
+        let (holder, waiter) = (txn(2 * r), txn(2 * r + 1));
+        let object = r % 8;
+        assert_eq!(
+            mgr.lock(holder, object, LockMode::Exclusive),
+            LockOutcome::Granted
+        );
+        assert_eq!(
+            mgr.lock(waiter, object, LockMode::Shared),
+            LockOutcome::Waiting
+        );
+        let woken = mgr.release_all(holder);
+        assert_eq!(woken.as_slice(), &[(waiter, object)]);
+        assert!(mgr.release_all(waiter).is_empty());
+    };
+    for r in 0..64 {
+        round(&mut mgr, r);
+    }
+    for r in 64..4160 {
+        let ((), n) = allocs_during(|| round(&mut mgr, r));
+        assert!(n <= 2, "contended round {r} allocated {n} times");
+    }
+    assert!(mgr.is_quiescent());
+}
+
 /// The audit can fail: one deliberate allocation inside the window is
 /// counted.
 #[test]

@@ -48,21 +48,9 @@ pub struct IoRequest {
     pub kind: IoKind,
 }
 
-/// Counters for one disk.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiskStats {
-    pub reads: u64,
-    pub writes: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub pages_read: u64,
-    pub pages_written: u64,
-}
-
 struct DiskUnit<T> {
     server: FcfsServer<T>,
     cache: Option<LruMap<(u64, u64), ()>>,
-    stats: DiskStats,
 }
 
 /// The disk subsystem of one PE: `disks_per_pe` independent disk servers.
@@ -82,7 +70,6 @@ impl<T> DiskSubsystem<T> {
                 } else {
                     None
                 },
-                stats: DiskStats::default(),
             })
             .collect();
         DiskSubsystem { params, units }
@@ -98,22 +85,18 @@ impl<T> DiskSubsystem<T> {
 
     /// Compute the service time of `req` on `disk` and update the cache.
     fn service_for(&mut self, disk: DiskId, req: &IoRequest) -> SimDur {
-        let p = self.params.clone();
+        let p = &self.params;
         let unit = &mut self.units[disk.0 as usize];
         match req.kind {
             IoKind::SeqRead { run_remaining } => {
-                unit.stats.reads += 1;
-                unit.stats.pages_read += 1;
                 let hit = unit
                     .cache
                     .as_mut()
                     .map(|c| c.get(&(req.object, req.page)).is_some())
                     .unwrap_or(false);
                 if hit {
-                    unit.stats.cache_hits += 1;
                     p.controller_per_page + p.transmission_per_page
                 } else {
-                    unit.stats.cache_misses += 1;
                     let fetch = p.prefetch_pages.max(1).min(run_remaining.max(1));
                     if let Some(cache) = unit.cache.as_mut() {
                         for i in 0..fetch as u64 {
@@ -127,18 +110,14 @@ impl<T> DiskSubsystem<T> {
                 }
             }
             IoKind::RandRead => {
-                unit.stats.reads += 1;
-                unit.stats.pages_read += 1;
                 let hit = unit
                     .cache
                     .as_mut()
                     .map(|c| c.get(&(req.object, req.page)).is_some())
                     .unwrap_or(false);
                 if hit {
-                    unit.stats.cache_hits += 1;
                     p.controller_per_page + p.transmission_per_page
                 } else {
-                    unit.stats.cache_misses += 1;
                     if let Some(cache) = unit.cache.as_mut() {
                         cache.insert((req.object, req.page), ());
                     }
@@ -150,8 +129,6 @@ impl<T> DiskSubsystem<T> {
             }
             IoKind::Write { pages } => {
                 let pages = pages.max(1);
-                unit.stats.writes += 1;
-                unit.stats.pages_written += pages as u64;
                 // Write-through into the controller cache: a temporary
                 // partition read back soon after spilling may still hit.
                 if let Some(cache) = unit.cache.as_mut() {
@@ -210,20 +187,6 @@ impl<T> DiskSubsystem<T> {
             .sum()
     }
 
-    /// Aggregate counters across disks.
-    pub fn stats(&self) -> DiskStats {
-        let mut agg = DiskStats::default();
-        for u in &self.units {
-            agg.reads += u.stats.reads;
-            agg.writes += u.stats.writes;
-            agg.cache_hits += u.stats.cache_hits;
-            agg.cache_misses += u.stats.cache_misses;
-            agg.pages_read += u.stats.pages_read;
-            agg.pages_written += u.stats.pages_written;
-        }
-        agg
-    }
-
     /// Requests waiting over all disks.
     pub fn queued(&self) -> usize {
         self.units.iter().map(|u| u.server.queued()).sum()
@@ -269,8 +232,18 @@ mod tests {
             .unwrap();
         // 15 + 4*1 + 1 + 0.4 = 20.4 ms
         assert_eq!(g.done, SimTime::ZERO + SimDur::from_micros(20_400));
-        let s = d.stats();
-        assert_eq!((s.cache_hits, s.cache_misses), (0, 1));
+        d.complete(&mut p, g.done, DiskId(0));
+        // The miss prefetched pages 1–3: page 3 hits (1 + 0.4 ms), page 4
+        // misses and prefetches again.
+        let g = d
+            .request(&mut p, at(21), DiskId(0), seq(1, 3, 97), 1)
+            .unwrap();
+        assert_eq!(g.done, at(21) + SimDur::from_micros(1_400));
+        d.complete(&mut p, g.done, DiskId(0));
+        let g = d
+            .request(&mut p, at(23), DiskId(0), seq(1, 4, 96), 2)
+            .unwrap();
+        assert_eq!(g.done, at(23) + SimDur::from_micros(20_400));
     }
 
     #[test]
@@ -285,7 +258,6 @@ mod tests {
             .unwrap();
         // hit: 1 + 0.4 ms
         assert_eq!(g.done, at(21) + SimDur::from_micros(1_400));
-        assert_eq!(d.stats().cache_hits, 1);
     }
 
     #[test]
@@ -346,7 +318,13 @@ mod tests {
             .unwrap();
         // 15 + 4*(1 + 1 + 0.4) = 24.6 ms
         assert_eq!(g.done, SimTime::ZERO + SimDur::from_micros(24_600));
-        assert_eq!(d.stats().pages_written, 4);
+        d.complete(&mut p, g.done, DiskId(0));
+        // All four pages went through the controller cache: the last one
+        // reads back as a hit.
+        let g = d
+            .request(&mut p, at(25), DiskId(0), seq(5, 3, 1), 1)
+            .unwrap();
+        assert_eq!(g.done, at(25) + SimDur::from_micros(1_400));
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! `GOLDEN.json`. After every run the buffer-pool frame accounting,
 //! every PE's lock table and the device FIFO pools are checked as well.
 //!
+//! The `join_resp_ms` and `oltp_resp_ms` values in `GOLDEN.json` are
+//! readings on that capped horizon (an 80-PE point runs for 1 s), kept so
+//! that a moved point shows how far it moved. They are not the paper's
+//! claims and not the spec's own results: a point at its spec length can
+//! read quite differently. The paper's qualitative claims are pinned by
+//! `tests/strategy_shapes.rs` and the figure binaries' shape checks.
+//!
 //! An intended behaviour change regenerates the file in the same change:
 //!
 //! ```text

@@ -1,18 +1,28 @@
-//! Heap budget of a backlogged join load: the peak of live heap bytes
-//! over `System::new` and `System::run` on 200 PEs whose CPUs queue
-//! thousands of requests.
+//! Heap budgets: the peak of live heap bytes over `System::new` and
+//! `System::run` on two 200-PE loads.
 //!
-//! On this configuration the peak was 12.70 MB while every CPU and disk
-//! kept its own `VecDeque` queues, sized by its worst burst, and the
-//! event list reserved 65,536 entries up front. It is 7.16 MB with one
-//! FIFO block pool per device class, an event list that grows on demand
-//! and joins that share the catalog's fragment-home snapshots; the pool
-//! alone saves about 1.6 MB, the reservation about 3.6 MB. It is
-//! 5.24 MB once the scans of one join side share one plan and sit in a
-//! scan table of their own (104 bytes a scan, not a 208-byte task enum),
-//! messages are 40 bytes and completion tokens 16 (24-byte queue slots,
-//! 32-byte events). The bound sits between 7.16 and 5.24 MB, so undoing
-//! these layout changes together fails the test.
+//! **Backlogged joins**, whose CPUs queue thousands of requests. On this
+//! configuration the peak was 12.70 MB while every CPU and disk kept its
+//! own `VecDeque` queues, sized by its worst burst, and the event list
+//! reserved 65,536 entries up front. It is 7.16 MB with one FIFO block
+//! pool per device class, an event list that grows on demand and joins
+//! that share the catalog's fragment-home snapshots; the pool alone saves
+//! about 1.6 MB, the reservation about 3.6 MB. It is 5.24 MB once the
+//! scans of one join side share one plan and sit in a scan table of their
+//! own (104 bytes a scan, not a 208-byte task enum), messages are 40 bytes
+//! and completion tokens 16 (24-byte queue slots, 32-byte events), and
+//! 5.05 MB once disk units drop their unread counters and lock tables
+//! their inline contention state. The bound sits between 7.16 and
+//! 5.24 MB, so undoing the scan, message and token layouts together fails
+//! the test.
+//!
+//! **Debit-credit OLTP**: the 1000-PE OLTP soak's spec cut to 200 PEs and
+//! 0.5 s. Its peak was 5.08 MB with 96-byte lock-table buckets (first
+//! holder, co-holder spill `Vec` and waiter `VecDeque` inline) and 72-byte
+//! held-list buckets, and 4.22 MB with 40-byte lock buckets (contention in
+//! a pooled side record) and 48-byte held-list buckets (spill buffers by
+//! index). The bound sits between the two, so undoing the lock-table
+//! layout fails the test.
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide. Live and peak bytes are kept
@@ -23,6 +33,7 @@
 use parallel_lb::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use workload::scenario::ScenarioSpec;
 
 struct CountingAlloc;
 
@@ -63,8 +74,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Run `cfg`; return its summary and the peak of live heap bytes over
+/// `System::new` and `System::run`.
+fn peak_heap_of(cfg: SimConfig) -> (Summary, i64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let mut sys = snsim::System::new(cfg);
+    let summary = sys.run();
+    let peak = PEAK.with(Cell::get) - base;
+    drop(sys);
+    (summary, peak)
+}
+
 /// Peak live heap bytes a run of [`backlogged_join_cfg`] may reach.
 const PEAK_BUDGET_BYTES: i64 = 6_200_000;
+
+/// Peak live heap bytes a run of [`debit_credit_cfg`] may reach.
+const OLTP_PEAK_BUDGET_BYTES: i64 = 4_650_000;
 
 fn backlogged_join_cfg() -> SimConfig {
     SimConfig::paper_default(
@@ -78,12 +104,7 @@ fn backlogged_join_cfg() -> SimConfig {
 
 #[test]
 fn backlogged_join_peak_heap_stays_in_budget() {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    let mut sys = snsim::System::new(backlogged_join_cfg());
-    let summary = sys.run();
-    let peak = PEAK.with(Cell::get) - base;
-    drop(sys);
+    let (summary, peak) = peak_heap_of(backlogged_join_cfg());
     assert!(summary.messages > 200_000, "{} messages", summary.messages);
     println!(
         "peak live heap {:.3} MB over {} messages",
@@ -93,5 +114,32 @@ fn backlogged_join_peak_heap_stays_in_budget() {
     assert!(
         peak <= PEAK_BUDGET_BYTES,
         "peak live heap {peak} bytes, budget {PEAK_BUDGET_BYTES}"
+    );
+}
+
+/// The debit-credit soak (`scenarios/thousand_pe_soak.json`) cut to 200
+/// PEs and 0.5 s: 100 TPS per node, four tuple locks per transaction.
+fn debit_credit_cfg() -> SimConfig {
+    let json = std::fs::read_to_string("scenarios/thousand_pe_soak.json").expect("soak spec");
+    let mut spec: ScenarioSpec = serde_json::from_str(&json).expect("valid soak spec");
+    spec.base.n_pes = 200;
+    spec.base.seed = 1;
+    spec.base.sim_secs = 0.5;
+    spec.base.warmup_secs = 0.1;
+    snsim::scenario::build_config(&spec.base)
+}
+
+#[test]
+fn debit_credit_peak_heap_stays_in_budget() {
+    let (summary, peak) = peak_heap_of(debit_credit_cfg());
+    assert!(summary.arrivals > 9_000, "{} arrivals", summary.arrivals);
+    println!(
+        "peak live heap {:.3} MB over {} arrivals",
+        peak as f64 / 1e6,
+        summary.arrivals
+    );
+    assert!(
+        peak <= OLTP_PEAK_BUDGET_BYTES,
+        "peak live heap {peak} bytes, budget {OLTP_PEAK_BUDGET_BYTES}"
     );
 }
