@@ -58,7 +58,7 @@ trait Broker {
 
 impl Broker for ControlNode {
     fn new(n: usize) -> Self {
-        ControlNode::new(n)
+        ControlNode::new(n, Default::default())
     }
     fn report(&mut self, id: u32, v: ResourceVector) {
         ControlNode::report(self, id, v);

@@ -138,17 +138,14 @@ fn bench_disk(c: &mut Criterion) {
     });
 }
 
-/// Placement dispatch overhead: direct enum dispatch (`Strategy::place`)
-/// vs the broker's trait-object path (`dyn PlacementPolicy` behind
-/// `dyn ResourceBroker`). Confirms the Scheduler/ResourceBroker refactor
-/// does not regress the placement hot path: the decision logic itself
-/// (sorting AVAIL-MEMORY, eq. 3.3 scans) dominates the virtual calls.
+/// Placement dispatch overhead: the strategy called directly
+/// (`Strategy::place`) vs the same strategy reached through the broker
+/// (`Broker::place_join`: the stage-slot match and the `JoinPolicy`
+/// match in front of it). The decision logic itself (eq. 3.3 scans over
+/// AVAIL-MEMORY) should dominate both rows.
 fn bench_placement_dispatch(c: &mut Criterion) {
     use lb_core::control::ControlNode;
-    use lb_core::{
-        CentralBroker, JoinRequest, PlacementRequest, PolicyConfig, ResourceBroker, ResourceVector,
-        Strategy,
-    };
+    use lb_core::{Broker, JoinRequest, PolicyConfig, ResourceVector, Strategy};
 
     const N: usize = 64;
     let req = JoinRequest {
@@ -160,7 +157,7 @@ fn bench_placement_dispatch(c: &mut Criterion) {
         degree_cap: 0,
     };
     let fresh_ctl = || {
-        let mut ctl = ControlNode::new(N);
+        let mut ctl = ControlNode::new(N, Default::default());
         for i in 0..N {
             ctl.report(
                 i as u32,
@@ -187,14 +184,8 @@ fn bench_placement_dispatch(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("placement/trait_object_broker_1k", |b| {
-        let mut broker: Box<dyn ResourceBroker> = Box::new(CentralBroker::from_config(
-            N,
-            0.05,
-            40,
-            Strategy::OptIoCpu,
-            &PolicyConfig::default(),
-        ));
+    c.bench_function("placement/broker_1k", |b| {
+        let mut broker = Broker::new(N, 0.05, 40, Strategy::OptIoCpu, &PolicyConfig::default());
         for i in 0..N as u32 {
             broker.report(
                 i,
@@ -205,12 +196,11 @@ fn bench_placement_dispatch(c: &mut Criterion) {
                 },
             );
         }
-        let preq = PlacementRequest::join(0, req, N as u32);
         let mut rng = SimRng::new(11);
         b.iter(|| {
             let mut degrees = 0u64;
             for _ in 0..1_000 {
-                degrees += broker.place(&preq, &mut rng).degree() as u64;
+                degrees += broker.place_join(0, &req, &mut rng).degree() as u64;
             }
             black_box(degrees)
         })

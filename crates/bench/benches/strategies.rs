@@ -8,7 +8,7 @@ use simkit::SimRng;
 
 fn loaded_control(n: usize, seed: u64) -> ControlNode {
     let mut rng = SimRng::new(seed);
-    let mut c = ControlNode::new(n);
+    let mut c = ControlNode::new(n, Default::default());
     for i in 0..n {
         c.report(
             i as u32,
@@ -50,7 +50,6 @@ fn bench_placements(c: &mut Criterion) {
         ("min_io", Strategy::MinIo),
         ("min_io_suopt", Strategy::MinIoSuopt),
         ("opt_io_cpu", Strategy::OptIoCpu),
-        ("adaptive", Strategy::Adaptive),
     ] {
         c.bench_function(&format!("place/{name}_80pe"), |b| {
             let mut ctl = loaded_control(80, 9);

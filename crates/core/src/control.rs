@@ -43,7 +43,7 @@
 //! applied at read time: within each maximal run of equal keys, ids `>= rr
 //! % n` are emitted before ids `< rr % n`, which is exactly the order the
 //! old comparator `key.then(rank(a).cmp(&rank(b)))` produced. Head-only
-//! readers get a lazy iterator ([`ControlNode::ranked_cpu`] and friends,
+//! readers get a lazy iterator ([`ControlNode::ranked_util`] and friends,
 //! O(log n) to find the first run boundary, O(1) per item); prefix-scanning
 //! readers get a materialized view into a reusable scratch buffer
 //! ([`ControlNode::avail_memory`], O(n) copy, no sort, no allocation in
@@ -177,14 +177,6 @@ impl<K: RankKey> RankIndex<K> {
             order[dest] = id;
         }
     }
-
-    /// Re-sort from the current keys (used when every key changed at once,
-    /// e.g. a bottleneck-weight swap).
-    fn rebuild(&mut self) {
-        let key = &self.key;
-        self.order
-            .sort_unstable_by(|&a, &b| key[a as usize].rank_cmp(&key[b as usize]).then(a.cmp(&b)));
-    }
 }
 
 /// Append `order` to `out` with the rotation cursor applied: within each
@@ -252,12 +244,12 @@ pub struct ControlNode {
     /// Last reported resource vector per node (CPU feedback bumps mutate
     /// the CPU component in place).
     utils: Vec<ResourceVector>,
-    /// Failure-detector mask maintained by the broker layer: suspected
-    /// nodes are excluded from cluster averages (their reported state is
-    /// poisoned by the detector, so including them would drag every
-    /// adaptive threshold toward saturation) and skipped by the
-    /// rebalancer's endpoint selection. Always all-false under the
-    /// central broker.
+    /// Failure-detector mask maintained by the broker's lagged report
+    /// channel: suspected nodes are excluded from cluster averages (their
+    /// reported state is poisoned by the detector, so including them would
+    /// drag every adaptive threshold toward saturation) and skipped by the
+    /// rebalancer's endpoint selection. Always all-false on the other
+    /// channels.
     suspected: Vec<bool>,
     /// Count of `true` entries in `suspected` (fast-path guard: the
     /// zero-suspicion average must fold exactly like the pre-detector
@@ -273,8 +265,8 @@ pub struct ControlNode {
     /// LUC feedback: utilization bump per assigned join subquery.
     pub luc_bump: f64,
     /// Per-kind weights of the bottleneck norm (LUB selection, rebalance
-    /// pressure tie-breaks).
-    pub weights: ResourceWeights,
+    /// pressure tie-breaks), fixed at construction.
+    weights: ResourceWeights,
     /// Rotation cursor for tie-breaking: reported state is quantized
     /// (whole pages, windowed utilization), so exact ties are common; a
     /// fixed id-order tie-break would pile every placement onto the
@@ -289,10 +281,6 @@ pub struct ControlNode {
     bott_idx: RankIndex<f64>,
     /// Canonical AVAIL-MEMORY ranking (effective free pages, descending).
     mem_idx: RankIndex<u32>,
-    /// Weights the bottleneck keys were computed under; `weights` is a
-    /// public field mutated after construction (e.g. by
-    /// `CentralBroker::from_config`), so reads re-key lazily on mismatch.
-    weights_snap: ResourceWeights,
     /// Reusable buffers for materialized float/memory views (sized once;
     /// steady-state reads allocate nothing).
     scratch_f: Vec<(u32, f64)>,
@@ -300,21 +288,21 @@ pub struct ControlNode {
 }
 
 impl ControlNode {
-    /// A control node for `n` PEs with no reports received yet.
-    pub fn new(n: usize) -> Self {
+    /// A control node for `n` PEs with no reports received yet, ranking
+    /// bottlenecks under `weights`.
+    pub fn new(n: usize, weights: ResourceWeights) -> Self {
         ControlNode {
             utils: vec![ResourceVector::default(); n],
             suspected: vec![false; n],
             n_suspected: 0,
             promised: vec![0; n],
             luc_bump: 0.1,
-            weights: ResourceWeights::default(),
+            weights,
             rr: 0,
             locality: None,
             util_idx: std::array::from_fn(|_| RankIndex::new(n, 0.0)),
             bott_idx: RankIndex::new(n, 0.0),
             mem_idx: RankIndex::new(n, 0),
-            weights_snap: ResourceWeights::default(),
             scratch_f: Vec::with_capacity(n),
             scratch_m: Vec::with_capacity(n),
         }
@@ -377,18 +365,6 @@ impl ControlNode {
             .saturating_sub(self.promised[id as usize])
     }
 
-    /// Re-key the bottleneck index if `weights` was mutated since the keys
-    /// were computed (it is a public field, deliberately).
-    fn sync_weights(&mut self) {
-        if self.weights != self.weights_snap {
-            self.weights_snap = self.weights;
-            for id in 0..self.utils.len() {
-                self.bott_idx.key[id] = self.utils[id].bottleneck(&self.weights);
-            }
-            self.bott_idx.rebuild();
-        }
-    }
-
     /// Periodic report from node `id`: the full resource vector.
     /// Outstanding promises decay by half: reservations placed since the
     /// previous report are now visible in the reported numbers.
@@ -397,7 +373,6 @@ impl ControlNode {
     pub fn report(&mut self, id: u32, state: ResourceVector) {
         self.utils[id as usize] = state;
         self.promised[id as usize] /= 2;
-        self.sync_weights();
         for kind in ResourceKind::ALL {
             self.util_idx[kind.index()].update(id, state.get(kind));
         }
@@ -454,17 +429,24 @@ impl ControlNode {
     /// suspects (the only state the central broker ever has) this folds
     /// in exactly the pre-detector order.
     pub fn avg(&self, kind: ResourceKind) -> f64 {
+        self.live_mean(self.utils.iter().map(|v| v.get(kind)))
+    }
+
+    /// Mean of one value per node (in node order) over the nodes not
+    /// under suspicion; 0 when none is live. With no suspects this is the
+    /// plain sum over all nodes divided by their count.
+    pub fn live_mean(&self, per_node: impl Iterator<Item = f64>) -> f64 {
         if self.utils.is_empty() {
             return 0.0;
         }
         if self.n_suspected == 0 {
-            return self.utils.iter().map(|v| v.get(kind)).sum::<f64>() / self.utils.len() as f64;
+            return per_node.sum::<f64>() / self.utils.len() as f64;
         }
         let mut sum = 0.0;
         let mut live = 0u32;
-        for (v, &sus) in self.utils.iter().zip(&self.suspected) {
+        for (u, &sus) in per_node.zip(&self.suspected) {
             if !sus {
-                sum += v.get(kind);
+                sum += u;
                 live += 1;
             }
         }
@@ -475,9 +457,9 @@ impl ControlNode {
         }
     }
 
-    /// Average CPU utilization over all nodes (`u_cpu` of eq. 3.2).
-    pub fn avg_cpu(&self) -> f64 {
-        self.avg(ResourceKind::Cpu)
+    /// Nodes currently suspected failed.
+    pub fn suspected_nodes(&self) -> u32 {
+        self.n_suspected
     }
 
     /// Weighted bottleneck score of one node (`max_k w_k · u_k`).
@@ -500,11 +482,6 @@ impl ControlNode {
         &self.scratch_m
     }
 
-    /// Nodes sorted ascending by CPU utilization (for LUC), rotating ties.
-    pub fn by_cpu(&mut self) -> &[(u32, f64)] {
-        self.by_util(ResourceKind::Cpu)
-    }
-
     /// Nodes sorted ascending by one resource's utilization, rotating
     /// ties (the per-kind generalization behind LUC and `pmu-<kind>`
     /// diagnostics).
@@ -518,7 +495,6 @@ impl ControlNode {
     /// Nodes sorted ascending by weighted bottleneck score (for LUB),
     /// rotating ties.
     pub fn by_bottleneck(&mut self) -> &[(u32, f64)] {
-        self.sync_weights();
         let s = self.cursor();
         rotate_into(
             &self.bott_idx.order,
@@ -542,12 +518,8 @@ impl ControlNode {
         }
     }
 
-    /// Head-first walk of the by-CPU ranking: O(log n) to the first item.
-    pub fn ranked_cpu(&mut self) -> Ranked<'_, f64> {
-        self.ranked_util(ResourceKind::Cpu)
-    }
-
-    /// Head-first walk of one per-kind utilization ranking.
+    /// Head-first walk of one per-kind utilization ranking: O(log n) to
+    /// the first item.
     pub fn ranked_util(&mut self, kind: ResourceKind) -> Ranked<'_, f64> {
         let s = self.cursor();
         Self::lazy(&self.util_idx[kind.index()], s)
@@ -555,7 +527,6 @@ impl ControlNode {
 
     /// Head-first walk of the weighted-bottleneck ranking (LUB head).
     pub fn ranked_bottleneck(&mut self) -> Ranked<'_, f64> {
-        self.sync_weights();
         let s = self.cursor();
         Self::lazy(&self.bott_idx, s)
     }
@@ -572,7 +543,6 @@ impl ControlNode {
     /// nodes' index entries are repaired; the cursor advance is free
     /// because rotation is applied at read time.
     pub fn note_assignment(&mut self, nodes: &[u32], pages_per_node: u32) {
-        self.sync_weights();
         for &id in nodes {
             self.promised[id as usize] = self.promised[id as usize].saturating_add(pages_per_node);
             let s = &mut self.utils[id as usize];
@@ -593,7 +563,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn ctl(free: &[u32], cpu: &[f64]) -> ControlNode {
-        let mut c = ControlNode::new(free.len());
+        let mut c = ControlNode::new(free.len(), Default::default());
         for (i, (&f, &u)) in free.iter().zip(cpu).enumerate() {
             c.report(
                 i as u32,
@@ -622,21 +592,25 @@ mod tests {
     }
 
     #[test]
-    fn avg_cpu() {
+    fn avg_over_all_nodes() {
         let c = ctl(&[0, 0], &[0.2, 0.6]);
-        assert!((c.avg_cpu() - 0.4).abs() < 1e-12);
+        assert!((c.avg(ResourceKind::Cpu) - 0.4).abs() < 1e-12);
     }
 
     #[test]
-    fn by_cpu_sorted_asc() {
+    fn by_util_cpu_sorted_asc() {
         let mut c = ctl(&[0, 0, 0], &[0.9, 0.1, 0.5]);
-        let ids: Vec<u32> = c.by_cpu().iter().map(|(i, _)| *i).collect();
+        let ids: Vec<u32> = c
+            .by_util(ResourceKind::Cpu)
+            .iter()
+            .map(|(i, _)| *i)
+            .collect();
         assert_eq!(ids, vec![1, 2, 0]);
     }
 
     #[test]
     fn per_kind_reports_flow_into_rankings() {
-        let mut c = ControlNode::new(3);
+        let mut c = ControlNode::new(3, Default::default());
         for (i, net) in [0.8, 0.1, 0.4].into_iter().enumerate() {
             c.report(
                 i as u32,
@@ -664,24 +638,34 @@ mod tests {
 
     #[test]
     fn bottleneck_weights_reorder_nodes() {
-        let mut c = ControlNode::new(2);
-        c.report(
+        let ranked_first = |weights: ResourceWeights| {
+            let mut c = ControlNode::new(2, weights);
+            c.report(
+                0,
+                ResourceVector {
+                    cpu: 0.5,
+                    ..ResourceVector::default()
+                },
+            );
+            c.report(
+                1,
+                ResourceVector {
+                    net: 0.6,
+                    ..ResourceVector::default()
+                },
+            );
+            c.by_bottleneck()[0].0
+        };
+        assert_eq!(
+            ranked_first(ResourceWeights::default()),
             0,
-            ResourceVector {
-                cpu: 0.5,
-                ..ResourceVector::default()
-            },
+            "0.5 cpu beats 0.6 net"
         );
-        c.report(
-            1,
-            ResourceVector {
-                net: 0.6,
-                ..ResourceVector::default()
-            },
-        );
-        assert_eq!(c.by_bottleneck()[0].0, 0, "0.5 cpu beats 0.6 net");
-        c.weights.net = 0.5;
-        assert_eq!(c.by_bottleneck()[0].0, 1, "discounted net now wins");
+        let discounted = ResourceWeights {
+            net: 0.5,
+            ..ResourceWeights::default()
+        };
+        assert_eq!(ranked_first(discounted), 1, "discounted net now wins");
     }
 
     #[test]
@@ -737,7 +721,11 @@ mod tests {
         c.note_assignment(&[0, 1], 0);
         let ids: Vec<u32> = c.avail_memory().iter().map(|&(i, _)| i).collect();
         assert_eq!(ids, vec![2, 3, 0, 1], "cursor advanced by 2");
-        let cpu_ids: Vec<u32> = c.by_cpu().iter().map(|&(i, _)| i).collect();
+        let cpu_ids: Vec<u32> = c
+            .by_util(ResourceKind::Cpu)
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
         assert_eq!(cpu_ids, vec![2, 3, 0, 1], "same rotation on CPU ties");
         c.note_assignment(&[2, 3, 0], 0);
         let ids: Vec<u32> = c.avail_memory().iter().map(|&(i, _)| i).collect();
@@ -751,7 +739,11 @@ mod tests {
         // the by-CPU and bottleneck rankings without a fresh sort.
         c.luc_bump = 0.5;
         c.note_assignment(&[0], 4);
-        let ids: Vec<u32> = c.by_cpu().iter().map(|&(i, _)| i).collect();
+        let ids: Vec<u32> = c
+            .by_util(ResourceKind::Cpu)
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
         assert_eq!(ids, vec![1, 2, 0]);
         let ids: Vec<u32> = c.by_bottleneck().iter().map(|&(i, _)| i).collect();
         assert_eq!(ids, vec![1, 2, 0]);
@@ -764,8 +756,8 @@ mod tests {
     fn ranked_heads_match_materialized_views() {
         let mut c = ctl(&[3, 9, 9, 1], &[0.4, 0.2, 0.2, 0.9]);
         c.note_assignment(&[1], 2);
-        let full: Vec<(u32, f64)> = c.by_cpu().to_vec();
-        let lazy: Vec<(u32, f64)> = c.ranked_cpu().collect();
+        let full: Vec<(u32, f64)> = c.by_util(ResourceKind::Cpu).to_vec();
+        let lazy: Vec<(u32, f64)> = c.ranked_util(ResourceKind::Cpu).collect();
         assert_eq!(full, lazy);
         let full: Vec<(u32, u32)> = c.avail_memory().to_vec();
         let lazy: Vec<(u32, u32)> = c.ranked_memory().collect();
@@ -811,7 +803,7 @@ mod tests {
             ),
         ) {
             let n = 7u32;
-            let mut inc = ControlNode::new(n as usize);
+            let mut inc = ControlNode::new(n as usize, Default::default());
             for &(id, kind, raw, free, pages) in &ops {
                 if kind == 0 {
                     inc.report(id, ResourceVector {
@@ -831,7 +823,7 @@ mod tests {
                 let net = sorted(&inc, |i| inc.util(i, ResourceKind::Net), cmp_f64_asc);
                 let bott = sorted(&inc, |i| inc.bottleneck(i), cmp_f64_asc);
                 prop_assert_eq!(inc.avail_memory().to_vec(), mem);
-                prop_assert_eq!(inc.by_cpu().to_vec(), cpu);
+                prop_assert_eq!(inc.by_util(ResourceKind::Cpu).to_vec(), cpu);
                 prop_assert_eq!(inc.by_util(ResourceKind::Net).to_vec(), net);
                 prop_assert_eq!(inc.by_bottleneck().to_vec(), bott.clone());
                 let h: Vec<(u32, f64)> = inc.ranked_bottleneck().take(3).collect();

@@ -121,7 +121,7 @@ mod tests {
     }
 
     fn ctl_vec(n: usize, v: ResourceVector) -> ControlNode {
-        let mut c = ControlNode::new(n);
+        let mut c = ControlNode::new(n, Default::default());
         for i in 0..n {
             c.report(i as u32, v);
         }

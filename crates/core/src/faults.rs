@@ -1,39 +1,41 @@
-//! The honest control plane: stale, lossy, hierarchical brokers.
+//! The honest control plane: stale, lossy and hierarchical report
+//! channels.
 //!
-//! [`crate::CentralBroker`] is an instantaneous global oracle — every
-//! placement decision reads perfectly fresh [`ResourceVector`]s, which is
-//! the least realistic part of the stack and the part the paper's
-//! dynamic-balancing claims lean on hardest. This module turns the
-//! control plane itself into the experiment:
+//! A broker whose reports reach the control node directly is an
+//! instantaneous global oracle — every placement decision reads perfectly
+//! fresh [`ResourceVector`]s, which is the least realistic part of the
+//! stack and the part the paper's dynamic-balancing claims lean on
+//! hardest. The report channel between the nodes and the
+//! [`crate::Broker`]'s control node turns the control plane itself into
+//! the experiment:
 //!
-//! * [`LaggedBroker`] decorates a [`CentralBroker`] with report
+//! * the lagged channel ([`BrokerKind::Lagged`]) adds report
 //!   **staleness** (each node's vector is delayed by an exponentially
 //!   distributed lag, quantized to report rounds), **heartbeat loss**
 //!   (each report is dropped with probability `heartbeat_loss`), and a
 //!   **failure detector** (a node whose heartbeats miss `miss_threshold`
 //!   rounds in a row is suspected failed: its state is poisoned to
-//!   fully-utilized/zero-memory so ranking policies avoid it, and it is
-//!   masked out of cluster averages until the next heartbeat arrives).
-//!   Nodes never actually fail in the simulator, so every suspicion is a
-//!   *false* suspicion — the counter prices detector aggressiveness.
-//! * [`HierarchicalBroker`] splits the cluster into per-rack aggregators
-//!   feeding a root on a slower cadence: between root flushes the
-//!   aggregators absorb exact member reports, and on each flush the root
-//!   sees one mean vector per rack (bounded-error summaries). A single
-//!   rack degenerates to a pure relay — the aggregator *is* the root's
-//!   feeder — which anchors the bit-identity parity tests.
+//!   fully-utilized/zero-memory so ranking policies avoid it, and the
+//!   control node masks it out of cluster averages until the next
+//!   heartbeat arrives). Nodes never actually fail in the simulator, so
+//!   every suspicion is a *false* suspicion — the counter prices detector
+//!   aggressiveness.
+//! * the rack channel ([`BrokerKind::Hierarchical`]) splits the cluster
+//!   into per-rack aggregators feeding the root on a slower cadence:
+//!   between root flushes the aggregators absorb exact member reports,
+//!   and on each flush the root sees one mean vector per rack
+//!   (bounded-error summaries). A single rack degenerates to a pure relay
+//!   — the aggregator *is* the root's feeder — which anchors the
+//!   bit-identity parity tests.
 //!
 //! All fault randomness comes from one dedicated [`SimRng`] stream forked
 //! from the run seed, so faulty runs are exactly as reproducible as clean
 //! ones, and a clean configuration (`staleness_ms = 0`, `heartbeat_loss
-//! = 0`) draws nothing at all — the decorator is then a transparent
-//! pass-through, byte-identical to the central broker.
+//! = 0`) draws nothing at all — the lagged channel then delivers every
+//! report at once, byte-identical to the direct one.
 
-use crate::broker::{CentralBroker, ResourceBroker};
-use crate::control::ControlNode;
-use crate::policy::{PlacementRequest, WorkClass};
+use crate::broker::Root;
 use crate::resources::{ResourceKind, ResourceVector};
-use crate::strategy::Placement;
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 
@@ -44,21 +46,20 @@ pub enum BrokerKind {
     /// report round (the default; all pre-existing scenarios use it).
     #[default]
     Central,
-    /// [`LaggedBroker`]: staleness + heartbeat loss + failure detector
-    /// layered over the central broker.
+    /// Staleness + heartbeat loss + failure detector between the nodes
+    /// and the control node.
     Lagged,
-    /// [`HierarchicalBroker`]: per-rack aggregation on a slower root
-    /// cadence.
+    /// Per-rack aggregation on a slower root cadence.
     Hierarchical,
 }
 
-/// Control-plane knobs, threaded from scenario specs down to the broker
-/// construction. The default is the clean central broker; a defaulted
+/// Control-plane knobs, threaded from scenario specs down to the broker's
+/// report channel. The default is the clean central broker; a defaulted
 /// config lowers byte-identically to the pre-fault configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct BrokerConfig {
-    /// Broker implementation to run.
+    /// Report channel to run.
     pub kind: BrokerKind,
     /// Mean report staleness in milliseconds ([`BrokerKind::Lagged`]):
     /// each received report is applied after an exponentially distributed
@@ -111,7 +112,7 @@ impl BrokerConfig {
 }
 
 /// Cumulative control-plane fault accounting, surfaced in the run
-/// summary. A broker without fault injection reports all-zero stats.
+/// summary. The direct channel reports all-zero stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BrokerFaultStats {
     /// Nodes suspected failed that were in fact alive (in this simulator
@@ -182,13 +183,24 @@ impl AgeHist {
     }
 }
 
-/// A [`CentralBroker`] behind a degraded reporting channel: exponential
-/// report staleness, Bernoulli heartbeat loss, and a consecutive-miss
-/// failure detector. See the module docs for semantics; at
-/// `staleness_ms = 0` and `heartbeat_loss = 0` this is a transparent
-/// pass-through (bit-identical placements, zero RNG draws).
-pub struct LaggedBroker {
-    inner: CentralBroker,
+/// How reports travel from the nodes to the broker's control node. Only
+/// `report` and `end_round` differ between channels; placement and every
+/// read are the broker's own.
+pub(crate) enum ReportChannel {
+    /// Every report reaches the control node at once (the paper's
+    /// designated control node).
+    Direct,
+    /// Exponential report staleness, Bernoulli heartbeat loss and a
+    /// consecutive-miss failure detector.
+    Lagged(Box<Lagged>),
+    /// Per-rack aggregators flushing rack means to the root.
+    Racks(Box<Racks>),
+}
+
+/// State of the lagged channel. At `staleness_ms = 0`
+/// and `heartbeat_loss = 0` it delivers every report at once and draws
+/// nothing.
+pub(crate) struct Lagged {
     cfg: BrokerConfig,
     /// One report round in milliseconds (the control interval); delays
     /// quantize to this.
@@ -203,218 +215,20 @@ pub struct LaggedBroker {
     pending: Vec<(u64, u32, ResourceVector)>,
     /// Consecutive missed heartbeats per node.
     missed: Vec<u32>,
-    suspected: Vec<bool>,
-    n_suspected: u32,
-    /// Round in which each node's state last reached the inner broker.
+    /// Round in which each node's state last reached the control node.
     last_applied: Vec<u64>,
     false_suspicions: u64,
     suspected_node_rounds: u64,
     ages: AgeHist,
 }
 
-impl LaggedBroker {
-    /// Wrap `inner` with the fault model of `cfg`. `round_ms` is the
-    /// report-round length (the control interval) and `rng` must be a
-    /// dedicated stream forked from the run seed.
-    pub fn new(
-        inner: CentralBroker,
-        cfg: BrokerConfig,
-        round_ms: f64,
-        rng: SimRng,
-    ) -> LaggedBroker {
-        let n = inner.node_count();
-        LaggedBroker {
-            inner,
-            cfg,
-            round_ms: round_ms.max(1.0),
-            rng,
-            round: 0,
-            pending: Vec::new(),
-            missed: vec![0; n],
-            suspected: vec![false; n],
-            n_suspected: 0,
-            last_applied: vec![0; n],
-            false_suspicions: 0,
-            suspected_node_rounds: 0,
-            ages: AgeHist::new(),
-        }
-    }
-
-    /// Fault-injection hook: drop this round's heartbeat from `node`, as
-    /// if the loss draw fired. `report` routes lost heartbeats here; the
-    /// scripted failure-detector tests call it directly to replay a
-    /// hand-computed loss pattern.
-    pub fn drop_heartbeat(&mut self, node: u32) {
-        let m = &mut self.missed[node as usize];
-        *m = m.saturating_add(1);
-        if self.cfg.miss_threshold > 0
-            && *m == self.cfg.miss_threshold
-            && !self.suspected[node as usize]
-        {
-            self.suspected[node as usize] = true;
-            self.n_suspected += 1;
-            self.false_suspicions += 1;
-            // Poison the inner state so rankings steer around the node;
-            // policies need no notion of suspicion.
-            self.inner.report(node, POISON);
-            self.inner.control_mut().set_suspected(node, true);
-        }
-    }
-
-    /// Is `node` currently suspected failed?
-    pub fn is_suspected(&self, node: u32) -> bool {
-        self.suspected[node as usize]
-    }
-
-    /// False suspicions raised so far.
-    pub fn false_suspicions(&self) -> u64 {
-        self.false_suspicions
-    }
-
-    /// Apply a report to the inner broker now (unless the node is under
-    /// suspicion: a suspect's buffered payloads are discarded so the
-    /// poison state holds until a live heartbeat clears it).
-    fn apply(&mut self, node: u32, state: ResourceVector) {
-        if self.suspected[node as usize] {
-            return;
-        }
-        self.inner.report(node, state);
-        self.last_applied[node as usize] = self.round;
-    }
-}
-
-impl ResourceBroker for LaggedBroker {
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn report(&mut self, node: u32, state: ResourceVector) {
-        if self.cfg.heartbeat_loss > 0.0 && self.rng.chance(self.cfg.heartbeat_loss) {
-            self.drop_heartbeat(node);
-            return;
-        }
-        self.missed[node as usize] = 0;
-        if self.suspected[node as usize] {
-            // A live heartbeat clears suspicion immediately; the payload
-            // below repairs the poisoned state (possibly after its delay).
-            self.suspected[node as usize] = false;
-            self.n_suspected -= 1;
-            self.inner.control_mut().set_suspected(node, false);
-        }
-        if self.cfg.staleness_ms > 0.0 {
-            let delay = (self.rng.exp(self.cfg.staleness_ms) / self.round_ms).round() as u64;
-            if delay == 0 {
-                self.apply(node, state);
-            } else {
-                self.pending.push((self.round + delay, node, state));
-            }
-        } else {
-            self.apply(node, state);
-        }
-    }
-
-    fn end_report_round(&mut self) {
-        if !self.pending.is_empty() {
-            // Drain due reports in send order (retain preserves order and
-            // visits front to back).
-            let round = self.round;
-            let mut pending = std::mem::take(&mut self.pending);
-            pending.retain(|&(release, node, state)| {
-                if release <= round {
-                    self.apply(node, state);
-                    false
-                } else {
-                    true
-                }
-            });
-            self.pending = pending;
-        }
-        self.suspected_node_rounds += u64::from(self.n_suspected);
-        for node in 0..self.last_applied.len() {
-            let age = (self.round - self.last_applied[node]) as f64 * self.round_ms;
-            self.ages.record(age);
-        }
-        self.round += 1;
-        self.inner.end_report_round();
-    }
-
-    fn place(&mut self, req: &PlacementRequest, rng: &mut SimRng) -> Placement {
-        self.inner.place(req, rng)
-    }
-
-    fn policy_name(&self, class: WorkClass) -> &'static str {
-        self.inner.policy_name(class)
-    }
-
-    fn policy_switches(&self) -> u64 {
-        self.inner.policy_switches()
-    }
-
-    fn control(&self) -> &ControlNode {
-        self.inner.control()
-    }
-
-    fn util(&self, node: u32, kind: ResourceKind) -> f64 {
-        self.inner.util(node, kind)
-    }
-
-    fn utils(&self, kind: ResourceKind) -> &[f64] {
-        self.inner.utils(kind)
-    }
-
-    fn avg(&self, kind: ResourceKind) -> f64 {
-        // Suspicion-aware cluster average: suspects are masked out so the
-        // admission and adaptive controllers track the live cluster, not
-        // the poison vectors. With nothing suspected this folds the same
-        // column in the same order as the trait default — bit-identical.
-        let col = self.inner.utils(kind);
-        if col.is_empty() {
-            return 0.0;
-        }
-        if self.n_suspected == 0 {
-            return col.iter().sum::<f64>() / col.len() as f64;
-        }
-        let mut sum = 0.0;
-        let mut live = 0u32;
-        for (i, u) in col.iter().enumerate() {
-            if !self.suspected[i] {
-                sum += *u;
-                live += 1;
-            }
-        }
-        if live == 0 {
-            0.0
-        } else {
-            sum / f64::from(live)
-        }
-    }
-
-    fn set_locality(&mut self, locality: crate::control::DataLocality) {
-        self.inner.set_locality(locality);
-    }
-
-    fn fault_stats(&self) -> BrokerFaultStats {
-        BrokerFaultStats {
-            false_suspicions: self.false_suspicions,
-            suspected_node_rounds: self.suspected_node_rounds,
-            stale_reads_p95_ms: self.ages.p95(),
-        }
-    }
-
-    fn suspected_nodes(&self) -> u32 {
-        self.n_suspected
-    }
-}
-
-/// A two-level control plane: contiguous per-rack aggregators absorb
-/// exact member reports every round and flush to the root every
-/// `root_cadence` rounds. With more than one rack the root receives one
-/// mean vector per rack (each member is reported as its rack's mean,
-/// free pages floored), so `utils(kind)` / `by_bottleneck` reads see
-/// rack-level summaries with bounded error. A single rack forwards exact
-/// vectors — the degenerate relay anchoring the parity tests.
-pub struct HierarchicalBroker {
-    inner: CentralBroker,
+/// State of the rack channel: contiguous per-rack
+/// aggregators absorb exact member reports every round and flush to the
+/// root every `root_cadence` rounds. With more than one rack the root
+/// receives one mean vector per rack (each member is reported as its
+/// rack's mean, free pages floored), so every read sees rack-level
+/// summaries with bounded error. A single rack forwards exact vectors.
+pub(crate) struct Racks {
     cfg: BrokerConfig,
     round_ms: f64,
     round: u64,
@@ -425,22 +239,153 @@ pub struct HierarchicalBroker {
     ages: AgeHist,
 }
 
-impl HierarchicalBroker {
-    /// Wrap `inner` in `cfg.racks` aggregators flushing every
-    /// `cfg.root_cadence` rounds of `round_ms` milliseconds each.
-    pub fn new(inner: CentralBroker, cfg: BrokerConfig, round_ms: f64) -> HierarchicalBroker {
-        let n = inner.node_count();
-        HierarchicalBroker {
-            inner,
-            cfg,
-            round_ms: round_ms.max(1.0),
-            round: 0,
-            staged: vec![ResourceVector::default(); n],
-            last_flush: 0,
-            ages: AgeHist::new(),
+impl ReportChannel {
+    /// The channel `cfg` describes for `n` nodes. `round_ms` is the
+    /// report-round length (the control interval) and `rng` a dedicated
+    /// stream forked from the run seed (only the lagged channel draws).
+    pub(crate) fn new(cfg: &BrokerConfig, n: usize, round_ms: f64, rng: SimRng) -> ReportChannel {
+        let round_ms = round_ms.max(1.0);
+        match cfg.kind {
+            BrokerKind::Central => ReportChannel::Direct,
+            BrokerKind::Lagged => ReportChannel::Lagged(Box::new(Lagged {
+                cfg: *cfg,
+                round_ms,
+                rng,
+                round: 0,
+                pending: Vec::new(),
+                missed: vec![0; n],
+                last_applied: vec![0; n],
+                false_suspicions: 0,
+                suspected_node_rounds: 0,
+                ages: AgeHist::new(),
+            })),
+            BrokerKind::Hierarchical => ReportChannel::Racks(Box::new(Racks {
+                cfg: *cfg,
+                round_ms,
+                round: 0,
+                staged: vec![ResourceVector::default(); n],
+                last_flush: 0,
+                ages: AgeHist::new(),
+            })),
         }
     }
 
+    /// Carry one node's periodic report towards the root.
+    pub(crate) fn report(&mut self, root: &mut Root, node: u32, state: ResourceVector) {
+        match self {
+            ReportChannel::Direct => root.deliver(node, state),
+            ReportChannel::Lagged(l) => l.report(root, node, state),
+            ReportChannel::Racks(r) => r.staged[node as usize] = state,
+        }
+    }
+
+    /// Close one report round (before the policies observe it).
+    pub(crate) fn end_round(&mut self, root: &mut Root) {
+        match self {
+            ReportChannel::Direct => {}
+            ReportChannel::Lagged(l) => l.end_round(root),
+            ReportChannel::Racks(r) => r.end_round(root),
+        }
+    }
+
+    /// Lose this round's heartbeat from `node` (lagged channel only).
+    pub(crate) fn drop_heartbeat(&mut self, root: &mut Root, node: u32) {
+        if let ReportChannel::Lagged(l) = self {
+            l.drop_heartbeat(root, node);
+        }
+    }
+
+    /// Cumulative fault accounting of this channel.
+    pub(crate) fn fault_stats(&self) -> BrokerFaultStats {
+        match self {
+            ReportChannel::Direct => BrokerFaultStats::default(),
+            ReportChannel::Lagged(l) => BrokerFaultStats {
+                false_suspicions: l.false_suspicions,
+                suspected_node_rounds: l.suspected_node_rounds,
+                stale_reads_p95_ms: l.ages.p95(),
+            },
+            ReportChannel::Racks(r) => BrokerFaultStats {
+                stale_reads_p95_ms: r.ages.p95(),
+                ..BrokerFaultStats::default()
+            },
+        }
+    }
+}
+
+impl Lagged {
+    fn drop_heartbeat(&mut self, root: &mut Root, node: u32) {
+        let m = &mut self.missed[node as usize];
+        *m = m.saturating_add(1);
+        if self.cfg.miss_threshold > 0
+            && *m == self.cfg.miss_threshold
+            && !root.ctl.is_suspected(node)
+        {
+            self.false_suspicions += 1;
+            // Poison the delivered state so rankings steer around the
+            // node; policies need no notion of suspicion.
+            root.deliver(node, POISON);
+            root.ctl.set_suspected(node, true);
+        }
+    }
+
+    fn report(&mut self, root: &mut Root, node: u32, state: ResourceVector) {
+        if self.cfg.heartbeat_loss > 0.0 && self.rng.chance(self.cfg.heartbeat_loss) {
+            self.drop_heartbeat(root, node);
+            return;
+        }
+        self.missed[node as usize] = 0;
+        // A live heartbeat clears suspicion immediately; the payload below
+        // repairs the poisoned state (possibly after its delay).
+        root.ctl.set_suspected(node, false);
+        if self.cfg.staleness_ms > 0.0 {
+            let delay = (self.rng.exp(self.cfg.staleness_ms) / self.round_ms).round() as u64;
+            if delay == 0 {
+                self.apply(root, node, state);
+            } else {
+                self.pending.push((self.round + delay, node, state));
+            }
+        } else {
+            self.apply(root, node, state);
+        }
+    }
+
+    /// Deliver a report to the root now (unless the node is under
+    /// suspicion: a suspect's buffered payloads are discarded so the
+    /// poison state holds until a live heartbeat clears it).
+    fn apply(&mut self, root: &mut Root, node: u32, state: ResourceVector) {
+        if root.ctl.is_suspected(node) {
+            return;
+        }
+        root.deliver(node, state);
+        self.last_applied[node as usize] = self.round;
+    }
+
+    fn end_round(&mut self, root: &mut Root) {
+        if !self.pending.is_empty() {
+            // Drain due reports in send order (retain preserves order and
+            // visits front to back).
+            let round = self.round;
+            let mut pending = std::mem::take(&mut self.pending);
+            pending.retain(|&(release, node, state)| {
+                if release <= round {
+                    self.apply(root, node, state);
+                    false
+                } else {
+                    true
+                }
+            });
+            self.pending = pending;
+        }
+        self.suspected_node_rounds += u64::from(root.ctl.suspected_nodes());
+        for node in 0..self.last_applied.len() {
+            let age = (self.round - self.last_applied[node]) as f64 * self.round_ms;
+            self.ages.record(age);
+        }
+        self.round += 1;
+    }
+}
+
+impl Racks {
     /// Nodes per rack (last rack may be short).
     fn rack_size(&self) -> usize {
         let n = self.staged.len();
@@ -448,12 +393,12 @@ impl HierarchicalBroker {
         n.div_ceil(racks)
     }
 
-    fn flush_to_root(&mut self) {
+    fn flush_to_root(&self, root: &mut Root) {
         let n = self.staged.len();
         if self.cfg.racks <= 1 {
             // Lone aggregator: co-located with the root, exact relay.
             for node in 0..n {
-                self.inner.report(node as u32, self.staged[node]);
+                root.deliver(node as u32, self.staged[node]);
             }
             return;
         }
@@ -476,26 +421,16 @@ impl HierarchicalBroker {
             }
             mean.free_pages = (pages / members.len() as u64) as u32;
             for node in start..end {
-                self.inner.report(node as u32, mean);
+                root.deliver(node as u32, mean);
             }
             start = end;
         }
     }
-}
 
-impl ResourceBroker for HierarchicalBroker {
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn report(&mut self, node: u32, state: ResourceVector) {
-        self.staged[node as usize] = state;
-    }
-
-    fn end_report_round(&mut self) {
+    fn end_round(&mut self, root: &mut Root) {
         let cadence = u64::from(self.cfg.root_cadence.max(1));
         if (self.round + 1).is_multiple_of(cadence) {
-            self.flush_to_root();
+            self.flush_to_root(root);
             self.last_flush = self.round;
         }
         let age = (self.round - self.last_flush) as f64 * self.round_ms;
@@ -503,58 +438,22 @@ impl ResourceBroker for HierarchicalBroker {
             self.ages.record(age);
         }
         self.round += 1;
-        self.inner.end_report_round();
-    }
-
-    fn place(&mut self, req: &PlacementRequest, rng: &mut SimRng) -> Placement {
-        self.inner.place(req, rng)
-    }
-
-    fn policy_name(&self, class: WorkClass) -> &'static str {
-        self.inner.policy_name(class)
-    }
-
-    fn policy_switches(&self) -> u64 {
-        self.inner.policy_switches()
-    }
-
-    fn control(&self) -> &ControlNode {
-        self.inner.control()
-    }
-
-    fn util(&self, node: u32, kind: ResourceKind) -> f64 {
-        self.inner.util(node, kind)
-    }
-
-    fn utils(&self, kind: ResourceKind) -> &[f64] {
-        self.inner.utils(kind)
-    }
-
-    fn set_locality(&mut self, locality: crate::control::DataLocality) {
-        self.inner.set_locality(locality);
-    }
-
-    fn fault_stats(&self) -> BrokerFaultStats {
-        BrokerFaultStats {
-            false_suspicions: 0,
-            suspected_node_rounds: 0,
-            stale_reads_p95_ms: self.ages.p95(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyConfig;
+    use crate::policy::{PolicyConfig, WorkClass};
     use crate::strategy::Strategy;
+    use crate::Broker;
 
-    fn central(n: usize) -> CentralBroker {
-        CentralBroker::from_config(n, 0.05, 50, Strategy::MinIo, &PolicyConfig::default())
+    fn central(n: usize) -> Broker {
+        Broker::new(n, 0.05, 50, Strategy::MinIo, &PolicyConfig::default())
     }
 
-    fn lagged(n: usize, cfg: BrokerConfig) -> LaggedBroker {
-        LaggedBroker::new(central(n), cfg, 100.0, SimRng::new(7).fork(3))
+    fn lagged(n: usize, cfg: BrokerConfig) -> Broker {
+        central(n).with_channel(&cfg, 100.0, SimRng::new(7).fork(3))
     }
 
     fn vec_cpu(cpu: f64) -> ResourceVector {
@@ -577,14 +476,20 @@ mod tests {
         );
         b.drop_heartbeat(2);
         b.drop_heartbeat(2);
-        assert!(!b.is_suspected(2), "below threshold: not suspected");
-        assert_eq!(b.false_suspicions(), 0);
+        assert!(
+            !b.control().is_suspected(2),
+            "below threshold: not suspected"
+        );
+        assert_eq!(b.fault_stats().false_suspicions, 0);
         b.drop_heartbeat(2);
-        assert!(b.is_suspected(2), "exactly at threshold: suspected");
-        assert_eq!(b.false_suspicions(), 1);
+        assert!(
+            b.control().is_suspected(2),
+            "exactly at threshold: suspected"
+        );
+        assert_eq!(b.fault_stats().false_suspicions, 1);
         // Further misses keep the suspicion but never double-count it.
         b.drop_heartbeat(2);
-        assert_eq!(b.false_suspicions(), 1);
+        assert_eq!(b.fault_stats().false_suspicions, 1);
     }
 
     #[test]
@@ -599,19 +504,22 @@ mod tests {
         );
         b.drop_heartbeat(1);
         b.drop_heartbeat(1);
-        assert!(b.is_suspected(1));
-        assert_eq!(b.suspected_nodes(), 1);
+        assert!(b.control().is_suspected(1));
+        assert_eq!(b.control().suspected_nodes(), 1);
         // Poisoned while suspected: rankings see a saturated node.
-        assert!((b.util(1, ResourceKind::Cpu) - 1.0).abs() < 1e-12);
+        assert!((b.utils(ResourceKind::Cpu)[1] - 1.0).abs() < 1e-12);
         b.report(1, vec_cpu(0.3));
-        assert!(!b.is_suspected(1), "one live heartbeat clears suspicion");
-        assert_eq!(b.suspected_nodes(), 0);
-        assert!((b.util(1, ResourceKind::Cpu) - 0.3).abs() < 1e-12);
+        assert!(
+            !b.control().is_suspected(1),
+            "one live heartbeat clears suspicion"
+        );
+        assert_eq!(b.control().suspected_nodes(), 0);
+        assert!((b.utils(ResourceKind::Cpu)[1] - 0.3).abs() < 1e-12);
         // The cleared suspicion still counts as one false positive.
-        assert_eq!(b.false_suspicions(), 1);
+        assert_eq!(b.fault_stats().false_suspicions, 1);
         // Misses must again accumulate from zero.
         b.drop_heartbeat(1);
-        assert!(!b.is_suspected(1));
+        assert!(!b.control().is_suspected(1));
     }
 
     #[test]
@@ -631,9 +539,9 @@ mod tests {
             }
             b.end_report_round();
         }
-        assert_eq!(b.false_suspicions(), 0);
+        assert_eq!(b.fault_stats().false_suspicions, 0);
         assert_eq!(b.fault_stats().suspected_node_rounds, 0);
-        assert_eq!(b.suspected_nodes(), 0);
+        assert_eq!(b.control().suspected_nodes(), 0);
     }
 
     #[test]
@@ -677,7 +585,7 @@ mod tests {
                 expected_rounds += 1;
             }
         }
-        assert_eq!(b.false_suspicions(), expect);
+        assert_eq!(b.fault_stats().false_suspicions, expect);
         assert_eq!(expect, 2, "hand-computed trace: two suspicions");
         let stats = b.fault_stats();
         assert_eq!(stats.suspected_node_rounds, expected_rounds);
@@ -701,7 +609,7 @@ mod tests {
         assert!((b.avg(ResourceKind::Cpu) - 0.4).abs() < 1e-12);
         b.drop_heartbeat(3);
         // Poisoned to 1.0 in the per-node view, but masked in the average.
-        assert!((b.util(3, ResourceKind::Cpu) - 1.0).abs() < 1e-12);
+        assert!((b.utils(ResourceKind::Cpu)[3] - 1.0).abs() < 1e-12);
         assert!((b.avg(ResourceKind::Cpu) - 0.4).abs() < 1e-12);
         assert!(b.control().is_suspected(3));
     }
@@ -735,23 +643,22 @@ mod tests {
 
     #[test]
     fn hierarchical_racks_see_rack_means() {
-        let inner = central(4);
         let cfg = BrokerConfig {
             kind: BrokerKind::Hierarchical,
             racks: 2,
             ..BrokerConfig::default()
         };
-        let mut b = HierarchicalBroker::new(inner, cfg, 100.0);
+        let mut b = central(4).with_channel(&cfg, 100.0, SimRng::new(7));
         b.report(0, vec_cpu(0.2));
         b.report(1, vec_cpu(0.4));
         b.report(2, vec_cpu(0.6));
         b.report(3, vec_cpu(0.8));
         b.end_report_round();
         // Rack 0 = {0,1} mean 0.3; rack 1 = {2,3} mean 0.7.
-        assert!((b.util(0, ResourceKind::Cpu) - 0.3).abs() < 1e-12);
-        assert!((b.util(1, ResourceKind::Cpu) - 0.3).abs() < 1e-12);
-        assert!((b.util(2, ResourceKind::Cpu) - 0.7).abs() < 1e-12);
-        assert!((b.util(3, ResourceKind::Cpu) - 0.7).abs() < 1e-12);
+        assert!((b.utils(ResourceKind::Cpu)[0] - 0.3).abs() < 1e-12);
+        assert!((b.utils(ResourceKind::Cpu)[1] - 0.3).abs() < 1e-12);
+        assert!((b.utils(ResourceKind::Cpu)[2] - 0.7).abs() < 1e-12);
+        assert!((b.utils(ResourceKind::Cpu)[3] - 0.7).abs() < 1e-12);
         // The cluster mean is preserved by rack aggregation.
         assert!((b.avg(ResourceKind::Cpu) - 0.5).abs() < 1e-12);
     }
@@ -764,7 +671,7 @@ mod tests {
             root_cadence: 3,
             ..BrokerConfig::default()
         };
-        let mut b = HierarchicalBroker::new(central(4), cfg, 100.0);
+        let mut b = central(4).with_channel(&cfg, 100.0, SimRng::new(7));
         for round in 0..2 {
             for node in 0..4 {
                 b.report(node, vec_cpu(0.5 + 0.1 * f64::from(round)));
@@ -772,12 +679,12 @@ mod tests {
             b.end_report_round();
         }
         // No flush yet: the root still sees construction-time state.
-        assert_eq!(b.util(0, ResourceKind::Cpu), 0.0);
+        assert_eq!(b.utils(ResourceKind::Cpu)[0], 0.0);
         for node in 0..4 {
             b.report(node, vec_cpu(0.9));
         }
         b.end_report_round(); // third round: flush
-        assert!((b.util(0, ResourceKind::Cpu) - 0.9).abs() < 1e-12);
+        assert!((b.utils(ResourceKind::Cpu)[0] - 0.9).abs() < 1e-12);
         assert!(b.fault_stats().stale_reads_p95_ms > 0.0);
     }
 
@@ -795,10 +702,9 @@ mod tests {
             }
             a.end_report_round();
             b.end_report_round();
-            let req = PlacementRequest::coordinator(WorkClass::Scan, 0, 6);
             assert_eq!(
-                a.place(&req, &mut rng_a).nodes,
-                b.place(&req, &mut rng_b).nodes
+                a.place_coordinator(WorkClass::Scan, 0, 6, &mut rng_a),
+                b.place_coordinator(WorkClass::Scan, 0, 6, &mut rng_b)
             );
         }
         for kind in ResourceKind::ALL {

@@ -15,6 +15,7 @@
 
 use crate::control::ControlNode;
 use crate::costmodel::CostModel;
+use crate::resources::ResourceKind;
 use crate::strategy::JoinRequest;
 
 /// Smallest `k` whose top-k selection avoids temporary file I/O, if any.
@@ -124,7 +125,7 @@ pub fn min_io_suopt(req: &JoinRequest, ctl: &mut ControlNode) -> (u32, Vec<u32>)
 /// the range further.
 pub fn opt_io_cpu(req: &JoinRequest, ctl: &mut ControlNode) -> (u32, Vec<u32>) {
     // Read the scalar before the view: `avail` borrows the scratch buffer.
-    let avg_cpu = ctl.avg_cpu();
+    let avg_cpu = ctl.avg(ResourceKind::Cpu);
     let avail = ctl.avail_memory();
     let max_k = admissible_max(req, avail.len() as u32);
     let cap = CostModel::pmu_cpu(req.psu_opt, avg_cpu).clamp(1, max_k);
@@ -146,7 +147,7 @@ mod tests {
     use crate::resources::ResourceVector;
 
     fn ctl(free: &[u32], cpu: f64) -> ControlNode {
-        let mut c = ControlNode::new(free.len());
+        let mut c = ControlNode::new(free.len(), Default::default());
         for (i, &f) in free.iter().enumerate() {
             c.report(
                 i as u32,

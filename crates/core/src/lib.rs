@@ -28,46 +28,46 @@
 //! * [`integrated`] — the integrated multi-resource policies MIN-IO
 //!   (eq. 3.3), MIN-IO-SUOPT and OPT-IO-CPU that determine degree *and*
 //!   placement in a single step from the memory/CPU state;
-//! * [`strategy`] — the [`Strategy`] enum uniting all of
-//!   the above behind one `place()` call, plus the `Adaptive` meta-policy
-//!   sketched in the paper's conclusions ("a family of load balancing
-//!   strategies so that the most appropriate policy can be selected
-//!   according to the current system state").
+//! * [`strategy`] — the [`Strategy`] enum uniting all of the above
+//!   behind one `place()` call; its `Adaptive` label names the online
+//!   controller sketched in the paper's conclusions ("a family of load
+//!   balancing strategies so that the most appropriate policy can be
+//!   selected according to the current system state").
 //!
-//! ## Run-time layering (Dispatcher → ResourceBroker → PlacementPolicy)
+//! ## Run-time layering (System → Broker → policies → ControlNode)
 //!
-//! On top of the strategy family, two layers make placement a pluggable
+//! On top of the strategy family, one concrete broker makes placement a
 //! run-time service instead of enum dispatch inside the simulator:
 //!
-//! * [`policy`] — the object-safe [`PlacementPolicy`]
-//!   trait covering **all** placed work classes (two-way joins, multi-join
-//!   stages, scan/sort/update query coordinators, OLTP home nodes), the
-//!   [`CoordinatorPolicy`] family, and the
-//!   [`AdaptiveController`] — an online
-//!   controller that switches the active join strategy mid-run from broker
-//!   feedback (with hysteresis);
-//! * [`broker`] — the [`ResourceBroker`] trait and
-//!   its central implementation: owns the per-node [`ResourceVector`]
-//!   state (uniformly indexed by [`ResourceKind`] — no per-resource
-//!   method families), receives the periodic vector reports, notifies
-//!   adaptive policies at the end of each report round, routes every
-//!   [`PlacementRequest`] to the policy
-//!   registered for its work class, and carries the data-placement
-//!   layer's [`DataLocality`] view so policies can weigh where fragments
+//! * [`policy`] — the policy in each work-class slot: [`JoinPolicy`] for
+//!   two-way joins and multi-join stages (a fixed [`Strategy`] or the
+//!   [`AdaptiveController`], an online controller that switches the
+//!   active join strategy mid-run from report rounds, with hysteresis)
+//!   and [`CoordinatorPolicy`] for scan/sort/update query coordinators
+//!   and OLTP home nodes;
+//! * [`broker`] — the [`Broker`]: owns the control node and the per-node
+//!   [`ResourceVector`] columns (uniformly indexed by [`ResourceKind`] —
+//!   no per-resource method families), receives the periodic vector
+//!   reports through its report channel, lets the adaptive policies
+//!   observe the end of each report round, places joins
+//!   (`place_join`) and coordinators (`place_coordinator`) with the
+//!   policy of their work class, and carries the data-placement layer's
+//!   [`DataLocality`] view so policies can weigh where fragments
 //!   currently live (`SelectPolicy::DataLocal`);
 //! * [`rebalance`] — the online [`RebalanceController`]: clocked by the
 //!   same report rounds, it detects per-node data imbalance (utilization
 //!   breaks ties) and plans concurrent fragment migrations the simulator
 //!   executes as real disk/network traffic;
-//! * [`faults`] — the honest control plane: [`LaggedBroker`] (report
-//!   staleness, heartbeat loss, a consecutive-miss failure detector) and
-//!   [`HierarchicalBroker`] (per-rack aggregation on a slower root
-//!   cadence) decorate the central broker so control-plane degradation
-//!   becomes a first-class, deterministic experiment axis.
+//! * [`faults`] — the honest control plane: the broker's report channel
+//!   is direct, lagged (report staleness, heartbeat loss, a
+//!   consecutive-miss failure detector) or per-rack (aggregation on a
+//!   slower root cadence), selected by [`BrokerConfig`], so
+//!   control-plane degradation becomes a first-class, deterministic
+//!   experiment axis.
 //!
-//! The simulator (`snsim`) holds a `Box<dyn ResourceBroker>` and never
-//! inspects strategies directly; the event loop itself lives one layer
-//! further down in `simkit::Dispatcher`.
+//! The simulator (`snsim`) holds a [`Broker`] by value and never inspects
+//! strategies directly; the event loop itself lives one layer further
+//! down in `simkit::Dispatcher`.
 
 #![deny(missing_docs)]
 
@@ -84,14 +84,14 @@ pub mod resources;
 pub mod select;
 pub mod strategy;
 
-pub use broker::{CentralBroker, ResourceBroker};
+pub use broker::Broker;
 pub use control::{ControlNode, DataLocality, NodeState, Ranked};
 pub use costmodel::{AdmissionEstimate, CostModel, CostParams, JoinProfile};
 pub use degree::DegreePolicy;
-pub use faults::{BrokerConfig, BrokerFaultStats, BrokerKind, HierarchicalBroker, LaggedBroker};
+pub use faults::{BrokerConfig, BrokerFaultStats, BrokerKind};
 pub use policy::{
-    AdaptiveConfig, AdaptiveController, CoordPolicyKind, CoordinatorPolicy, PlacementPolicy,
-    PlacementRequest, PolicyConfig, WorkClass,
+    AdaptiveConfig, AdaptiveController, CoordPolicyKind, CoordinatorPolicy, JoinPolicy,
+    PolicyConfig, WorkClass,
 };
 pub use ratematch::RateMatch;
 pub use rebalance::{FragmentInfo, MigrationPlan, RebalanceConfig, RebalanceController};

@@ -1,20 +1,20 @@
-//! Run-time placement as a first-class, pluggable layer.
+//! The placement policies the broker holds, one slot per work class.
 //!
 //! The original reproduction hard-wired placement into the simulator: join
 //! queries consulted the [`Strategy`] enum, while scan coordinators and
-//! OLTP transactions were placed ad hoc with inline RNG draws. This module
-//! generalizes all of it behind one object-safe trait, following the
-//! argument of Garofalakis & Ioannidis (*Multi-Resource Parallel Query
+//! OLTP transactions were placed ad hoc with inline RNG draws. Following
+//! the argument of Garofalakis & Ioannidis (*Multi-Resource Parallel Query
 //! Scheduling and Optimization*) that multi-resource scheduling pays off
-//! across operator types, not just joins:
+//! across operator types, not just joins, every placed work class now has
+//! a policy:
 //!
-//! * [`PlacementPolicy`] — decides degree + node set for one unit of work
-//!   given the control node's current resource view;
-//! * [`WorkClass`] / [`PlacementRequest`] — what is being placed: a join
-//!   (with its planner numbers and multi-join stage index), a query
-//!   coordinator, or an OLTP transaction's home node;
-//! * [`CoordinatorPolicy`] — coordinator/home-node placement policies
-//!   (random, least-CPU, most-free-memory, round-robin);
+//! * [`WorkClass`] — what is being placed: a join (with its multi-join
+//!   stage index), a query coordinator, or an OLTP transaction's home node;
+//! * [`JoinPolicy`] — the join and stage slots: a fixed [`Strategy`] or
+//!   the [`AdaptiveController`];
+//! * [`CoordinatorPolicy`] — the scan and OLTP slots: coordinator/home-node
+//!   placement (random, least-CPU, most-free-memory, least-bottleneck,
+//!   round-robin);
 //! * [`AdaptiveController`] — the paper's concluding "family of strategies"
 //!   idea promoted to an **online controller**: instead of re-deciding per
 //!   query, it observes the broker's periodic reports and switches the
@@ -22,11 +22,15 @@
 //!   moves between CPU and memory/disk;
 //! * [`PolicyConfig`] — serializable per-class policy table used by the
 //!   simulator's configuration.
+//!
+//! Policies receive the control node's state **mutably** so state-aware
+//! policies can apply the paper's adaptive feedback (immediately adjusting
+//! the control data for selected nodes, avoiding herd effects between
+//! reports).
 
 use crate::control::ControlNode;
 use crate::resources::{ResourceKind, ResourceWeights};
 use crate::strategy::{JoinRequest, Placement, Strategy};
-use crate::{DegreePolicy, SelectPolicy};
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 
@@ -44,146 +48,6 @@ pub enum WorkClass {
     Scan,
     /// Home-node placement for an OLTP transaction.
     Oltp,
-}
-
-/// One placement request, built by the simulator at query run time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementRequest {
-    /// What kind of work is being placed.
-    pub class: WorkClass,
-    /// Planner numbers; present for `WorkClass::Join`.
-    pub join: Option<JoinRequest>,
-    /// First candidate node (coordinator/home placements).
-    pub first: u32,
-    /// Number of candidate nodes starting at `first`.
-    pub count: u32,
-}
-
-impl PlacementRequest {
-    /// A join placement over all `n` nodes.
-    pub fn join(stage: u32, req: JoinRequest, n: u32) -> PlacementRequest {
-        PlacementRequest {
-            class: WorkClass::Join { stage },
-            join: Some(req),
-            first: 0,
-            count: n,
-        }
-    }
-
-    /// A coordinator/home-node placement over `[first, first + count)`.
-    pub fn coordinator(class: WorkClass, first: u32, count: u32) -> PlacementRequest {
-        debug_assert!(count >= 1);
-        PlacementRequest {
-            class,
-            join: None,
-            first,
-            count,
-        }
-    }
-}
-
-/// An object-safe placement policy.
-///
-/// Policies receive the control node's state **mutably** so state-aware
-/// policies can apply the paper's adaptive feedback (immediately adjusting
-/// the control data for selected nodes, avoiding herd effects between
-/// reports).
-///
-/// Every [`Strategy`] is itself a `PlacementPolicy` for join work, and
-/// coordinator placements go through the same trait:
-///
-/// ```
-/// use lb_core::{
-///     ControlNode, CoordPolicyKind, CoordinatorPolicy, PlacementPolicy,
-///     PlacementRequest, ResourceVector, WorkClass,
-/// };
-/// use simkit::SimRng;
-///
-/// let mut ctl = ControlNode::new(4);
-/// for node in 0..4 {
-///     ctl.report(node, ResourceVector { free_pages: 50, ..ResourceVector::default() });
-/// }
-/// let mut rng = SimRng::new(7);
-///
-/// // Round-robin coordinator placement over nodes [1, 4).
-/// let mut policy = CoordinatorPolicy::new(CoordPolicyKind::RoundRobin);
-/// let req = PlacementRequest::coordinator(WorkClass::Scan, 1, 3);
-/// let picks: Vec<u32> = (0..4).map(|_| policy.place(&req, &mut ctl, &mut rng).nodes[0]).collect();
-/// assert_eq!(picks, vec![1, 2, 3, 1]);
-/// assert_eq!(policy.name(), "coord-RR");
-/// assert_eq!(policy.switches(), 0, "stateless policies never switch");
-/// ```
-pub trait PlacementPolicy {
-    /// Name used in experiment reports.
-    fn name(&self) -> &'static str;
-
-    /// Decide the node set for `req` under the current control state.
-    fn place(
-        &mut self,
-        req: &PlacementRequest,
-        ctl: &mut ControlNode,
-        rng: &mut SimRng,
-    ) -> Placement;
-
-    /// Single-node fast path: the same decision [`PlacementPolicy::place`]
-    /// would make for a single-node request, without materializing a
-    /// [`Placement`]. Coordinator/OLTP-home placement runs once per
-    /// arrival, so the per-call `Vec` is worth skipping.
-    fn place_one(
-        &mut self,
-        req: &PlacementRequest,
-        ctl: &mut ControlNode,
-        rng: &mut SimRng,
-    ) -> u32 {
-        self.place(req, ctl, rng).nodes[0]
-    }
-
-    /// Broker feedback hook: called once per report round (control tick)
-    /// with the refreshed control state, which carries the full per-node
-    /// resource vectors (`ControlNode::util` / `avg` / `bottleneck`).
-    /// Policies that adapt over time observe the refreshed state here.
-    fn on_report(&mut self, _ctl: &mut ControlNode) {}
-
-    /// How often this policy changed its behaviour mid-run (adaptive
-    /// controllers); 0 for stateless policies.
-    fn switches(&self) -> u64 {
-        0
-    }
-}
-
-/// Every [`Strategy`] is a placement policy for join work. Coordinator
-/// requests fall back to a uniform draw over the candidate range (a
-/// strategy mis-wired to a coordinator class must still behave sanely).
-impl PlacementPolicy for Strategy {
-    fn name(&self) -> &'static str {
-        Strategy::name(self)
-    }
-
-    fn place(
-        &mut self,
-        req: &PlacementRequest,
-        ctl: &mut ControlNode,
-        rng: &mut SimRng,
-    ) -> Placement {
-        match req.join {
-            Some(join_req) => Strategy::place(self, &join_req, ctl, rng),
-            None => Placement {
-                nodes: vec![req.first + rng.below(req.count.max(1) as u64) as u32],
-            },
-        }
-    }
-
-    fn place_one(
-        &mut self,
-        req: &PlacementRequest,
-        ctl: &mut ControlNode,
-        rng: &mut SimRng,
-    ) -> u32 {
-        match req.join {
-            Some(join_req) => Strategy::place(self, &join_req, ctl, rng).nodes[0],
-            None => req.first + rng.below(req.count.max(1) as u64) as u32,
-        }
-    }
 }
 
 /// Coordinator / home-node placement policies.
@@ -205,6 +69,23 @@ pub enum CoordPolicyKind {
 }
 
 /// Stateful wrapper executing a [`CoordPolicyKind`].
+///
+/// ```
+/// use lb_core::{ControlNode, CoordPolicyKind, CoordinatorPolicy, ResourceVector};
+/// use simkit::SimRng;
+///
+/// let mut ctl = ControlNode::new(4, Default::default());
+/// for node in 0..4 {
+///     ctl.report(node, ResourceVector { free_pages: 50, ..ResourceVector::default() });
+/// }
+/// let mut rng = SimRng::new(7);
+///
+/// // Round-robin coordinator placement over nodes [1, 4).
+/// let mut policy = CoordinatorPolicy::new(CoordPolicyKind::RoundRobin);
+/// let picks: Vec<u32> = (0..4).map(|_| policy.place(1, 3, &mut ctl, &mut rng)).collect();
+/// assert_eq!(picks, vec![1, 2, 3, 1]);
+/// assert_eq!(policy.name(), "coord-RR");
+/// ```
 #[derive(Debug, Clone)]
 pub struct CoordinatorPolicy {
     kind: CoordPolicyKind,
@@ -216,10 +97,9 @@ impl CoordinatorPolicy {
     pub fn new(kind: CoordPolicyKind) -> CoordinatorPolicy {
         CoordinatorPolicy { kind, rr: 0 }
     }
-}
 
-impl PlacementPolicy for CoordinatorPolicy {
-    fn name(&self) -> &'static str {
+    /// Name used in experiment reports.
+    pub fn name(&self) -> &'static str {
         match self.kind {
             CoordPolicyKind::Random => "coord-RANDOM",
             CoordPolicyKind::LeastCpu => "coord-LUC",
@@ -229,36 +109,29 @@ impl PlacementPolicy for CoordinatorPolicy {
         }
     }
 
-    fn place(
+    /// Pick one node from the candidates `[first, first + count)` under
+    /// the current control state. Runs once per arrival, so it returns
+    /// the node without materializing a [`Placement`].
+    pub fn place(
         &mut self,
-        req: &PlacementRequest,
-        ctl: &mut ControlNode,
-        rng: &mut SimRng,
-    ) -> Placement {
-        Placement {
-            nodes: vec![self.place_one(req, ctl, rng)],
-        }
-    }
-
-    fn place_one(
-        &mut self,
-        req: &PlacementRequest,
+        first: u32,
+        count: u32,
         ctl: &mut ControlNode,
         rng: &mut SimRng,
     ) -> u32 {
-        let count = req.count.max(1);
-        let in_range = |id: u32| id >= req.first && id < req.first + count;
+        let count = count.max(1);
+        let in_range = |id: u32| id >= first && id < first + count;
         match self.kind {
-            CoordPolicyKind::Random => req.first + rng.below(count as u64) as u32,
+            CoordPolicyKind::Random => first + rng.below(count as u64) as u32,
             // The ranked iterators walk the maintained index head-first:
             // an unrestricted request resolves in O(log n) instead of a
             // full sort + allocation per placement.
             CoordPolicyKind::LeastCpu => {
                 let pick = ctl
-                    .ranked_cpu()
+                    .ranked_util(ResourceKind::Cpu)
                     .find(|&(id, _)| in_range(id))
                     .map(|(id, _)| id)
-                    .unwrap_or(req.first);
+                    .unwrap_or(first);
                 // Feedback: a placed coordinator adds CPU load; bump the
                 // control copy so bursts spread over the candidates.
                 ctl.note_assignment(&[pick], 0);
@@ -269,7 +142,7 @@ impl PlacementPolicy for CoordinatorPolicy {
                     .ranked_memory()
                     .find(|&(id, _)| in_range(id))
                     .map(|(id, _)| id)
-                    .unwrap_or(req.first);
+                    .unwrap_or(first);
                 ctl.note_assignment(&[pick], 1);
                 pick
             }
@@ -278,12 +151,12 @@ impl PlacementPolicy for CoordinatorPolicy {
                     .ranked_bottleneck()
                     .find(|&(id, _)| in_range(id))
                     .map(|(id, _)| id)
-                    .unwrap_or(req.first);
+                    .unwrap_or(first);
                 ctl.note_assignment(&[pick], 1);
                 pick
             }
             CoordPolicyKind::RoundRobin => {
-                let pick = req.first + (self.rr % count as u64) as u32;
+                let pick = first + (self.rr % count as u64) as u32;
                 self.rr += 1;
                 pick
             }
@@ -323,10 +196,9 @@ impl Default for AdaptiveConfig {
 /// strategies so that the most appropriate policy can be selected according
 /// to the current system state."*
 ///
-/// Unlike the per-request [`Strategy::Adaptive`] variant (kept for
-/// backwards compatibility), the controller re-evaluates on the broker's
-/// periodic report rounds and **switches the active policy mid-run**,
-/// with hysteresis, based on where the bottleneck currently sits:
+/// The controller re-evaluates on the broker's periodic report rounds and
+/// **switches the active policy mid-run**, with hysteresis, based on where
+/// the bottleneck currently sits:
 ///
 /// * hot CPUs → `OPT-IO-CPU` (cap parallelism by utilization),
 /// * memory cannot hold the last observed join anywhere → `MIN-IO-SUOPT`
@@ -348,10 +220,7 @@ impl AdaptiveController {
     pub fn new(cfg: AdaptiveConfig) -> AdaptiveController {
         AdaptiveController {
             cfg,
-            current: Strategy::Isolated {
-                degree: DegreePolicy::MU_CPU,
-                select: SelectPolicy::Lum,
-            },
+            current: Strategy::PMU_CPU_LUM,
             last_table_pages: None,
             rounds_since_switch: 0,
             switches: 0,
@@ -390,31 +259,25 @@ impl AdaptiveController {
                 return Strategy::MinIoSuopt;
             }
         }
-        Strategy::Isolated {
-            degree: DegreePolicy::MU_CPU,
-            select: SelectPolicy::Lum,
-        }
-    }
-}
-
-impl PlacementPolicy for AdaptiveController {
-    fn name(&self) -> &'static str {
-        "ADAPTIVE"
+        Strategy::PMU_CPU_LUM
     }
 
-    fn place(
+    /// Place one join with the strategy currently in force, remembering
+    /// its table size for the memory signal.
+    pub fn place(
         &mut self,
-        req: &PlacementRequest,
+        req: &JoinRequest,
         ctl: &mut ControlNode,
         rng: &mut SimRng,
     ) -> Placement {
-        if let Some(join_req) = &req.join {
-            self.last_table_pages = Some(join_req.table_pages);
-        }
-        PlacementPolicy::place(&mut self.current, req, ctl, rng)
+        self.last_table_pages = Some(req.table_pages);
+        self.current.place(req, ctl, rng)
     }
 
-    fn on_report(&mut self, ctl: &mut ControlNode) {
+    /// Observe one report round's refreshed control state and switch
+    /// strategies if the bottleneck moved (rate-limited by
+    /// `min_rounds_between_switches`).
+    pub fn on_report(&mut self, ctl: &mut ControlNode) {
         self.rounds_since_switch = self.rounds_since_switch.saturating_add(1);
         if self.rounds_since_switch < self.cfg.min_rounds_between_switches {
             return;
@@ -427,8 +290,66 @@ impl PlacementPolicy for AdaptiveController {
         }
     }
 
-    fn switches(&self) -> u64 {
+    /// Mid-run strategy switches so far.
+    pub fn switches(&self) -> u64 {
         self.switches
+    }
+}
+
+/// The policy in a join or multi-join-stage slot.
+#[derive(Debug, Clone)]
+pub enum JoinPolicy {
+    /// One strategy for the whole run.
+    Fixed(Strategy),
+    /// The online controller ([`Strategy::Adaptive`]).
+    Adaptive(AdaptiveController),
+}
+
+impl JoinPolicy {
+    /// The slot for `strategy`: [`Strategy::Adaptive`] becomes a
+    /// controller with parameters `adaptive`, every other strategy is
+    /// fixed.
+    pub fn new(strategy: Strategy, adaptive: AdaptiveConfig) -> JoinPolicy {
+        match strategy {
+            Strategy::Adaptive => JoinPolicy::Adaptive(AdaptiveController::new(adaptive)),
+            other => JoinPolicy::Fixed(other),
+        }
+    }
+
+    /// Name used in experiment reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            JoinPolicy::Fixed(s) => s.name(),
+            JoinPolicy::Adaptive(_) => "ADAPTIVE",
+        }
+    }
+
+    /// Decide degree and node set for one join.
+    pub fn place(
+        &mut self,
+        req: &JoinRequest,
+        ctl: &mut ControlNode,
+        rng: &mut SimRng,
+    ) -> Placement {
+        match self {
+            JoinPolicy::Fixed(s) => s.place(req, ctl, rng),
+            JoinPolicy::Adaptive(a) => a.place(req, ctl, rng),
+        }
+    }
+
+    /// Report-round hook: the controller may switch strategies.
+    pub fn on_report(&mut self, ctl: &mut ControlNode) {
+        if let JoinPolicy::Adaptive(a) = self {
+            a.on_report(ctl);
+        }
+    }
+
+    /// Mid-run strategy switches (0 for a fixed strategy).
+    pub fn switches(&self) -> u64 {
+        match self {
+            JoinPolicy::Fixed(_) => 0,
+            JoinPolicy::Adaptive(a) => a.switches(),
+        }
     }
 }
 
@@ -466,23 +387,13 @@ impl Default for PolicyConfig {
     }
 }
 
-impl PolicyConfig {
-    /// Build the policy object for a join-class slot.
-    pub fn join_policy(&self, strategy: Strategy) -> Box<dyn PlacementPolicy> {
-        match strategy {
-            Strategy::Adaptive => Box::new(AdaptiveController::new(self.adaptive)),
-            other => Box::new(other),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resources::ResourceVector;
 
     fn ctl(n: usize, cpu: f64, free: u32) -> ControlNode {
-        let mut c = ControlNode::new(n);
+        let mut c = ControlNode::new(n, Default::default());
         for i in 0..n {
             c.report(
                 i as u32,
@@ -508,24 +419,20 @@ mod tests {
     }
 
     #[test]
-    fn strategy_as_policy_places_joins() {
+    fn fixed_join_policy_places_joins() {
         let mut c = ctl(40, 0.0, 50);
         let mut rng = SimRng::new(1);
-        let mut s = Strategy::MinIo;
-        let p = PlacementPolicy::place(
-            &mut s,
-            &PlacementRequest::join(0, join_req(), 40),
-            &mut c,
-            &mut rng,
-        );
+        let mut s = JoinPolicy::new(Strategy::MinIo, AdaptiveConfig::default());
+        let p = s.place(&join_req(), &mut c, &mut rng);
         assert_eq!(p.degree(), 3, "131.25 pages / 50 free → k = 3");
+        assert_eq!(s.name(), "MIN-IO");
+        assert_eq!(s.switches(), 0, "a fixed strategy never switches");
     }
 
     #[test]
     fn coordinator_policies_respect_candidate_range() {
         let mut c = ctl(10, 0.0, 50);
         let mut rng = SimRng::new(2);
-        let req = PlacementRequest::coordinator(WorkClass::Oltp, 4, 3);
         for kind in [
             CoordPolicyKind::Random,
             CoordPolicyKind::LeastCpu,
@@ -534,12 +441,10 @@ mod tests {
         ] {
             let mut p = CoordinatorPolicy::new(kind);
             for _ in 0..20 {
-                let nodes = p.place(&req, &mut c, &mut rng).nodes;
-                assert_eq!(nodes.len(), 1);
+                let node = p.place(4, 3, &mut c, &mut rng);
                 assert!(
-                    (4..7).contains(&nodes[0]),
-                    "{kind:?} picked {} outside [4, 7)",
-                    nodes[0]
+                    (4..7).contains(&node),
+                    "{kind:?} picked {node} outside [4, 7)"
                 );
             }
         }
@@ -550,10 +455,7 @@ mod tests {
         let mut c = ctl(6, 0.0, 50);
         let mut rng = SimRng::new(3);
         let mut p = CoordinatorPolicy::new(CoordPolicyKind::RoundRobin);
-        let req = PlacementRequest::coordinator(WorkClass::Scan, 0, 3);
-        let picks: Vec<u32> = (0..6)
-            .map(|_| p.place(&req, &mut c, &mut rng).nodes[0])
-            .collect();
+        let picks: Vec<u32> = (0..6).map(|_| p.place(0, 3, &mut c, &mut rng)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -563,10 +465,7 @@ mod tests {
         c.luc_bump = 0.2;
         let mut rng = SimRng::new(4);
         let mut p = CoordinatorPolicy::new(CoordPolicyKind::LeastCpu);
-        let req = PlacementRequest::coordinator(WorkClass::Scan, 0, 4);
-        let picks: Vec<u32> = (0..4)
-            .map(|_| p.place(&req, &mut c, &mut rng).nodes[0])
-            .collect();
+        let picks: Vec<u32> = (0..4).map(|_| p.place(0, 4, &mut c, &mut rng)).collect();
         let mut sorted = picks.clone();
         sorted.sort_unstable();
         assert_eq!(
@@ -613,11 +512,7 @@ mod tests {
         let mut starved = ctl(8, 0.1, 5); // 8·5 = 40 < 131.25
         let mut rng = SimRng::new(5);
         // Observe a join first (the controller needs the table size).
-        a.place(
-            &PlacementRequest::join(0, join_req(), 8),
-            &mut starved,
-            &mut rng,
-        );
+        a.place(&join_req(), &mut starved, &mut rng);
         a.on_report(&mut starved);
         assert_eq!(a.current(), Strategy::MinIoSuopt);
     }
@@ -630,7 +525,7 @@ mod tests {
         });
         // Plenty of memory, cool CPUs, but saturated disks.
         let disk = |disk: f64| {
-            let mut c = ControlNode::new(8);
+            let mut c = ControlNode::new(8, Default::default());
             for i in 0..8 {
                 c.report(
                     i,
@@ -652,7 +547,7 @@ mod tests {
 
     #[test]
     fn least_bottleneck_coordinator_avoids_hot_links() {
-        let mut c = ControlNode::new(4);
+        let mut c = ControlNode::new(4, Default::default());
         for (i, net) in [0.9, 0.1, 0.5, 0.7].into_iter().enumerate() {
             c.report(
                 i as u32,
@@ -667,11 +562,9 @@ mod tests {
         let mut rng = SimRng::new(9);
         let mut p = CoordinatorPolicy::new(CoordPolicyKind::LeastBottleneck);
         assert_eq!(p.name(), "coord-LUB");
-        let req = PlacementRequest::coordinator(WorkClass::Scan, 0, 4);
-        assert_eq!(p.place(&req, &mut c, &mut rng).nodes, vec![1]);
+        assert_eq!(p.place(0, 4, &mut c, &mut rng), 1);
         // Restricted to the hot half, it still picks the cooler candidate.
-        let req = PlacementRequest::coordinator(WorkClass::Scan, 2, 2);
-        assert_eq!(p.place(&req, &mut c, &mut rng).nodes, vec![2]);
+        assert_eq!(p.place(2, 2, &mut c, &mut rng), 2);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use crate::control::ControlNode;
 use crate::costmodel::{CostParams, JoinProfile};
+use crate::resources::ResourceKind;
 use serde::{Deserialize, Serialize};
 
 /// Rate-based degree computation (isolated: selection is independent).
@@ -82,7 +83,7 @@ impl RateMatch {
 
     fn degree_for(&self, outer_scan_nodes: u32, ctl: &ControlNode) -> u32 {
         let n = ctl.len() as u32;
-        let u = ctl.avg_cpu();
+        let u = ctl.avg(ResourceKind::Cpu);
         // Scan side: I/O-bound production rate, utilization-independent.
         let scan_rate = self.scan_rate_per_node(0.0) * outer_scan_nodes as f64;
         let join_rate = self.join_rate_per_node(u);
@@ -98,7 +99,7 @@ mod tests {
     use crate::resources::ResourceVector;
 
     fn ctl(n: usize, u: f64) -> ControlNode {
-        let mut c = ControlNode::new(n);
+        let mut c = ControlNode::new(n, Default::default());
         for i in 0..n {
             c.report(
                 i as u32,

@@ -280,7 +280,7 @@ mod tests {
     use crate::resources::ResourceVector;
 
     fn ctl(cpu: &[f64]) -> ControlNode {
-        let mut c = ControlNode::new(cpu.len());
+        let mut c = ControlNode::new(cpu.len(), Default::default());
         for (i, &u) in cpu.iter().enumerate() {
             c.report(
                 i as u32,

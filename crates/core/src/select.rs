@@ -19,6 +19,7 @@
 //!   resource.
 
 use crate::control::ControlNode;
+use crate::resources::ResourceKind;
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 
@@ -62,7 +63,11 @@ impl SelectPolicy {
                 .collect(),
             // The ranked iterators read the head of the maintained index
             // lazily: O(log n + p), no allocation beyond the result.
-            SelectPolicy::Luc => ctl.ranked_cpu().take(p).map(|(i, _)| i).collect(),
+            SelectPolicy::Luc => ctl
+                .ranked_util(ResourceKind::Cpu)
+                .take(p)
+                .map(|(i, _)| i)
+                .collect(),
             SelectPolicy::Lum => ctl.ranked_memory().take(p).map(|(i, _)| i).collect(),
             SelectPolicy::DataLocal => ctl
                 .by_local_data(inner_rel)
@@ -108,7 +113,7 @@ mod tests {
     use crate::resources::ResourceVector;
 
     fn ctl(free: &[u32], cpu: &[f64]) -> ControlNode {
-        let mut c = ControlNode::new(free.len());
+        let mut c = ControlNode::new(free.len(), Default::default());
         for (i, (&f, &u)) in free.iter().zip(cpu).enumerate() {
             c.report(
                 i as u32,
@@ -183,7 +188,7 @@ mod tests {
         // Node 0 has an idle CPU but a saturated egress link; node 2 has a
         // hot disk. LUC would pick node 0 first; LUB ranks by the tightest
         // resource and picks node 1, then node 2 (0.5 disk < 0.9 net).
-        let mut c = ControlNode::new(3);
+        let mut c = ControlNode::new(3, Default::default());
         for (i, (cpu, disk, net)) in [(0.1, 0.0, 0.9), (0.3, 0.2, 0.1), (0.2, 0.5, 0.0)]
             .into_iter()
             .enumerate()

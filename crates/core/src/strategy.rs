@@ -5,14 +5,13 @@
 //! one call. Isolated strategies combine a [`DegreePolicy`] with a
 //! [`SelectPolicy`]; integrated strategies decide both together (§3.3).
 //!
-//! The `Adaptive` meta-policy implements the paper's concluding
-//! recommendation: *"such an approach should be realized by a family of
+//! `Adaptive` names the paper's concluding recommendation, *"a family of
 //! load balancing strategies so that the most appropriate policy can be
-//! selected according to the current system state. For instance, if the
-//! system suffers primarily from memory and disk bottlenecks an integrated
-//! policy like MIN-IO-SUOPT should be chosen … For situations with high CPU
-//! contention or with both CPU and memory bottlenecks, an integrated policy
-//! like OPT-IO-CPU has proven to be very effective."*
+//! selected according to the current system state"*. The broker runs it
+//! as the online [`crate::AdaptiveController`], which switches among the
+//! strategies above at report rounds. Placed on its own, without a
+//! controller, it places as the controller does before its first report
+//! round: `pmu-cpu+LUM`.
 
 use crate::control::ControlNode;
 use crate::degree::DegreePolicy;
@@ -105,13 +104,19 @@ pub enum Strategy {
     MinIoSuopt,
     /// Integrated: like MIN-IO-SUOPT but capped by `p_mu-cpu` (eq. 3.2).
     OptIoCpu,
-    /// Meta-policy choosing among the above from the bottleneck state
-    /// (extension; see module docs). `cpu_hot` is the average-CPU threshold
-    /// above which CPU is treated as the primary bottleneck.
+    /// The online controller choosing among the above from the bottleneck
+    /// state (extension; see module docs).
     Adaptive,
 }
 
 impl Strategy {
+    /// `pmu-cpu+LUM`: the isolated strategy the adaptive controller starts
+    /// on and falls back to when neither CPU nor memory is the bottleneck.
+    pub const PMU_CPU_LUM: Strategy = Strategy::Isolated {
+        degree: DegreePolicy::MU_CPU,
+        select: SelectPolicy::Lum,
+    };
+
     /// Decide degree and node set for one join query.
     ///
     /// For memory-aware strategies (LUM and all integrated policies) the
@@ -129,29 +134,7 @@ impl Strategy {
                 integrated_placement(integrated::min_io_suopt(req, ctl), req, ctl)
             }
             Strategy::OptIoCpu => integrated_placement(integrated::opt_io_cpu(req, ctl), req, ctl),
-            Strategy::Adaptive => {
-                let chosen = self.adaptive_choice(req, ctl);
-                chosen.place(req, ctl, rng)
-            }
-        }
-    }
-
-    /// The concrete policy Adaptive delegates to under the current state.
-    pub fn adaptive_choice(&self, req: &JoinRequest, ctl: &mut ControlNode) -> Strategy {
-        let cpu = ctl.avg_cpu();
-        let avail = ctl.avail_memory();
-        let no_io_possible = integrated::min_k_avoiding_io(avail, req.table_pages).is_some();
-        if cpu > 0.5 {
-            // CPU (or CPU+memory) bottleneck: cap parallelism by CPU.
-            Strategy::OptIoCpu
-        } else if !no_io_possible {
-            // Memory/disk-bound: chase I/O minimization with high degrees.
-            Strategy::MinIoSuopt
-        } else {
-            Strategy::Isolated {
-                degree: DegreePolicy::MU_CPU,
-                select: SelectPolicy::Lum,
-            }
+            Strategy::Adaptive => Strategy::PMU_CPU_LUM.place(req, ctl, rng),
         }
     }
 
@@ -338,10 +321,7 @@ impl Strategy {
                 degree: DegreePolicy::MU_CPU,
                 select: SelectPolicy::Random,
             },
-            Strategy::Isolated {
-                degree: DegreePolicy::MU_CPU,
-                select: SelectPolicy::Lum,
-            },
+            Strategy::PMU_CPU_LUM,
             Strategy::OptIoCpu,
         ]
     }
@@ -368,7 +348,7 @@ mod tests {
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest};
 
     fn ctl(n: usize, cpu: f64, free: u32) -> ControlNode {
-        let mut c = ControlNode::new(n);
+        let mut c = ControlNode::new(n, Default::default());
         for i in 0..n {
             c.report(
                 i as u32,
@@ -419,30 +399,15 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_picks_opt_io_cpu_when_hot() {
-        let mut c = ctl(8, 0.8, 50);
-        assert_eq!(
-            Strategy::Adaptive.adaptive_choice(&req(), &mut c),
-            Strategy::OptIoCpu
-        );
-    }
-
-    #[test]
-    fn adaptive_picks_min_io_suopt_when_memory_bound() {
-        let mut c = ctl(8, 0.1, 5); // 8·5 = 40 < 131.25: no selection avoids I/O
-        assert_eq!(
-            Strategy::Adaptive.adaptive_choice(&req(), &mut c),
-            Strategy::MinIoSuopt
-        );
-    }
-
-    #[test]
-    fn adaptive_defaults_to_isolated_dynamic() {
-        let mut c = ctl(8, 0.1, 50);
-        assert!(matches!(
-            Strategy::Adaptive.adaptive_choice(&req(), &mut c),
-            Strategy::Isolated { .. }
-        ));
+    fn adaptive_alone_places_as_pmu_cpu_lum() {
+        // Hot CPUs would switch a controller to OPT-IO-CPU at its next
+        // report round; without one, Adaptive places as pmu-cpu+LUM.
+        let mut a = ctl(8, 0.8, 50);
+        let mut b = a.clone();
+        let p = Strategy::Adaptive.place(&req(), &mut a, &mut SimRng::new(5));
+        let q = Strategy::PMU_CPU_LUM.place(&req(), &mut b, &mut SimRng::new(5));
+        assert_eq!(p, q);
+        assert_eq!(a.state(p.nodes[0]), b.state(q.nodes[0]), "same feedback");
     }
 
     #[test]
@@ -590,11 +555,7 @@ mod tests {
         assert_eq!(Strategy::MinIo.name(), "MIN-IO");
         assert_eq!(Strategy::MinIoSuopt.name(), "MIN-IO-SUOPT");
         assert_eq!(Strategy::OptIoCpu.name(), "OPT-IO-CPU");
-        let iso = Strategy::Isolated {
-            degree: DegreePolicy::MU_CPU,
-            select: SelectPolicy::Lum,
-        };
-        assert_eq!(iso.name(), "pmu-cpu+LUM");
+        assert_eq!(Strategy::PMU_CPU_LUM.name(), "pmu-cpu+LUM");
     }
 
     proptest! {
@@ -609,7 +570,7 @@ mod tests {
             psu_opt in 1u32..60,
             seed in 0u64..1000,
         ) {
-            let mut c = ControlNode::new(n);
+            let mut c = ControlNode::new(n, Default::default());
             for i in 0..n {
                 c.report(i as u32, ResourceVector {
                     cpu: cpu[i],
@@ -624,8 +585,7 @@ mod tests {
                 Strategy::MinIo,
                 Strategy::MinIoSuopt,
                 Strategy::OptIoCpu,
-                Strategy::Adaptive,
-                Strategy::Isolated { degree: DegreePolicy::MU_CPU, select: SelectPolicy::Lum },
+                Strategy::PMU_CPU_LUM,
                 Strategy::Isolated { degree: DegreePolicy::SuOpt, select: SelectPolicy::Random },
                 Strategy::Isolated { degree: DegreePolicy::SuNoIo, select: SelectPolicy::Luc },
                 Strategy::Isolated { degree: DegreePolicy::Mu(ResourceKind::Net), select: SelectPolicy::Lub },

@@ -77,7 +77,7 @@ fn cycle(ctl: &mut ControlNode, n: usize, rounds: u64) {
         let busiest = ctl.by_bottleneck()[0].0;
         let roomiest = ctl.avail_memory()[0].0;
         let head = ctl
-            .ranked_cpu()
+            .ranked_util(ResourceKind::Cpu)
             .map(|(id, _)| id)
             .next()
             .expect("non-empty");
@@ -89,7 +89,7 @@ fn cycle(ctl: &mut ControlNode, n: usize, rounds: u64) {
 #[test]
 fn placement_path_is_allocation_free_after_warmup() {
     let n = 1000;
-    let mut ctl = ControlNode::new(n);
+    let mut ctl = ControlNode::new(n, Default::default());
     // Warm-up: first reads size the scratch buffers.
     let warmup = cycle_allocs(&mut ctl, n, 2);
     let steady = cycle_allocs(&mut ctl, n, 50);

@@ -253,8 +253,8 @@ impl RelationPlacement {
 
 /// The system-wide partition map: one [`RelationPlacement`] per relation,
 /// indexed by relation id. Owned by the catalog and registered with the
-/// `ResourceBroker` (as a per-node tuple-count view) so placement policies
-/// can see data locality.
+/// broker (as a per-node tuple-count view) so placement policies can see
+/// data locality.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PartitionMap {
     rels: Vec<RelationPlacement>,

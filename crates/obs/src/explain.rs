@@ -2,9 +2,10 @@
 //! per-policy digest.
 //!
 //! For every placement the simulator reports the active policy, the
-//! chosen nodes, and the bottleneck score (max per-kind utilization, the
-//! quantity LUB-style selection minimizes) of the best and runner-up
-//! candidates. The accumulator keeps per-policy decision counts, running
+//! chosen nodes, and the bottleneck score of the best and runner-up
+//! candidates: the control node's weighted bottleneck (`max_k w_k · u_k`,
+//! with the feedback of placements made since the last report), the
+//! exact quantity LUB-style selection ranks by. The accumulator keeps per-policy decision counts, running
 //! win-margin statistics, and per-node win tallies; [`ExplainAcc::report`]
 //! renders those into a top-K "why node X" digest.
 

@@ -13,7 +13,7 @@
 //!    admission verdict → placement decision → stage edges →
 //!    completion/abort) and control-plane events (policy switch,
 //!    suspicion raise/clear, migration start/commit) rendered as bounded
-//!    JSONL through the [`TraceSink`] trait.
+//!    JSONL by a [`JsonlSink`].
 //! 3. **Placement explain** ([`explain`]): per-policy decision counts,
 //!    the win margin between the best and runner-up candidate scores,
 //!    and per-node win tallies for a top-K "why node X" digest.
@@ -34,7 +34,7 @@ pub mod trace;
 pub use explain::{ExplainAcc, ExplainReport, NodeDigest, PolicyExplain};
 pub use recorder::{Recorder, RoundInput, TraceOutput};
 pub use timeseries::{RoundSample, TimeSeries, KIND_NAMES};
-pub use trace::{JsonlSink, TraceEvent, TraceSink};
+pub use trace::{JsonlSink, TraceEvent};
 
 use serde::{Deserialize, Serialize};
 

@@ -10,7 +10,7 @@
 
 use crate::explain::{ExplainAcc, ExplainReport};
 use crate::timeseries::{RoundSample, TimeSeries, KIND_NAMES};
-use crate::trace::{JsonlSink, TraceEvent, TraceSink};
+use crate::trace::{JsonlSink, TraceEvent};
 use crate::TraceConfig;
 use std::collections::BTreeMap;
 
@@ -177,6 +177,7 @@ impl Recorder {
             stage,
             policy,
             nodes: chosen.to_vec(),
+            scores: self.chosen_scratch.iter().map(|&(_, s)| s).collect(),
             best_score: best,
             runner_up_score: runner_up,
             margin: (runner_up - best).max(0.0),

@@ -3,10 +3,10 @@
 //! The simulator narrates a run as a stream of [`TraceEvent`]s: per-query
 //! spans (arrival → admission verdict → placement decision → stage edges
 //! → completion/abort) and control-plane events (policy switch, suspicion
-//! raise/clear, migration start/commit). Events are pushed through the
-//! [`TraceSink`] trait; the stock [`JsonlSink`] renders each event as one
-//! JSON line and stores at most a configured number of lines, counting
-//! the rest as dropped. All timestamps are simulated milliseconds.
+//! raise/clear, migration start/commit). A [`JsonlSink`] renders each
+//! event as one JSON line and stores at most a configured number of
+//! lines, counting the rest as dropped. All timestamps are simulated
+//! milliseconds.
 
 use serde_json::{json, Value};
 
@@ -58,7 +58,9 @@ pub enum TraceEvent {
         policy: &'static str,
         /// Chosen processing nodes.
         nodes: Vec<u32>,
-        /// Best candidate's bottleneck score (max per-kind utilization).
+        /// Each chosen node's bottleneck score, in `nodes` order.
+        scores: Vec<f64>,
+        /// Best candidate's bottleneck score.
         best_score: f64,
         /// Runner-up candidate's bottleneck score.
         runner_up_score: f64,
@@ -183,12 +185,13 @@ impl TraceEvent {
                 stage,
                 policy,
                 nodes,
+                scores,
                 best_score,
                 runner_up_score,
                 margin,
             } => json!({
                 "ev": self.kind(), "t_ms": t_ms, "job": job, "stage": stage,
-                "policy": policy, "nodes": nodes, "best_score": best_score,
+                "policy": policy, "nodes": nodes, "scores": scores, "best_score": best_score,
                 "runner_up_score": runner_up_score, "margin": margin,
             }),
             TraceEvent::StageEdge { t_ms, job, stage } => json!({
@@ -236,14 +239,6 @@ impl TraceEvent {
     }
 }
 
-/// Consumer of lifecycle events. The simulator only ever talks to this
-/// trait, so alternative sinks (stdout tee, in-memory assertions in
-/// tests) drop in without touching the emission sites.
-pub trait TraceSink {
-    /// Consume one event.
-    fn emit(&mut self, ev: &TraceEvent);
-}
-
 /// Bounded JSONL sink: stores up to `cap` rendered lines, counts the
 /// overflow as dropped.
 #[derive(Debug, Clone, Default)]
@@ -264,10 +259,10 @@ impl JsonlSink {
             cap,
         }
     }
-}
 
-impl TraceSink for JsonlSink {
-    fn emit(&mut self, ev: &TraceEvent) {
+    /// Render one event as a JSON line, or count it as dropped past the
+    /// cap.
+    pub fn emit(&mut self, ev: &TraceEvent) {
         if self.lines.len() >= self.cap {
             self.dropped += 1;
             return;

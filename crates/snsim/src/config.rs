@@ -6,10 +6,7 @@ use dbmodel::placement::RelationPlacement;
 use engine::EngineConfig;
 use hardware::HardwareParams;
 use lb_core::costmodel::CostParams;
-use lb_core::{
-    BrokerConfig, BrokerKind, CentralBroker, HierarchicalBroker, LaggedBroker, PolicyConfig,
-    RebalanceConfig, ResourceBroker, Strategy,
-};
+use lb_core::{Broker, BrokerConfig, PolicyConfig, RebalanceConfig, Strategy};
 use serde::{Deserialize, Serialize};
 use simkit::SimDur;
 use workload::WorkloadSpec;
@@ -215,34 +212,25 @@ impl SimConfig {
         p
     }
 
-    /// Build the resource broker this configuration describes: the central
-    /// control node plus one placement policy per work class, optionally
-    /// wrapped in the configured control-plane fault model. The lagged
-    /// broker's fault randomness runs on its own stream forked from the
-    /// run seed (stream 3; placement uses 1, coordination 2, arrivals
-    /// 10+), so clean runs consume exactly the same random numbers with
-    /// or without the decorator.
-    pub fn build_broker(&self) -> Box<dyn ResourceBroker> {
-        let broker = CentralBroker::from_config(
+    /// Build the broker this configuration describes: the control node,
+    /// one placement policy per work class, and the configured report
+    /// channel. The lagged channel's fault randomness runs on its own
+    /// stream forked from the run seed (stream 3; placement uses 1,
+    /// coordination 2, arrivals 10+), so clean runs consume exactly the
+    /// same random numbers on every channel.
+    pub fn build_broker(&self) -> Broker {
+        Broker::new(
             self.n_pes as usize,
             self.luc_bump,
             self.buffer_pages,
             self.strategy,
             &self.policies,
-        );
-        let round_ms = self.control_interval.as_millis_f64();
-        match self.broker.kind {
-            BrokerKind::Central => Box::new(broker),
-            BrokerKind::Lagged => Box::new(LaggedBroker::new(
-                broker,
-                self.broker,
-                round_ms,
-                simkit::SimRng::new(self.seed).fork(3),
-            )),
-            BrokerKind::Hierarchical => {
-                Box::new(HierarchicalBroker::new(broker, self.broker, round_ms))
-            }
-        }
+        )
+        .with_channel(
+            &self.broker,
+            self.control_interval.as_millis_f64(),
+            simkit::SimRng::new(self.seed).fork(3),
+        )
     }
 
     /// Select the control-plane implementation and fault model.

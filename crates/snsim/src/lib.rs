@@ -5,7 +5,7 @@
 //! into the full simulation system of Rahm & Marek, VLDB 1995 (§4, Fig. 3),
 //! plus the experiment harness used to regenerate every figure of §5.
 //!
-//! ## Architecture: Dispatcher → ResourceBroker → PlacementPolicy
+//! ## Architecture: Dispatcher → Broker → policies
 //!
 //! [`System`] is orchestration glue over three explicit layers:
 //!
@@ -14,17 +14,21 @@
 //!    the clock, and calls back into `System` (which implements
 //!    [`simkit::Simulation`]); after every event the engine's action/input
 //!    protocol is drained to quiescence (the private `exec` module).
-//! 2. **`lb_core::ResourceBroker`** owns the per-node resource vectors
-//!    (CPU, memory, disk and egress-link utilization plus free pages).
-//!    `System` reports one windowed `ResourceVector` per PE on every
-//!    control tick and forwards **all** placement decisions — two-way
-//!    joins, multi-join stages, sort operators, scan/update query
-//!    coordinators, and OLTP home nodes — as
-//!    `lb_core::PlacementRequest`s; it never matches on strategies.
-//! 3. **`lb_core::PlacementPolicy`** objects (one per work class, chosen
+//! 2. **`lb_core::Broker`**, held by value, owns the control node and
+//!    the per-node resource vectors (CPU, memory, disk and egress-link
+//!    utilization plus free pages). `System` reports one windowed
+//!    `ResourceVector` per PE on every control tick, through the
+//!    broker's report channel (direct, lagged or per-rack, chosen by
+//!    `lb_core::BrokerConfig`), and asks it for **all** placement
+//!    decisions: two-way joins, multi-join stages and sort operators via
+//!    `place_join`, scan/update query coordinators and OLTP home nodes
+//!    via `place_coordinator`. It never matches on strategies.
+//! 3. **The policies in the broker's slots** (one per work class, chosen
 //!    by `lb_core::PolicyConfig` in the [`SimConfig`]) make the actual
-//!    decisions; the `ADAPTIVE` strategy becomes an online controller
-//!    that switches policies mid-run from the broker's report rounds.
+//!    decisions: a `lb_core::JoinPolicy` for joins and stages, where the
+//!    `ADAPTIVE` strategy becomes an online controller that switches
+//!    strategies mid-run from the broker's report rounds, and a
+//!    `lb_core::CoordinatorPolicy` for coordinators and home nodes.
 //!
 //! Supporting modules: [`planner`] caches per-class planner numbers and
 //! fabricates engine jobs; [`metrics`] accumulates per-class statistics

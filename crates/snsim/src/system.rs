@@ -8,8 +8,8 @@
 //!   engine's action/input protocol after each one;
 //! * **resource brokering** — per-node CPU/memory/disk state and every
 //!   placement decision (join, multi-join stage, scan coordinator, OLTP
-//!   home node) live behind [`lb_core::ResourceBroker`]; `System` only
-//!   reports utilization samples and forwards placement requests;
+//!   home node) live in the [`lb_core::Broker`]; `System` only reports
+//!   utilization samples and asks it for placements;
 //! * **planning** — per-class planner numbers and job fabrication live in
 //!   [`crate::planner::Planner`].
 //!
@@ -28,10 +28,7 @@ use engine::migrate::MigrationJob;
 use engine::{Job, JobId, Pe, PeId};
 use hardware::{Cpu, DiskId, DiskSubsystem, Network};
 use lb_core::rebalance::{FragmentInfo, MigrationPlan, RebalanceController};
-use lb_core::{
-    DataLocality, JoinRequest, PlacementRequest, ResourceBroker, ResourceKind, ResourceVector,
-    WorkClass,
-};
+use lb_core::{Broker, DataLocality, JoinRequest, ResourceKind, ResourceVector, WorkClass};
 use sched::{AdmissionTicket, ResourceSignals, Scheduler};
 use simkit::server::UtilizationWindow;
 use simkit::stats::OnlineStats;
@@ -139,7 +136,7 @@ pub struct System {
     pub(crate) disk_pool: FifoPool<Option<Token>>,
     pub(crate) net: Network,
     pub(crate) jobs: Slab<Job>,
-    pub(crate) broker: Box<dyn ResourceBroker>,
+    pub(crate) broker: Broker,
     pub(crate) planner: Planner,
     pub(crate) catalog: Catalog,
     /// Admission controller between arrivals and launch (the default
@@ -372,11 +369,12 @@ impl System {
                     Some(pe) => pe,
                     None => match self.cfg.workload.queries[i].coordinator {
                         CoordinatorPlacement::Fixed(pe) => pe.min(self.cfg.n_pes - 1),
-                        CoordinatorPlacement::Random => {
-                            let req =
-                                PlacementRequest::coordinator(WorkClass::Scan, 0, self.cfg.n_pes);
-                            self.broker.place_one(&req, &mut self.rng_coord)
-                        }
+                        CoordinatorPlacement::Random => self.broker.place_coordinator(
+                            WorkClass::Scan,
+                            0,
+                            self.cfg.n_pes,
+                            &mut self.rng_coord,
+                        ),
                     },
                 };
                 let seed_base = self.cfg.seed;
@@ -396,9 +394,8 @@ impl System {
                     None => {
                         let (first, count) =
                             self.cfg.workload.oltp[i].nodes.resolve(self.cfg.n_pes);
-                        let req = PlacementRequest::coordinator(WorkClass::Oltp, first, count);
                         self.broker
-                            .place_one(&req, &mut self.rng_coord)
+                            .place_coordinator(WorkClass::Oltp, first, count, &mut self.rng_coord)
                             .min(self.cfg.n_pes - 1)
                     }
                 };
@@ -688,29 +685,25 @@ impl System {
         // Malleable admission: a shrunken query carries a degree cap that
         // every placement strategy honours (0 = unconstrained).
         let degree_cap = self.sched.degree_cap(job.to_raw());
-        let req = PlacementRequest::join(
-            stage,
-            JoinRequest {
-                table_pages,
-                psu_opt,
-                psu_noio,
-                outer_scan_nodes,
-                inner_rel,
-                degree_cap,
-            },
-            self.cfg.n_pes,
-        );
-        // Tracing: snapshot every node's bottleneck score from the
-        // broker's *current* view before the decision consumes it, so the
-        // explain digest sees exactly what the policy saw. Pure `&self`
-        // reads — the placement RNG stream is untouched.
+        let req = JoinRequest {
+            table_pages,
+            psu_opt,
+            psu_noio,
+            outer_scan_nodes,
+            inner_rel,
+            degree_cap,
+        };
+        // Tracing: snapshot every node's weighted bottleneck score from
+        // the control node (feedback bumps included) before the decision
+        // consumes it, so the explain digest sees exactly what LUB ranks.
+        // Pure `&self` reads — the placement RNG stream is untouched.
         if self.obs.is_some() {
             self.obs_scores.clear();
             for node in 0..self.cfg.n_pes {
-                self.obs_scores.push(self.broker.bottleneck(node));
+                self.obs_scores.push(self.broker.control().bottleneck(node));
             }
         }
-        let placement = self.broker.place(&req, &mut self.rng_place);
+        let placement = self.broker.place_join(stage, &req, &mut self.rng_place);
         if let Some(o) = self.obs.as_mut() {
             o.placement(
                 Self::t_ms(self.events.now()),
@@ -853,9 +846,9 @@ impl System {
         for kind in ResourceKind::ALL {
             signals.set(kind, self.broker.avg(kind));
         }
-        // Brokers with a failure detector shrink the live-capacity signal
-        // while nodes are under suspicion (1.0 otherwise — no-op).
-        let suspected = self.broker.suspected_nodes();
+        // The lagged channel's failure detector shrinks the live-capacity
+        // signal while nodes are under suspicion (1.0 otherwise — no-op).
+        let suspected = self.broker.control().suspected_nodes();
         if suspected > 0 {
             let n = self.pes.len() as f64;
             signals.set_live_frac((n - f64::from(suspected)) / n);
@@ -938,7 +931,7 @@ impl System {
             admission_backlog: self.sched.queue_len() as u32,
             mpl_backlog: self.queued_inputs as u32,
             oldest_wait_ms: self.sched.oldest_waiting_ms(now),
-            suspected: self.broker.suspected_nodes(),
+            suspected: self.broker.control().suspected_nodes(),
             n_nodes: n,
             policy: self.broker.policy_name(WorkClass::Join { stage: 0 }),
             policy_switches: self.broker.policy_switches(),
@@ -1226,8 +1219,8 @@ impl System {
     }
 
     /// The broker (placement-layer diagnostics).
-    pub fn broker(&self) -> &dyn ResourceBroker {
-        &*self.broker
+    pub fn broker(&self) -> &Broker {
+        &self.broker
     }
 
     /// Extract a traced run's observability outputs (`None` when the

@@ -1,5 +1,5 @@
 //! Policy lab: per-work-class placement policies and mid-run adaptive
-//! switching through the ResourceBroker layer.
+//! switching, all held by the one `lb_core::Broker`.
 //!
 //! Three configurations over the same mixed workload (joins + OLTP pinned
 //! to the B-nodes):
@@ -43,8 +43,8 @@ fn main() {
     let baseline = snsim::run_one(base(Strategy::OptIoCpu));
     report("baseline (OPT-IO-CPU)", &baseline);
 
-    // 2. Per-class policies: the broker routes each work class to its own
-    //    placement policy.
+    // 2. Per-class policies: the broker places each work class with the
+    //    policy in its own slot.
     let per_class = PolicyConfig {
         scan_coord: CoordPolicyKind::RoundRobin,
         oltp_coord: CoordPolicyKind::LeastCpu,

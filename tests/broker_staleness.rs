@@ -1,10 +1,10 @@
 //! Control-plane parity and determinism properties.
 //!
-//! The honest-control-plane decorators must change **nothing** until
-//! their faults are actually switched on: a [`lb_core::LaggedBroker`] at
-//! staleness 0 / loss 0 and a single-rack [`lb_core::HierarchicalBroker`]
-//! must reproduce the central broker's [`Summary`] bit-for-bit across
-//! the Fig. 6 strategy set. And once faults *are* on, they must be
+//! The broker's honest-control-plane report channels must change
+//! **nothing** until their faults are actually switched on: the lagged
+//! channel at staleness 0 / loss 0 and the single-rack hierarchical
+//! channel must reproduce the direct channel's [`Summary`] bit-for-bit
+//! across the Fig. 6 strategy set. And once faults *are* on, they must be
 //! exactly reproducible: the fault randomness rides its own stream
 //! forked from the run seed, so the same seed gives the same summary,
 //! byte for byte, staleness and suspicions included.
@@ -22,7 +22,7 @@ fn summary_json(cfg: SimConfig) -> String {
     serde_json::to_string(&run_one(cfg)).expect("summary serializes")
 }
 
-/// `LaggedBroker` with every fault off reproduces `CentralBroker`
+/// The lagged channel with every fault off reproduces the central broker
 /// byte-for-byte on every Fig. 6 strategy (plus the adaptive
 /// controller).
 #[test]
@@ -40,8 +40,8 @@ fn clean_lagged_broker_matches_central_on_fig6_set() {
     }
 }
 
-/// A one-rack `HierarchicalBroker` (the degenerate relay) reproduces
-/// `CentralBroker` byte-for-byte on every Fig. 6 strategy.
+/// The one-rack hierarchical channel (the degenerate relay) reproduces
+/// the central broker byte-for-byte on every Fig. 6 strategy.
 #[test]
 fn single_rack_hierarchical_matches_central_on_fig6_set() {
     let one_rack = BrokerConfig {

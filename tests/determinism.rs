@@ -1,9 +1,9 @@
 //! Determinism property: same seed + same config ⇒ bit-identical
 //! [`Summary`], for every strategy of the paper's Fig. 6 set (plus the
-//! adaptive controller). Guards the Dispatcher → ResourceBroker →
-//! PlacementPolicy refactor: placement moving behind trait objects must
-//! not introduce any run-to-run nondeterminism (iteration order, hidden
-//! RNG, time-dependent state).
+//! adaptive controller). Placement goes through one concrete
+//! `lb_core::Broker` (report channel, one policy per work class); nothing
+//! on that path may introduce run-to-run nondeterminism (iteration order,
+//! hidden RNG, time-dependent state).
 //!
 //! "Bit-identical" is checked on the serialized summary, which covers
 //! every counter and every float bit pattern.

@@ -114,3 +114,60 @@ fn pmu_cpu_lub_explain_has_margins() {
         .iter()
         .any(|l| l.contains("\"ev\":\"placement\"") && l.contains("pmu-cpu+LUB")));
 }
+
+/// A JSON number as `f64`.
+fn number(v: &serde_json::Value) -> f64 {
+    match *v {
+        serde_json::Value::F64(x) => x,
+        serde_json::Value::U64(x) => x as f64,
+        serde_json::Value::I64(x) => x as f64,
+        _ => panic!("not a number: {v:?}"),
+    }
+}
+
+/// The explain scores are the ones LUB ranked: in every traced
+/// `pmu-cpu+LUB` placement, the chosen nodes' recorded bottleneck scores
+/// are the smallest recorded scores (up to ties). The lowest chosen
+/// score is the best candidate's, and a placement of two or more nodes
+/// also holds the runner-up. Between reports LUB ranks by the control
+/// node's weighted view, which carries the feedback bumps of the
+/// placements made since the last report, so scores read from the raw
+/// report columns would name rejected nodes as the best candidates.
+#[test]
+fn pmu_cpu_lub_chosen_nodes_hold_the_smallest_scores() {
+    let strat = Strategy::parse("pmu-cpu+LUB").expect("known strategy");
+    let cfg = SimConfig::paper_default(40, WorkloadSpec::homogeneous_join(0.01, 0.3), strat)
+        .with_seed(21)
+        .with_sim_time(SimDur::from_secs(20), SimDur::from_secs(4))
+        .with_trace(TraceConfig::on());
+    let (_, trace) = snsim::run_one_traced(cfg);
+    let t = trace.expect("trace enabled");
+    let mut checked = 0;
+    for line in &t.events {
+        let v: serde_json::Value = serde_json::from_str(line).expect("JSONL line");
+        let field = |key: &str| v.get(key).unwrap_or_else(|| panic!("no `{key}`: {line}"));
+        if field("ev").as_str() != Some("placement")
+            || field("policy").as_str() != Some("pmu-cpu+LUB")
+        {
+            continue;
+        }
+        let list = |key: &str| field(key).as_array().expect("array field");
+        let mut scores: Vec<f64> = list("scores").iter().map(number).collect();
+        assert_eq!(scores.len(), list("nodes").len());
+        scores.sort_by(f64::total_cmp);
+        let best = number(field("best_score"));
+        let runner_up = number(field("runner_up_score"));
+        assert!(
+            (scores[0] - best).abs() < 1e-12,
+            "LUB chose {scores:?} but the best candidate scored {best}: {line}"
+        );
+        if scores.len() >= 2 {
+            assert!(
+                (scores[1] - runner_up).abs() < 1e-12,
+                "LUB chose {scores:?} but the runner-up scored {runner_up}: {line}"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "no pmu-cpu+LUB placements traced");
+}

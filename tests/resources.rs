@@ -114,7 +114,7 @@ fn summary_serializes_per_resource_utilization() {
 /// node the policies consult.
 #[test]
 fn bottleneck_norm_consistent_across_layers() {
-    let mut ctl = ControlNode::new(2);
+    let mut ctl = ControlNode::new(2, Default::default());
     let v = ResourceVector {
         cpu: 0.2,
         mem: 0.1,
