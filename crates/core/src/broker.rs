@@ -20,7 +20,8 @@
 //! ```text
 //!   snsim::System        — orchestration glue (events, hardware, jobs)
 //!   lb_core::Broker      — report channel + one policy per work class
-//!   lb_core::JoinPolicy / CoordinatorPolicy — one placement decision
+//!   slot policies        — one placement decision (JoinPolicy for joins
+//!                          and stages, CoordinatorPolicy for coordinators)
 //!   lb_core::ControlNode — the paper's AVAIL-MEMORY + utilization view
 //! ```
 

@@ -426,7 +426,7 @@ impl ControlNode {
     /// threshold toward saturation). Deliberately the naive O(n) sum: it
     /// is read a handful of times per control tick and per join arrival,
     /// and a running sum would drift from the exact float total. With no
-    /// suspects (the only state the central broker ever has) this folds
+    /// suspects (the only state outside the lagged channel) this folds
     /// in exactly the pre-detector order.
     pub fn avg(&self, kind: ResourceKind) -> f64 {
         self.live_mean(self.utils.iter().map(|v| v.get(kind)))
@@ -435,7 +435,7 @@ impl ControlNode {
     /// Mean of one value per node (in node order) over the nodes not
     /// under suspicion; 0 when none is live. With no suspects this is the
     /// plain sum over all nodes divided by their count.
-    pub fn live_mean(&self, per_node: impl Iterator<Item = f64>) -> f64 {
+    pub(crate) fn live_mean(&self, per_node: impl Iterator<Item = f64>) -> f64 {
         if self.utils.is_empty() {
             return 0.0;
         }
@@ -598,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn by_util_cpu_sorted_asc() {
+    fn by_cpu_sorted_asc() {
         let mut c = ctl(&[0, 0, 0], &[0.9, 0.1, 0.5]);
         let ids: Vec<u32> = c
             .by_util(ResourceKind::Cpu)

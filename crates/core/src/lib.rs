@@ -39,7 +39,7 @@
 //! On top of the strategy family, one concrete broker makes placement a
 //! run-time service instead of enum dispatch inside the simulator:
 //!
-//! * [`policy`] — the policy in each work-class slot: [`JoinPolicy`] for
+//! * [`policy`] — the policy in each work-class slot: `JoinPolicy` for
 //!   two-way joins and multi-join stages (a fixed [`Strategy`] or the
 //!   [`AdaptiveController`], an online controller that switches the
 //!   active join strategy mid-run from report rounds, with hysteresis)
@@ -90,8 +90,7 @@ pub use costmodel::{AdmissionEstimate, CostModel, CostParams, JoinProfile};
 pub use degree::DegreePolicy;
 pub use faults::{BrokerConfig, BrokerFaultStats, BrokerKind};
 pub use policy::{
-    AdaptiveConfig, AdaptiveController, CoordPolicyKind, CoordinatorPolicy, JoinPolicy,
-    PolicyConfig, WorkClass,
+    AdaptiveConfig, AdaptiveController, CoordPolicyKind, CoordinatorPolicy, PolicyConfig, WorkClass,
 };
 pub use ratematch::RateMatch;
 pub use rebalance::{FragmentInfo, MigrationPlan, RebalanceConfig, RebalanceController};

@@ -10,7 +10,7 @@
 //!
 //! * [`WorkClass`] — what is being placed: a join (with its multi-join
 //!   stage index), a query coordinator, or an OLTP transaction's home node;
-//! * [`JoinPolicy`] — the join and stage slots: a fixed [`Strategy`] or
+//! * `JoinPolicy` — the join and stage slots: a fixed [`Strategy`] or
 //!   the [`AdaptiveController`];
 //! * [`CoordinatorPolicy`] — the scan and OLTP slots: coordinator/home-node
 //!   placement (random, least-CPU, most-free-memory, least-bottleneck,
@@ -298,7 +298,7 @@ impl AdaptiveController {
 
 /// The policy in a join or multi-join-stage slot.
 #[derive(Debug, Clone)]
-pub enum JoinPolicy {
+pub(crate) enum JoinPolicy {
     /// One strategy for the whole run.
     Fixed(Strategy),
     /// The online controller ([`Strategy::Adaptive`]).
@@ -309,7 +309,7 @@ impl JoinPolicy {
     /// The slot for `strategy`: [`Strategy::Adaptive`] becomes a
     /// controller with parameters `adaptive`, every other strategy is
     /// fixed.
-    pub fn new(strategy: Strategy, adaptive: AdaptiveConfig) -> JoinPolicy {
+    pub(crate) fn new(strategy: Strategy, adaptive: AdaptiveConfig) -> JoinPolicy {
         match strategy {
             Strategy::Adaptive => JoinPolicy::Adaptive(AdaptiveController::new(adaptive)),
             other => JoinPolicy::Fixed(other),
@@ -317,7 +317,7 @@ impl JoinPolicy {
     }
 
     /// Name used in experiment reports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             JoinPolicy::Fixed(s) => s.name(),
             JoinPolicy::Adaptive(_) => "ADAPTIVE",
@@ -325,7 +325,7 @@ impl JoinPolicy {
     }
 
     /// Decide degree and node set for one join.
-    pub fn place(
+    pub(crate) fn place(
         &mut self,
         req: &JoinRequest,
         ctl: &mut ControlNode,
@@ -338,14 +338,14 @@ impl JoinPolicy {
     }
 
     /// Report-round hook: the controller may switch strategies.
-    pub fn on_report(&mut self, ctl: &mut ControlNode) {
+    pub(crate) fn on_report(&mut self, ctl: &mut ControlNode) {
         if let JoinPolicy::Adaptive(a) = self {
             a.on_report(ctl);
         }
     }
 
     /// Mid-run strategy switches (0 for a fixed strategy).
-    pub fn switches(&self) -> u64 {
+    pub(crate) fn switches(&self) -> u64 {
         match self {
             JoinPolicy::Fixed(_) => 0,
             JoinPolicy::Adaptive(a) => a.switches(),
@@ -419,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_join_policy_places_joins() {
+    fn strategy_as_policy_places_joins() {
         let mut c = ctl(40, 0.0, 50);
         let mut rng = SimRng::new(1);
         let mut s = JoinPolicy::new(Strategy::MinIo, AdaptiveConfig::default());

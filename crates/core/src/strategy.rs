@@ -399,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_alone_places_as_pmu_cpu_lum() {
+    fn adaptive_defaults_to_isolated_dynamic() {
         // Hot CPUs would switch a controller to OPT-IO-CPU at its next
         // report round; without one, Adaptive places as pmu-cpu+LUM.
         let mut a = ctl(8, 0.8, 50);

@@ -25,7 +25,7 @@
 //!    via `place_coordinator`. It never matches on strategies.
 //! 3. **The policies in the broker's slots** (one per work class, chosen
 //!    by `lb_core::PolicyConfig` in the [`SimConfig`]) make the actual
-//!    decisions: a `lb_core::JoinPolicy` for joins and stages, where the
+//!    decisions: a join policy for joins and stages, where the
 //!    `ADAPTIVE` strategy becomes an online controller that switches
 //!    strategies mid-run from the broker's report rounds, and a
 //!    `lb_core::CoordinatorPolicy` for coordinators and home nodes.
