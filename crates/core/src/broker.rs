@@ -55,7 +55,9 @@ impl Root {
 /// placements out.
 ///
 /// ```
-/// use lb_core::{Broker, JoinRequest, PolicyConfig, ResourceKind, ResourceVector, Strategy, WorkClass};
+/// use lb_core::{
+///     Broker, JoinRequest, PolicyConfig, ResourceKind, ResourceVector, Strategy, WorkClass,
+/// };
 /// use simkit::SimRng;
 ///
 /// // A broker for 8 nodes running the MIN-IO strategy.

@@ -5,9 +5,10 @@
 //! chosen nodes, and the bottleneck score of the best and runner-up
 //! candidates: the control node's weighted bottleneck (`max_k w_k · u_k`,
 //! with the feedback of placements made since the last report), the
-//! exact quantity LUB-style selection ranks by. The accumulator keeps per-policy decision counts, running
-//! win-margin statistics, and per-node win tallies; [`ExplainAcc::report`]
-//! renders those into a top-K "why node X" digest.
+//! exact quantity LUB-style selection ranks by. The accumulator keeps
+//! per-policy decision counts, running win-margin statistics, and
+//! per-node win tallies; [`ExplainAcc::report`] renders those into a
+//! top-K "why node X" digest.
 
 use serde::{Deserialize, Serialize};
 
