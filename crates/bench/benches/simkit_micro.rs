@@ -64,8 +64,11 @@ fn bench_lru(c: &mut Criterion) {
     // The two rows below bracket the LRU's trade. One 200-entry map sits
     // in L1 and hides the footprint of a hit; 1000 buffers with 64
     // resident pages each, hit in pseudo-random order, is what the
-    // 1000-PE OLTP soak does. A full map taking only misses pays an
-    // eviction per insert, the scan and spill pattern.
+    // 1000-PE OLTP soak does, and a hit stamps one slot with no shadow
+    // heap beside the map. A full map taking only misses pays an
+    // eviction per insert, the scan and spill pattern; about one victim
+    // in 62 pays a refill of the batch (two passes over the map and a
+    // sort of the records it collects).
     c.bench_function("lru/hit_1000_maps_x64_10k", |b| {
         let mut maps: Vec<LruMap<(u64, u64), u32>> = (0..1_000).map(|_| LruMap::new(500)).collect();
         for (m, map) in maps.iter_mut().enumerate() {

@@ -441,6 +441,13 @@ mod tests {
         PageAddr::new(o, p)
     }
 
+    /// A resident page is one 32-byte map entry: its address, its stamp
+    /// and its metadata (40 bytes with a second stamp for a heap record).
+    #[test]
+    fn buffer_entries_stay_compact() {
+        assert!(LruMap::<PageAddr, PageMeta>::entry_bytes() <= 32);
+    }
+
     #[test]
     fn hit_after_miss() {
         let mut b = BufferManager::new(10, 1);

@@ -2,13 +2,14 @@
 //! per-policy digest.
 //!
 //! For every placement the simulator reports the active policy, the
-//! chosen nodes, and the bottleneck score of the best and runner-up
-//! candidates: the control node's weighted bottleneck (`max_k w_k · u_k`,
-//! with the feedback of placements made since the last report), the
-//! exact quantity LUB-style selection ranks by. The accumulator keeps
-//! per-policy decision counts, running win-margin statistics, and
-//! per-node win tallies; [`ExplainAcc::report`] renders those into a
-//! top-K "why node X" digest.
+//! chosen nodes with their bottleneck scores, and the decision's win
+//! margin: the best rejected candidate's score minus the worst chosen
+//! one's. A score is the control node's weighted bottleneck
+//! (`max_k w_k · u_k`, with the feedback of placements made since the
+//! last report), the exact quantity LUB-style selection ranks by. The
+//! accumulator keeps per-policy decision counts, running win-margin
+//! statistics, and per-node win tallies; [`ExplainAcc::report`] renders
+//! those into a top-K "why node X" digest.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +20,7 @@ pub struct PolicyExplain {
     pub policy: &'static str,
     /// Placement decisions attributed to this policy.
     pub decisions: u64,
-    /// Sum of win margins (runner-up score − best score).
+    /// Sum of win margins (best rejected score − worst chosen score).
     pub margin_sum: f64,
     /// Smallest win margin seen.
     pub margin_min: f64,
@@ -38,7 +39,7 @@ impl PolicyExplain {
             decisions: 0,
             margin_sum: 0.0,
             margin_min: f64::INFINITY,
-            margin_max: 0.0,
+            margin_max: f64::NEG_INFINITY,
             clear_wins: 0,
             wins: vec![(0, 0.0); n_nodes],
         }
@@ -73,11 +74,12 @@ pub struct ExplainReport {
     pub policy: String,
     /// Placement decisions attributed to this policy.
     pub decisions: u64,
-    /// Mean win margin (runner-up − best bottleneck score).
+    /// Mean win margin (best rejected − worst chosen bottleneck score;
+    /// negative when a rejected node scored below a chosen one).
     pub margin_mean: f64,
     /// Smallest win margin (0 with no decisions).
     pub margin_min: f64,
-    /// Largest win margin.
+    /// Largest win margin (0 with no decisions).
     pub margin_max: f64,
     /// Decisions with a strictly positive margin.
     pub clear_wins: u64,
@@ -105,14 +107,9 @@ impl ExplainAcc {
     }
 
     /// Record one placement decision: the winning nodes with their scores
-    /// at decision time, and the margin to the runner-up candidate.
-    pub fn decision(
-        &mut self,
-        policy: &'static str,
-        chosen: &[(u32, f64)],
-        best_score: f64,
-        runner_up_score: f64,
-    ) {
+    /// at decision time, and its win margin (best rejected score − worst
+    /// chosen score; 0 when every candidate is chosen).
+    pub fn decision(&mut self, policy: &'static str, chosen: &[(u32, f64)], margin: f64) {
         let p = match self.policies.iter_mut().find(|p| p.policy == policy) {
             Some(p) => p,
             None => {
@@ -121,7 +118,6 @@ impl ExplainAcc {
             }
         };
         p.decisions += 1;
-        let margin = (runner_up_score - best_score).max(0.0);
         p.margin_sum += margin;
         p.margin_min = p.margin_min.min(margin);
         p.margin_max = p.margin_max.max(margin);
@@ -160,7 +156,7 @@ impl ExplainAcc {
                     decisions: p.decisions,
                     margin_mean: p.margin_mean(),
                     margin_min: if p.decisions == 0 { 0.0 } else { p.margin_min },
-                    margin_max: p.margin_max,
+                    margin_max: if p.decisions == 0 { 0.0 } else { p.margin_max },
                     clear_wins: p.clear_wins,
                     top_nodes: nodes,
                 }
@@ -176,9 +172,9 @@ mod tests {
     #[test]
     fn aggregates_per_policy_and_ranks_nodes() {
         let mut acc = ExplainAcc::new(4, 2);
-        acc.decision("LUB", &[(1, 0.2)], 0.2, 0.5);
-        acc.decision("LUB", &[(1, 0.3), (2, 0.4)], 0.3, 0.3);
-        acc.decision("LUM", &[(0, 0.1)], 0.1, 0.9);
+        acc.decision("LUB", &[(1, 0.2)], 0.3);
+        acc.decision("LUB", &[(1, 0.3), (2, 0.4)], 0.0);
+        acc.decision("LUM", &[(0, 0.1)], 0.8);
         let reports = acc.report();
         assert_eq!(reports.len(), 2);
         let lub = reports.iter().find(|r| r.policy == "LUB").unwrap();

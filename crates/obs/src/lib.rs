@@ -15,8 +15,9 @@
 //!    suspicion raise/clear, migration start/commit) rendered as bounded
 //!    JSONL by a [`JsonlSink`].
 //! 3. **Placement explain** ([`explain`]): per-policy decision counts,
-//!    the win margin between the best and runner-up candidate scores,
-//!    and per-node win tallies for a top-K "why node X" digest.
+//!    the win margin between the best rejected and the worst chosen
+//!    candidate scores, and per-node win tallies for a top-K "why node
+//!    X" digest.
 //!
 //! The layer is **inert when disabled**: the simulator holds an
 //! `Option<Box<Recorder>>` that is `None` unless [`TraceConfig::enabled`]

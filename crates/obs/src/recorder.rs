@@ -133,8 +133,10 @@ impl Recorder {
     }
 
     /// The broker placed stage `stage` of `job` under `policy`.
-    /// `candidate_scores[n]` is node `n`'s bottleneck score (max per-kind
-    /// utilization) at decision time; `chosen` is the placement result.
+    /// `candidate_scores[n]` is node `n`'s bottleneck score (the weighted
+    /// `max_k w_k · u_k` LUB ranks by) at decision time; `chosen` is the
+    /// placement result. The margin is the best rejected candidate's
+    /// score minus the worst chosen one's (0 when all are chosen).
     pub fn placement(
         &mut self,
         t_ms: f64,
@@ -162,12 +164,22 @@ impl Recorder {
             runner_up = best;
         }
         self.chosen_scratch.clear();
+        let mut worst_chosen = f64::NEG_INFINITY;
         for &n in chosen {
             let score = candidate_scores.get(n as usize).copied().unwrap_or(0.0);
             self.chosen_scratch.push((n, score));
+            worst_chosen = worst_chosen.max(score);
         }
-        self.explain
-            .decision(policy, &self.chosen_scratch, best, runner_up);
+        let best_rejected = (0u32..)
+            .zip(candidate_scores)
+            .filter(|(n, _)| !chosen.contains(n))
+            .fold(f64::INFINITY, |m, (_, &s)| m.min(s));
+        let margin = if best_rejected.is_finite() && worst_chosen.is_finite() {
+            best_rejected - worst_chosen
+        } else {
+            0.0
+        };
+        self.explain.decision(policy, &self.chosen_scratch, margin);
         if stage > 0 {
             self.sink.emit(&TraceEvent::StageEdge { t_ms, job, stage });
         }
@@ -180,7 +192,7 @@ impl Recorder {
             scores: self.chosen_scratch.iter().map(|&(_, s)| s).collect(),
             best_score: best,
             runner_up_score: runner_up,
-            margin: (runner_up - best).max(0.0),
+            margin,
         });
     }
 
@@ -366,6 +378,32 @@ mod tests {
         assert!((out.explain[0].margin_mean - 0.3).abs() < 1e-12);
         assert_eq!(out.explain[0].top_nodes[0].node, 1);
         assert!(out.events[0].contains("\"margin\":0.3"));
+    }
+
+    /// The margin compares the worst chosen node with the best rejected
+    /// one, not the two smallest scores (here both chosen).
+    #[test]
+    fn placement_margin_spans_the_chosen_rejected_boundary() {
+        let mut r = Recorder::new(TraceConfig::on(), 4);
+        r.placement(1.0, 1, 0, "LUB", &[0.1, 0.9, 0.2, 0.6], &[0, 2]);
+        r.placement(2.0, 2, 0, "LUM", &[0.1, 0.9, 0.2, 0.6], &[1]);
+        r.placement(3.0, 3, 0, "LUB", &[0.4, 0.3], &[0, 1]);
+        let out = r.finish();
+        let margin = |i: usize| {
+            let v: serde_json::Value = serde_json::from_str(&out.events[i]).unwrap();
+            match v.get("margin").unwrap() {
+                serde_json::Value::F64(x) => *x,
+                other => panic!("margin {other:?}"),
+            }
+        };
+        assert!((margin(0) - 0.4).abs() < 1e-12, "0.6 rejected − 0.2 chosen");
+        assert!((margin(1) + 0.8).abs() < 1e-12, "0.1 rejected − 0.9 chosen");
+        assert_eq!(margin(2), 0.0, "every candidate chosen");
+        let lub = out.explain.iter().find(|e| e.policy == "LUB").unwrap();
+        assert_eq!(lub.clear_wins, 1);
+        let lum = out.explain.iter().find(|e| e.policy == "LUM").unwrap();
+        assert_eq!(lum.clear_wins, 0);
+        assert!((lum.margin_max + 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -64,7 +64,10 @@ pub enum TraceEvent {
         best_score: f64,
         /// Runner-up candidate's bottleneck score.
         runner_up_score: f64,
-        /// `runner_up_score - best_score` (≥ 0: how clear the win was).
+        /// Best rejected candidate's score minus the worst chosen one's:
+        /// how clearly the last chosen node beat the first rejected one
+        /// (negative when a rejected node scored lower, 0 when every
+        /// candidate is chosen).
         margin: f64,
     },
     /// A multi-join query crossed into its next stage.

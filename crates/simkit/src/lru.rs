@@ -6,92 +6,69 @@
 //!
 //! ### Design
 //!
-//! Every entry lives in one hash-map slot next to two stamps drawn from a
-//! per-map monotone `u64` clock: `touched`, the stamp of its last use, and
-//! `record`, the stamp of its one record in a min-heap of `(stamp, key)`
-//! records. A hit writes only `touched` in the entry's own slot; the heap
-//! is not touched. Both the map and the heap start empty and grow with the
-//! live entries, never with `capacity`, so a large, mostly idle cache costs
-//! no memory up front.
+//! Every entry lives in one hash-map slot next to `touched`, the stamp of
+//! its last use, drawn from a per-map monotone `u64` clock. A hit writes
+//! only that stamp, in the entry's own slot. The map starts empty and
+//! grows with the live entries, never with `capacity`, so a large, mostly
+//! idle cache costs no memory up front. No second index shadows the map:
+//! each cached page is stored once.
 //!
-//! The heap is revalidated lazily when a victim is needed. Its minimum
-//! record `(s, k)` is
-//! - an *orphan* left behind by `remove`, if `k` is absent or its slot's
-//!   `record` is not `s`: it is dropped;
-//! - *stale*, if `k` was touched since the record was pushed (`touched >
-//!   s`): the record moves to `touched` and sinks;
-//! - otherwise the victim.
+//! Victims come from a small *batch* of `(stamp, key)` records, sorted
+//! largest stamp first, that `evict_lru` refills only when it runs dry. A
+//! refill finds the oldest stamp `min` and sets a cut
+//! `min + (clock − min + 1)·want / len`, with `want = max(len / 8, 1)`, so
+//! that about one entry in eight falls at or below it when the stamps
+//! spread evenly; it then collects every entry at or below the cut.
+//! Eviction pops records off the batch's end and takes the first whose key
+//! is still live with `touched` equal to the record's stamp. Any other
+//! record names a key that was touched or removed since the scan, and is
+//! dropped.
 //!
-//! Eviction stays exact: every live key has exactly one valid record, whose
-//! stamp is at most the key's `touched`. When the minimum valid record has
-//! `touched == s`, every other live key has `touched ≥ record > s` (stamps
-//! are unique), so `k` is the least recently used. Each stale move is paid
-//! for by a hit and each orphan drop by a `remove`, so eviction costs
-//! amortised O(log n). Orphans are compacted away in place once they
-//! outnumber twice the live entries, which bounds the heap at a constant
-//! factor of the live entries.
+//! Eviction stays exact. Every record's stamp is at most the cut and at
+//! most the clock at its scan. Every live key outside the batch then had a
+//! stamp above the cut, and every later hit or insert draws a stamp above
+//! that clock. So while a key's record is valid, every live key without a
+//! valid record is more recently used, and records pop in ascending stamp
+//! order: the first valid one is the least recently used entry. A refill
+//! reads the map twice and yields about `len / 8` victims, so eviction
+//! reads about sixteen slots amortised while the batch's keys, the oldest
+//! ones, stay cold. `remove` and `retain` touch only the map; the batch
+//! never holds more records than there were live entries at its scan.
 
 use crate::fxhash::FxHashMap;
-use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
-/// Orphan records tolerated per live entry before the heap is compacted.
-const ORPHAN_FACTOR: usize = 2;
+/// A refill collects about one live entry in this many.
+const BATCH_SHARE: usize = 8;
 
 struct Slot<V> {
     /// Stamp of the entry's last use.
     touched: u64,
-    /// Stamp carried by the entry's one valid heap record.
-    record: u64,
     value: V,
-}
-
-/// A heap record, ordered so that `BinaryHeap` pops the *smallest* stamp.
-/// Stamps are unique, so the key never takes part in the order.
-struct Record<K> {
-    stamp: u64,
-    key: K,
-}
-
-impl<K> PartialEq for Record<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.stamp == other.stamp
-    }
-}
-
-impl<K> Eq for Record<K> {}
-
-impl<K> PartialOrd for Record<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K> Ord for Record<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.stamp.cmp(&self.stamp)
-    }
 }
 
 /// Fixed-capacity LRU map.
 pub struct LruMap<K, V> {
     map: FxHashMap<K, Slot<V>>,
-    heap: BinaryHeap<Record<K>>,
-    /// Heap records left behind by `remove` and `retain`.
-    orphans: usize,
+    /// Eviction candidates `(stamp, key)`, largest stamp first.
+    batch: Vec<(u64, K)>,
     clock: u64,
     capacity: usize,
 }
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
+    /// Bytes of one hash-map entry: a key and its slot.
+    pub fn entry_bytes() -> usize {
+        std::mem::size_of::<(K, Slot<V>)>()
+    }
+
     /// Create an LRU with the given capacity (≥ 1). Allocates nothing.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "LRU capacity must be positive");
         LruMap {
             map: FxHashMap::default(),
-            heap: BinaryHeap::new(),
-            orphans: 0,
+            batch: Vec::new(),
             clock: 0,
             capacity,
         }
@@ -148,15 +125,10 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         } else {
             None
         };
-        self.heap.push(Record {
-            stamp: now,
-            key: key.clone(),
-        });
         self.map.insert(
             key,
             Slot {
                 touched: now,
-                record: now,
                 value,
             },
         );
@@ -166,55 +138,53 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// Remove and return the least-recently-used entry.
     pub fn evict_lru(&mut self) -> Option<(K, V)> {
         loop {
-            let mut top = self.heap.peek_mut()?;
-            match self.map.get_mut(&top.key) {
-                Some(slot) if slot.record == top.stamp => {
-                    if slot.touched == top.stamp {
-                        let Record { key, .. } = PeekMut::pop(top);
-                        let slot = self
-                            .map
-                            .remove(&key)
-                            .expect("a valid record names a live key");
-                        return Some((key, slot.value));
-                    }
-                    slot.record = slot.touched;
-                    top.stamp = slot.touched;
+            let Some((stamp, key)) = self.batch.pop() else {
+                if self.map.is_empty() {
+                    return None;
                 }
-                _ => {
-                    PeekMut::pop(top);
-                    self.orphans -= 1;
+                self.refill();
+                continue;
+            };
+            if let Entry::Occupied(e) = self.map.entry(key) {
+                if e.get().touched == stamp {
+                    let (key, slot) = e.remove_entry();
+                    return Some((key, slot.value));
                 }
             }
         }
     }
 
+    /// Collect every entry at or below the cut into the empty batch,
+    /// largest stamp first. The map must not be empty.
+    fn refill(&mut self) {
+        let min = self
+            .map
+            .values()
+            .map(|s| s.touched)
+            .min()
+            .expect("refill of an empty map");
+        let len = self.map.len() as u128;
+        let want = (len / BATCH_SHARE as u128).max(1);
+        let span = u128::from(self.clock - min + 1);
+        let cut = min + (span * want / len) as u64;
+        self.batch.extend(
+            self.map
+                .iter()
+                .filter(|(_, s)| s.touched <= cut)
+                .map(|(k, s)| (s.touched, k.clone())),
+        );
+        self.batch.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
+    }
+
     /// Remove a specific key, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let slot = self.map.remove(key)?;
-        self.orphans += 1;
-        self.compact_if_sparse();
-        Some(slot.value)
+        self.map.remove(key).map(|slot| slot.value)
     }
 
     /// Keep only the entries for which `keep` returns true, in no
     /// particular order. Recency of the kept entries is unchanged.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        let before = self.map.len();
         self.map.retain(|k, slot| keep(k, &slot.value));
-        self.orphans += before - self.map.len();
-        self.compact_if_sparse();
-    }
-
-    /// Drop every orphan record in place once they outnumber
-    /// `ORPHAN_FACTOR × len`; the heap keeps its buffer.
-    fn compact_if_sparse(&mut self) {
-        if self.orphans <= ORPHAN_FACTOR * self.map.len() {
-            return;
-        }
-        let map = &self.map;
-        self.heap
-            .retain(|r| map.get(&r.key).is_some_and(|s| s.record == r.stamp));
-        self.orphans = 0;
     }
 }
 
@@ -229,6 +199,29 @@ mod tests {
         let mut by_use: Vec<(u64, &K)> = l.map.iter().map(|(k, s)| (s.touched, k)).collect();
         by_use.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
         by_use.into_iter().map(|(_, k)| k.clone()).collect()
+    }
+
+    /// The exactness invariant: every live key with a valid batch record
+    /// is older than every live key without one.
+    fn batch_is_exact<K: Eq + Hash + Clone, V>(l: &LruMap<K, V>) -> bool {
+        let (batched, others): (Vec<_>, Vec<_>) = l
+            .map
+            .iter()
+            .map(|(k, s)| (s.touched, l.batch.contains(&(s.touched, k.clone()))))
+            .partition(|&(_, in_batch)| in_batch);
+        let newest_batched = batched.iter().map(|e| e.0).max();
+        let oldest_other = others.iter().map(|e| e.0).min();
+        match (newest_batched, oldest_other) {
+            (Some(b), Some(o)) => b < o,
+            _ => true,
+        }
+    }
+
+    /// A disk-cache page is its `(object, page)` key and one stamp: 24
+    /// bytes, where a second stamp for a heap record made it 32.
+    #[test]
+    fn disk_cache_entries_stay_compact() {
+        assert!(std::mem::size_of::<((u64, u64), Slot<()>)>() <= 24);
     }
 
     #[test]
@@ -307,20 +300,27 @@ mod tests {
         assert_eq!(l.evict_lru(), None);
     }
 
+    /// With evenly spread stamps a refill collects the oldest eighth; a
+    /// record whose key was touched or re-inserted since is skipped.
     #[test]
-    fn orphans_are_compacted_in_place() {
-        let mut l = LruMap::new(8);
-        for round in 0..100u32 {
-            l.insert(round % 3, round);
-            l.remove(&(round % 3));
+    fn batch_holds_the_oldest_eighth_and_skips_stale_records() {
+        let mut l = LruMap::new(64);
+        for k in 0..64 {
+            l.insert(k, ());
         }
-        assert!(l.is_empty());
-        assert_eq!(l.heap.len(), 0, "every orphan was compacted away");
+        assert_eq!(l.evict_lru(), Some((0, ())));
+        let batched: Vec<u32> = l.batch.iter().rev().map(|r| r.1).collect();
+        assert_eq!(batched, (1..9).collect::<Vec<_>>());
+        l.get(&1);
+        l.remove(&2);
+        l.insert(2, ());
+        assert_eq!(l.evict_lru(), Some((3, ())));
+        assert!(batch_is_exact(&l));
     }
 
-    /// Decode one drawn `(code, key)` pair into an operation: 9 in 16
-    /// draws are lookups (6 `get`, 3 `get_mut`), 4 `insert`, 2 `remove`,
-    /// 1 `evict_lru`.
+    /// Decode one drawn `(code, key)` pair into an operation: 18 in 32
+    /// draws are lookups (12 `get`, 6 `get_mut`), 8 `insert`, 3
+    /// `remove`, 2 `evict_lru` and 1 `retain`.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Get(u32),
@@ -328,40 +328,52 @@ mod tests {
         Insert(u32),
         Remove(u32),
         Evict,
+        /// Drop every key congruent to this residue mod 4.
+        Retain(u32),
     }
 
     impl Op {
         fn decode(code: u8, key: u32) -> Op {
             match code {
-                0..=5 => Op::Get(key),
-                6..=8 => Op::GetMut(key),
-                9..=12 => Op::Insert(key),
-                13..=14 => Op::Remove(key),
-                _ => Op::Evict,
+                0..=11 => Op::Get(key),
+                12..=17 => Op::GetMut(key),
+                18..=25 => Op::Insert(key),
+                26..=28 => Op::Remove(key),
+                29..=30 => Op::Evict,
+                _ => Op::Retain(key % 4),
             }
         }
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 256,
+            ..ProptestConfig::default()
+        })]
+
         /// Behaviour and the full MRU order match a naive VecDeque-based
-        /// reference model after every operation. Drawing the key space
-        /// (`keys`) at or below the capacity gives hit-heavy runs in which
-        /// evictions meet many stale records; removes followed by
-        /// re-inserts leave orphans that trip the compaction.
+        /// reference model after every operation. Capacities up to 64 give
+        /// refills that collect several records; key spaces (`keys`) from
+        /// one key to twice the capacity span hit-heavy runs, in which
+        /// batch records go stale, and miss-heavy ones. Removes followed by
+        /// re-inserts and `retain` leave records of dead keys behind.
         #[test]
         fn prop_matches_reference(
-            cap in 1usize..9,
-            keys in 1u32..17,
-            seq in proptest::collection::vec((0u8..16, 0u32..16), 1..2_001),
+            cap in 1usize..65,
+            keys_draw in 0u32..1_024,
+            seq in proptest::collection::vec((0u8..32, 0u32..128), 1..2_001),
         ) {
+            let keys = 1 + keys_draw % (2 * cap as u32);
             let mut lru = LruMap::new(cap);
             let mut model: VecDeque<(u32, u32)> = VecDeque::new(); // front = MRU
             for (step, (code, key)) in seq.into_iter().enumerate() {
                 let value = step as u32;
                 let op = Op::decode(code, key % keys);
+                let len_before = lru.len();
+                let batch_before = lru.batch.clone();
                 match op {
                     Op::Get(key) | Op::GetMut(key) => {
-                                                let got = match op {
+                        let got = match op {
                             Op::Get(_) => lru.get(&key).copied(),
                             _ => lru.get_mut(&key).map(|v| {
                                 *v += 1;
@@ -380,7 +392,7 @@ mod tests {
                         }
                     }
                     Op::Insert(key) => {
-                                                let evicted = lru.insert(key, value);
+                        let evicted = lru.insert(key, value);
                         if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
                             model.remove(pos);
                             prop_assert!(evicted.is_none());
@@ -392,7 +404,7 @@ mod tests {
                         model.push_front((key, value));
                     }
                     Op::Remove(key) => {
-                                                let got = lru.remove(&key);
+                        let got = lru.remove(&key);
                         let want = model
                             .iter()
                             .position(|(k, _)| *k == key)
@@ -401,11 +413,21 @@ mod tests {
                         prop_assert_eq!(got, want);
                     }
                     Op::Evict => prop_assert_eq!(lru.evict_lru(), model.pop_back()),
+                    Op::Retain(residue) => {
+                        lru.retain(|k, _| k % 4 != residue);
+                        model.retain(|(k, _)| k % 4 != residue);
+                    }
                 }
                 prop_assert_eq!(lru.len(), model.len());
                 let model_order: Vec<u32> = model.iter().map(|(k, _)| *k).collect();
                 prop_assert_eq!(mru_keys(&lru), model_order);
-                prop_assert!(lru.heap.len() <= lru.len() + ORPHAN_FACTOR * cap);
+                // Without a refill, operations only pop the batch's end. A
+                // refill scanned the `len_before` live entries and evicted
+                // its oldest record.
+                if !batch_before.starts_with(&lru.batch) {
+                    prop_assert!(lru.batch.len() < len_before);
+                }
+                prop_assert!(batch_is_exact(&lru));
             }
         }
     }

@@ -104,8 +104,9 @@ const OBJECT_PAGES: u64 = 200;
 /// Rounds of 1,000 mixed hits, evicting inserts and removes on a warm,
 /// full map, each round ending with three of the four objects dropped
 /// page by page, as `purge_object` drops a deleted temporary file. The
-/// drop leaves more orphan heap records than twice the live entries, so
-/// every round compacts the heap.
+/// drop leaves records of dead keys in the eviction batch, and the map
+/// refills from a quarter of its capacity, so later refills scan maps of
+/// every size.
 fn lru_mixed_allocs(l: &mut LruMap<u64, u64>, rng: &mut SimRng, rounds: u64) -> u64 {
     allocs_during(|| {
         for _ in 0..rounds {
@@ -135,9 +136,10 @@ fn lru_mixed_allocs(l: &mut LruMap<u64, u64>, rng: &mut SimRng, rounds: u64) -> 
 }
 
 /// After a warm-up at capacity, 100 rounds (100k mixed operations plus
-/// the object drops) allocate nothing:
-/// hits only stamp their slot, evictions reuse heap records, and the
-/// orphan compaction works inside the heap's own buffer.
+/// the object drops) allocate nothing: hits only stamp their slot,
+/// removes free a slot the next insert reuses, and every refill of the
+/// eviction batch, sorted in place, fits the buffer that earlier refills
+/// grew.
 #[test]
 fn lru_steady_state_is_allocation_free() {
     let mut l: LruMap<u64, u64> = LruMap::new(500);

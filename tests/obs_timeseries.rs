@@ -87,7 +87,8 @@ fn flash_crowd_malleable_backlog_stays_bounded() {
 
 /// The explain digest for a `pmu-cpu+LUB` run carries non-empty margins:
 /// LUB ranks candidates by bottleneck utilization, so under load the
-/// best and runner-up scores separate and clear wins appear.
+/// best rejected score rises above the worst chosen one and clear wins
+/// appear.
 #[test]
 fn pmu_cpu_lub_explain_has_margins() {
     let strat = Strategy::parse("pmu-cpu+LUB").expect("known strategy");
@@ -128,8 +129,9 @@ fn number(v: &serde_json::Value) -> f64 {
 /// The explain scores are the ones LUB ranked: in every traced
 /// `pmu-cpu+LUB` placement, the chosen nodes' recorded bottleneck scores
 /// are the smallest recorded scores (up to ties). The lowest chosen
-/// score is the best candidate's, and a placement of two or more nodes
-/// also holds the runner-up. Between reports LUB ranks by the control
+/// score is the best candidate's, a placement of two or more nodes also
+/// holds the runner-up, and no chosen score exceeds the best rejected
+/// one (the worst chosen score plus the margin). Between reports LUB ranks by the control
 /// node's weighted view, which carries the feedback bumps of the
 /// placements made since the last report, so scores read from the raw
 /// report columns would name rejected nodes as the best candidates.
@@ -167,6 +169,13 @@ fn pmu_cpu_lub_chosen_nodes_hold_the_smallest_scores() {
                 "LUB chose {scores:?} but the runner-up scored {runner_up}: {line}"
             );
         }
+        // The margin is the best rejected score minus the worst chosen
+        // one, so no chosen node may score above a rejected one.
+        let best_rejected = scores[scores.len() - 1] + number(field("margin"));
+        assert!(
+            scores.iter().all(|&s| s <= best_rejected + 1e-12),
+            "LUB chose {scores:?} over a candidate scoring {best_rejected}: {line}"
+        );
         checked += 1;
     }
     assert!(checked > 0, "no pmu-cpu+LUB placements traced");
