@@ -1,28 +1,23 @@
 //! Top-level job dispatch.
 
 use crate::api::{Input, JobId, PeId};
+use crate::coordinator::Coordinator;
 use crate::ctx::Ctx;
-use crate::join::JoinJob;
 use crate::migrate::MigrationJob;
-use crate::multijoin::MultiJoinJob;
 use crate::oltp::OltpJob;
-use crate::query::{ScanQueryJob, UpdateJob};
-use crate::sort::SortQueryJob;
+use crate::query::UpdateJob;
 use simkit::SimTime;
 
 /// Any transaction/query instance the simulator can run.
 ///
-/// The rare, stateful query variants are boxed so `Job` stays at the size
-/// of the hot small variants (OLTP, scans, updates): the dispatch loop
-/// moves a `Job` out of and back into the job slab on *every* input, so
-/// the enum's footprint is paid per event, not per job.
+/// The rare, stateful variants are boxed so `Job` stays at the size of
+/// the hot small variants (OLTP, updates): the dispatch loop handles a
+/// job in its slab slot, so the enum's footprint is paid by every slot.
 pub enum Job {
-    Join(Box<JoinJob>),
-    MultiJoin(Box<MultiJoinJob>),
+    /// A join, multi-way join, parallel sort or scan query.
+    Query(Box<Coordinator>),
     Oltp(OltpJob),
-    ScanQ(ScanQueryJob),
     UpdateQ(UpdateJob),
-    SortQ(Box<SortQueryJob>),
     /// A fragment migration launched by the rebalancing controller — a
     /// system utility, not a workload class (excluded from per-class
     /// response metrics and MPL admission).
@@ -33,12 +28,9 @@ impl Job {
     /// Route an input into the job's state machine.
     pub fn handle(&mut self, job: JobId, input: Input, ctx: &mut Ctx) {
         match self {
-            Job::Join(j) => j.handle(job, input, ctx),
-            Job::MultiJoin(j) => j.handle(job, input, ctx),
+            Job::Query(j) => j.handle(job, input, ctx),
             Job::Oltp(j) => j.handle(job, input, ctx),
-            Job::ScanQ(j) => j.handle(job, input, ctx),
             Job::UpdateQ(j) => j.handle(job, input, ctx),
-            Job::SortQ(j) => j.handle(job, input, ctx),
             Job::Migrate(j) => j.handle(job, input, ctx),
         }
     }
@@ -46,12 +38,9 @@ impl Job {
     /// The PE whose transaction manager admits this job.
     pub fn coord_pe(&self) -> PeId {
         match self {
-            Job::Join(j) => j.coord,
-            Job::MultiJoin(j) => j.coord(),
+            Job::Query(j) => j.coord,
             Job::Oltp(j) => j.pe,
-            Job::ScanQ(j) => j.coord,
             Job::UpdateQ(j) => j.pe,
-            Job::SortQ(j) => j.coord,
             Job::Migrate(j) => j.from,
         }
     }
@@ -60,12 +49,9 @@ impl Job {
     /// system utilities outside every workload class).
     pub fn class(&self) -> u32 {
         match self {
-            Job::Join(j) => j.class,
-            Job::MultiJoin(j) => j.join.class,
+            Job::Query(j) => j.class,
             Job::Oltp(j) => j.class,
-            Job::ScanQ(j) => j.class,
             Job::UpdateQ(j) => j.class,
-            Job::SortQ(j) => j.class,
             Job::Migrate(_) => u32::MAX,
         }
     }
@@ -73,19 +59,11 @@ impl Job {
     /// Arrival time (for response-time accounting).
     pub fn submitted(&self) -> SimTime {
         match self {
-            Job::Join(j) => j.submitted,
-            Job::MultiJoin(j) => j.join.submitted,
+            Job::Query(j) => j.submitted,
             Job::Oltp(j) => j.submitted,
-            Job::ScanQ(j) => j.submitted,
             Job::UpdateQ(j) => j.submitted,
-            Job::SortQ(j) => j.submitted,
             Job::Migrate(j) => j.submitted,
         }
-    }
-
-    /// Is this a join query placed by the load balancer?
-    pub fn is_join(&self) -> bool {
-        matches!(self, Job::Join(_) | Job::MultiJoin(_))
     }
 }
 

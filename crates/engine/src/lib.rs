@@ -10,25 +10,26 @@
 //! * [`pphj`] — the Partially Preemptible Hash Join \[23\]: memory-adaptive
 //!   partitions that spill under pressure and re-join deferred partitions
 //!   after the probe phase;
-//! * [`join`] — the parallel hash-join coordinator (placement request,
-//!   building phase, probing phase, result merge, read-only single-phase
-//!   commit);
-//! * [`multijoin`] — left-deep multi-way joins (one placement per stage);
+//! * [`coordinator`] — the one coordinator of every parallel query: two-way
+//!   and left-deep multi-way hash joins, parallel sorts and scan queries
+//!   (placement request, worker start, one scan side per phase, result
+//!   merge, read-only single-phase commit);
+//! * [`sort`] — the sort subquery of a parallel sort (§7): local external
+//!   sorts whose runs spill under memory pressure;
 //! * [`migrate`] — online fragment migrations (disk-read → network →
 //!   disk-write traffic with exclusive fragment locking) driving the
 //!   dynamic data-placement layer;
 //! * [`oltp`] — affinity-routed debit-credit transactions with priority
 //!   page fixes and log forcing (group commit);
-//! * [`query`] — stand-alone scan queries and update statements;
+//! * [`query`] — update statements;
 //! * [`api`] / [`ctx`] — the action/input protocol that keeps the engine
 //!   free of event-loop concerns (the simulator owns all scheduling).
 
 pub mod api;
+pub mod coordinator;
 pub mod ctx;
 pub mod job;
-pub mod join;
 pub mod migrate;
-pub mod multijoin;
 pub mod oltp;
 pub mod pe;
 pub mod pphj;

@@ -19,6 +19,7 @@
 //! subqueries.
 
 use crate::api::{even_share, JobId, JoinPhase, MsgKind, PeId, Step, TaskId, Token};
+use crate::coordinator::Worker;
 use crate::ctx::Ctx;
 use hardware::{IoKind, IoRequest};
 
@@ -156,18 +157,6 @@ impl JoinTask {
         Token::new(self.job, self.task_id, step)
     }
 
-    /// StartJoin received: charge subquery-init CPU.
-    pub fn start(&mut self, ctx: &mut Ctx) {
-        debug_assert_eq!(self.state, JState::Created);
-        self.state = JState::Init;
-        ctx.cpu(
-            self.pe,
-            ctx.cfg.instr.init_txn,
-            false,
-            self.token(Step::Init),
-        );
-    }
-
     /// PPHJ partition count: ⌈√(F · b_local)⌉ (the paper's formula),
     /// bounded by the pages actually granted (the algorithm adapts the
     /// partitioning to the memory it gets).
@@ -275,66 +264,6 @@ impl JoinTask {
         while self.used > self.reserved {
             if !self.spill_one(ctx, usize::MAX) {
                 break;
-            }
-        }
-    }
-
-    /// Dispatch a completion step.
-    pub fn on_step(&mut self, step: Step, ctx: &mut Ctx) {
-        match (self.state, step) {
-            (JState::Init, Step::Init) => self.reserve_memory(ctx),
-            // Trailing batch-processing completions are no-ops in any later
-            // state — the FCFS CPU queue already enforced their cost.
-            (_, Step::PageCpu) => {}
-            (JState::Delayed, Step::DelayedCpu) => self.delayed_advance(ctx),
-            (JState::Delayed, Step::TempIo) => self.delayed_page_cpu(ctx),
-            (JState::Committed, Step::TermCpu) => {}
-            (s, st) => unreachable!("join task: step {st:?} in state {s:?}"),
-        }
-    }
-
-    /// A redistributed tuple batch arrived. `last` marks the end of this
-    /// (source, destination) stream, piggybacked on the data message.
-    pub fn on_batch(&mut self, phase: JoinPhase, tuples: u32, last: bool, ctx: &mut Ctx) {
-        match phase {
-            JoinPhase::Build => {
-                debug_assert_eq!(self.state, JState::Build, "batch outside build phase");
-                self.build_batch(tuples, ctx);
-            }
-            JoinPhase::Probe => {
-                debug_assert_eq!(self.state, JState::Probe, "batch outside probe phase");
-                self.probe_batch(tuples, ctx);
-            }
-        }
-        if last {
-            self.on_phase_end(phase, ctx);
-        }
-    }
-
-    /// A scan source finished its phase.
-    pub fn on_phase_end(&mut self, phase: JoinPhase, ctx: &mut Ctx) {
-        match phase {
-            JoinPhase::Build => {
-                self.a_ends += 1;
-                debug_assert!(self.a_ends <= self.a_srcs);
-                if self.a_ends == self.a_srcs {
-                    self.state = JState::Probe;
-                    ctx.send_to(
-                        self.pe,
-                        self.coord,
-                        self.job,
-                        crate::api::COORD_TASK,
-                        ctx.cfg.ctrl_msg_bytes,
-                        MsgKind::BuildDone,
-                    );
-                }
-            }
-            JoinPhase::Probe => {
-                self.b_ends += 1;
-                debug_assert!(self.b_ends <= self.b_srcs);
-                if self.b_ends == self.b_srcs {
-                    self.finish_probe(ctx);
-                }
             }
         }
     }
@@ -716,8 +645,90 @@ impl JoinTask {
         );
     }
 
+    pub fn results_produced(&self) -> u64 {
+        self.results_emitted
+    }
+
+    pub fn build_tuples(&self) -> u64 {
+        self.total_a
+    }
+}
+
+impl Worker for JoinTask {
+    /// StartJoin received: charge subquery-init CPU.
+    fn start(&mut self, ctx: &mut Ctx) {
+        debug_assert_eq!(self.state, JState::Created);
+        self.state = JState::Init;
+        ctx.cpu(
+            self.pe,
+            ctx.cfg.instr.init_txn,
+            false,
+            self.token(Step::Init),
+        );
+    }
+
+    /// Dispatch a completion step.
+    fn on_step(&mut self, step: Step, ctx: &mut Ctx) {
+        match (self.state, step) {
+            (JState::Init, Step::Init) => self.reserve_memory(ctx),
+            // Trailing batch-processing completions are no-ops in any later
+            // state — the FCFS CPU queue already enforced their cost.
+            (_, Step::PageCpu) => {}
+            (JState::Delayed, Step::DelayedCpu) => self.delayed_advance(ctx),
+            (JState::Delayed, Step::TempIo) => self.delayed_page_cpu(ctx),
+            (JState::Committed, Step::TermCpu) => {}
+            (s, st) => unreachable!("join task: step {st:?} in state {s:?}"),
+        }
+    }
+
+    /// A redistributed tuple batch arrived. `last` marks the end of this
+    /// (source, destination) stream, piggybacked on the data message.
+    fn on_batch(&mut self, phase: JoinPhase, tuples: u32, last: bool, ctx: &mut Ctx) {
+        match phase {
+            JoinPhase::Build => {
+                debug_assert_eq!(self.state, JState::Build, "batch outside build phase");
+                self.build_batch(tuples, ctx);
+            }
+            JoinPhase::Probe => {
+                debug_assert_eq!(self.state, JState::Probe, "batch outside probe phase");
+                self.probe_batch(tuples, ctx);
+            }
+        }
+        if last {
+            self.on_phase_end(phase, ctx);
+        }
+    }
+
+    /// A scan source finished its phase.
+    fn on_phase_end(&mut self, phase: JoinPhase, ctx: &mut Ctx) {
+        match phase {
+            JoinPhase::Build => {
+                self.a_ends += 1;
+                debug_assert!(self.a_ends <= self.a_srcs);
+                if self.a_ends == self.a_srcs {
+                    self.state = JState::Probe;
+                    ctx.send_to(
+                        self.pe,
+                        self.coord,
+                        self.job,
+                        crate::api::COORD_TASK,
+                        ctx.cfg.ctrl_msg_bytes,
+                        MsgKind::BuildDone,
+                    );
+                }
+            }
+            JoinPhase::Probe => {
+                self.b_ends += 1;
+                debug_assert!(self.b_ends <= self.b_srcs);
+                if self.b_ends == self.b_srcs {
+                    self.finish_probe(ctx);
+                }
+            }
+        }
+    }
+
     /// Commit received: charge termination CPU and acknowledge.
-    pub fn commit(&mut self, ctx: &mut Ctx) {
+    fn commit(&mut self, ctx: &mut Ctx) {
         debug_assert!(matches!(self.state, JState::Done));
         self.state = JState::Committed;
         ctx.cpu(
@@ -734,13 +745,5 @@ impl JoinTask {
             ctx.cfg.ctrl_msg_bytes,
             MsgKind::CommitAck,
         );
-    }
-
-    pub fn results_produced(&self) -> u64 {
-        self.results_emitted
-    }
-
-    pub fn build_tuples(&self) -> u64 {
-        self.total_a
     }
 }

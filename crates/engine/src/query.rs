@@ -1,12 +1,9 @@
-//! Stand-alone single-relation queries: relation scan, clustered index
-//! scan, non-clustered index scan, and update statements (with and without
-//! index support) — the remaining query types of §4.
+//! Update statements (with and without index support), a query type of
+//! §4 that runs at one PE. The other single-relation queries, the
+//! relation and index scans, run under [`crate::coordinator`].
 
-use crate::api::{
-    Action, InKind, Input, JobId, JoinPhase, MsgKind, Nodes, PeId, Step, TaskId, Token, COORD_TASK,
-};
+use crate::api::{Action, InKind, Input, JobId, PeId, Step, Token, COORD_TASK};
 use crate::ctx::{object, Ctx};
-use crate::scan::{ScanAccess, ScanSide, ScanSource, ScanTask};
 use dbmodel::catalog::{PageAddr, RelationId};
 use dbmodel::lock::{LockMode, LockOutcome, TxnToken};
 use dbmodel::log::ForceOutcome;
@@ -21,181 +18,6 @@ enum QState {
     Running,
     Commit,
     Done,
-}
-
-/// The scans of a scan query: one per fragment (task id = index), and
-/// the plan they share.
-struct Scans {
-    side: ScanSide,
-    tasks: Vec<ScanTask>,
-}
-
-/// A read-only scan query over one relation, executed in parallel at the
-/// relation's data PEs with results merged at the coordinator.
-pub struct ScanQueryJob {
-    pub class: u32,
-    pub coord: PeId,
-    pub relation: RelationId,
-    pub selectivity: f64,
-    pub access: ScanAccess,
-    pub submitted: SimTime,
-
-    state: QState,
-    /// The scans, from their start on. Boxed: a scan query is one of the
-    /// small jobs held inline in the job table.
-    scans: Option<Box<Scans>>,
-    done_cnt: u32,
-    ack_cnt: u32,
-    pub result_tuples: u64,
-}
-
-impl ScanQueryJob {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        class: u32,
-        coord: PeId,
-        relation: RelationId,
-        selectivity: f64,
-        access: ScanAccess,
-        submitted: SimTime,
-    ) -> ScanQueryJob {
-        ScanQueryJob {
-            class,
-            coord,
-            relation,
-            selectivity,
-            access,
-            submitted,
-            state: QState::Queued,
-            scans: None,
-            done_cnt: 0,
-            ack_cnt: 0,
-            result_tuples: 0,
-        }
-    }
-
-    fn txn(&self, job: JobId) -> TxnToken {
-        TxnToken {
-            id: job.to_raw(),
-            birth: self.submitted,
-        }
-    }
-
-    pub fn handle(&mut self, job: JobId, input: Input, ctx: &mut Ctx) {
-        // PE-addressed lock grants (a scan blocked on an in-flight
-        // fragment migration) route to the matching scan task.
-        if let InKind::LockGrant { pe, object } = input.kind {
-            if let Some(scans) = self.scans.as_deref_mut() {
-                if let Some(i) = scans.side.waiting_at(&scans.tasks, pe, object) {
-                    scans.tasks[i].lock_granted(&scans.side, ctx);
-                }
-            }
-            return;
-        }
-        match input.task {
-            COORD_TASK => match (self.state, input.kind) {
-                (QState::Queued, InKind::Start) => {
-                    self.state = QState::Init;
-                    ctx.cpu(
-                        self.coord,
-                        ctx.cfg.instr.init_txn,
-                        false,
-                        Token::new(job, COORD_TASK, Step::Init),
-                    );
-                }
-                (QState::Init, InKind::Step(Step::Init)) => self.start_scans(job, ctx),
-                (QState::Running, InKind::Msg(msg)) => match msg.kind {
-                    MsgKind::ResultBatch { tuples } => self.result_tuples += tuples as u64,
-                    MsgKind::ScanDone => {
-                        self.done_cnt += 1;
-                        if self.done_cnt as usize == self.scan_count() {
-                            self.start_commit(job, ctx);
-                        }
-                    }
-                    other => unreachable!("scan query: message {other:?}"),
-                },
-                (QState::Commit, InKind::Msg(msg)) => match msg.kind {
-                    MsgKind::CommitAck => {
-                        self.ack_cnt += 1;
-                        if self.ack_cnt as usize == self.scan_count() {
-                            ctx.cpu(
-                                self.coord,
-                                ctx.cfg.instr.term_txn,
-                                false,
-                                Token::new(job, COORD_TASK, Step::TermCpu),
-                            );
-                        }
-                    }
-                    // Late result stragglers cannot occur (per-link FIFO).
-                    other => unreachable!("scan query commit: message {other:?}"),
-                },
-                (QState::Commit, InKind::Step(Step::TermCpu)) => {
-                    self.state = QState::Done;
-                    ctx.out.push(Action::JobDone { job });
-                }
-                (s, k) => unreachable!("scan query coordinator: {k:?} in {s:?}"),
-            },
-            tid => {
-                let scans = self.scans.as_deref_mut().expect("a started scan query");
-                scans.tasks[tid as usize].handle(&scans.side, input.kind, ctx);
-            }
-        }
-    }
-
-    fn start_scans(&mut self, job: JobId, ctx: &mut Ctx) {
-        self.state = QState::Running;
-        // Empty destination list: results go to the coordinator.
-        let side = ScanSide::new(
-            job,
-            self.coord,
-            JoinPhase::Build,
-            Nodes::default(),
-            self.txn(job),
-            ScanSource::Relation {
-                relation: self.relation,
-                selectivity: self.selectivity,
-                access: self.access,
-            },
-            0,
-        );
-        let homes = ctx.catalog.fragment_homes(self.relation);
-        let mut tasks = Vec::with_capacity(homes.len());
-        for (frag, &pe) in homes.iter().enumerate() {
-            tasks.push(ScanTask::new(frag as TaskId, pe, frag as u32));
-            ctx.send_to(
-                self.coord,
-                pe,
-                job,
-                frag as TaskId,
-                ctx.cfg.ctrl_msg_bytes,
-                MsgKind::StartScan {
-                    relation: self.relation,
-                    selectivity: self.selectivity,
-                    phase: JoinPhase::Build,
-                },
-            );
-        }
-        self.scans = Some(Box::new(Scans { side, tasks }));
-    }
-
-    fn scan_count(&self) -> usize {
-        self.scans.as_ref().map_or(0, |s| s.tasks.len())
-    }
-
-    fn start_commit(&mut self, job: JobId, ctx: &mut Ctx) {
-        self.state = QState::Commit;
-        let tasks = self.scans.as_ref().map_or(&[][..], |s| &s.tasks);
-        for (tid, task) in tasks.iter().enumerate() {
-            ctx.send_to(
-                self.coord,
-                task.pe,
-                job,
-                tid as TaskId,
-                ctx.cfg.ctrl_msg_bytes,
-                MsgKind::Commit,
-            );
-        }
-    }
 }
 
 /// An update statement: locate `tuples` tuples (via the index or by a full

@@ -1,6 +1,6 @@
 //! Scripted-driver tests for the engine's task state machines: a minimal
 //! synchronous interpreter feeds completions straight back (zero time),
-//! so scan and PPHJ logic is verified independent of the event loop.
+//! so scan, PPHJ and sort logic is verified independent of the event loop.
 
 use dbmodel::catalog::Catalog;
 use dbmodel::lock::TxnToken;
@@ -9,10 +9,11 @@ use dbmodel::RelationId;
 use engine::api::{
     Action, EngineConfig, InKind, Input, JoinPhase, Msg, MsgKind, Nodes, Step, Token, COORD_TASK,
 };
+use engine::coordinator::{Coordinator, QueryPlan, StagePlan, Worker};
 use engine::ctx::Ctx;
-use engine::join::JoinJob;
 use engine::pphj::JoinTask;
 use engine::scan::{ScanAccess, ScanSide, ScanSource, ScanTask};
+use engine::sort::SortTask;
 use engine::Pe;
 use simkit::{SimRng, SimTime, Slab};
 use std::rc::Rc;
@@ -122,6 +123,31 @@ impl Driver {
     }
 }
 
+impl Driver {
+    /// Like [`Driver::pump_join`], for a sort task.
+    fn pump_sort(&mut self, sort: &mut SortTask, max_iters: usize) -> Vec<MsgKind> {
+        let mut msgs = Vec::new();
+        for _ in 0..max_iters {
+            let pending = std::mem::take(&mut self.actions);
+            if pending.is_empty() {
+                break;
+            }
+            for a in pending {
+                match a {
+                    Action::Cpu { token, .. } | Action::Io { token, .. } => {
+                        let mut ctx = self.ctx();
+                        sort.on_step(step_of(token), &mut ctx);
+                    }
+                    Action::IoAsync { .. } => {}
+                    Action::Send(m) => msgs.push(m.kind),
+                    other => panic!("sort emitted unexpected action {other:?}"),
+                }
+            }
+        }
+        msgs
+    }
+}
+
 /// The step a task's own CPU or I/O request completes.
 fn step_of(token: Token) -> Step {
     match token {
@@ -224,8 +250,8 @@ fn scan_weighted_distribution_respects_weights() {
     assert_eq!(scan.output_slots(), 0, "a finished scan holds no WRR state");
 }
 
-/// Feed the join coordinator one input; the actions it emits are dropped.
-fn coord_input(d: &mut Driver, join: &mut JoinJob, kind: InKind) {
+/// Feed the coordinator one input; the actions it emits are dropped.
+fn coord_input(d: &mut Driver, join: &mut Coordinator, kind: InKind) {
     let job = d.job;
     let mut ctx = d.ctx();
     join.handle(
@@ -238,7 +264,7 @@ fn coord_input(d: &mut Driver, join: &mut JoinJob, kind: InKind) {
     );
 }
 
-fn coord_msg(d: &mut Driver, join: &mut JoinJob, from: u32, kind: MsgKind) {
+fn coord_msg(d: &mut Driver, join: &mut Coordinator, from: u32, kind: MsgKind) {
     let msg = Msg {
         from,
         to: 0,
@@ -263,20 +289,24 @@ fn join_builds_probe_scans_when_the_probe_starts() {
         d.catalog.fragments(RelationId(1)).len(),
     );
     assert_eq!((n_a, n_b), (2, 8));
-    let mut join = JoinJob::new(
+    let mut join = Coordinator::new(
         0,
         0,
-        RelationId(0),
-        RelationId(1),
-        0.01,
         SimTime::ZERO,
-        130.0,
-        3,
-        3,
-        2_500,
-        10_000,
+        QueryPlan::Join {
+            outer: RelationId(1),
+            selectivity: 0.01,
+            outer_out: 10_000,
+            skew: 0.8,
+            stages: Rc::from([StagePlan {
+                inner: RelationId(0),
+                table_pages: 130.0,
+                psu_opt: 3,
+                psu_noio: 3,
+                inner_out: 2_500,
+            }]),
+        },
     );
-    join.skew = 0.8;
     let nodes = vec![7, 3, 5];
     let p = nodes.len();
     let reply = Nodes::new(nodes.clone());
@@ -296,8 +326,8 @@ fn join_builds_probe_scans_when_the_probe_starts() {
         coord_msg(&mut d, &mut join, nodes[i], MsgKind::JoinReady);
     }
     assert_eq!(join.scans().len(), n_a, "building: inner scans only");
-    assert!(join.probe_side().is_none(), "building: no probe side");
-    let build = join.build_side().expect("placed join has a build side");
+    assert!(join.sides().get(1).is_none(), "building: no probe side");
+    let build = join.sides().first().expect("placed join has a build side");
     assert_eq!(build.phase, JoinPhase::Build);
     assert_eq!(build.first as usize, p);
     assert!(
@@ -316,7 +346,7 @@ fn join_builds_probe_scans_when_the_probe_starts() {
         n_a + n_b,
         "probing: outer scans appended"
     );
-    let side = join.probe_side().expect("probing join has a probe side");
+    let side = join.sides().get(1).expect("probing join has a probe side");
     assert_eq!(side.phase, JoinPhase::Probe);
     assert_eq!(side.first as usize, p + n_a);
     assert_eq!(side.txn, inner_txn);
@@ -490,4 +520,57 @@ fn pphj_sheds_memory_when_stolen() {
         join.spill_pages_written > 0,
         "losing all but 2 of {before} pages must force spills"
     );
+}
+
+/// A sort whose input outgrows its reservation spills its open runs and
+/// reads every spilled page back for the merge, with its output intact.
+#[test]
+fn sort_spills_runs_and_merges_every_spilled_page_back() {
+    // 5-page buffer: the 2-page reservation cannot grow to the 40-page
+    // input.
+    let mut d = Driver::new(4, 5);
+    let mut sort = SortTask::new(d.job, 0, 1, 0, 1, 2);
+    {
+        let mut ctx = d.ctx();
+        sort.start(&mut ctx);
+    }
+    let ready = d.pump_sort(&mut sort, 100);
+    assert!(ready.iter().any(|m| matches!(m, MsgKind::JoinReady)));
+    let bf = d.cfg.tuples_per_page;
+    let pages = 40;
+    let mut msgs = Vec::new();
+    for i in 0..pages {
+        {
+            let mut ctx = d.ctx();
+            sort.on_batch(JoinPhase::Build, bf, i + 1 == pages, &mut ctx);
+        }
+        msgs.extend(d.pump_sort(&mut sort, 100_000));
+    }
+    assert!(
+        msgs.iter().any(|m| matches!(m, MsgKind::JoinDone)),
+        "sort must finish"
+    );
+    let results: u64 = msgs
+        .iter()
+        .filter_map(|m| match m {
+            MsgKind::ResultBatch { tuples } => Some(*tuples as u64),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(
+        results,
+        u64::from(pages * bf),
+        "the sort conserves its input"
+    );
+    assert!(
+        sort.spill_pages_written > 0,
+        "a 40-page input cannot fit in a 5-page buffer"
+    );
+    assert_eq!(
+        sort.temp_pages_read, sort.spill_pages_written,
+        "the merge reads every spilled page back"
+    );
+    // Memory released at JoinDone.
+    d.pes[1].buffer.check_invariants();
+    assert_eq!(d.pes[1].buffer.working_reserved(), 0);
 }

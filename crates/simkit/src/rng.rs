@@ -91,13 +91,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform integer in `[lo, hi)` (requires `lo < hi`).
-    #[inline]
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        lo + self.below(hi - lo)
-    }
-
     /// Bernoulli trial with success probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

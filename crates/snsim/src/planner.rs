@@ -7,54 +7,26 @@
 //! the broker decides *where*, and `System` wires both to the hardware.
 
 use dbmodel::catalog::Catalog;
-use engine::join::JoinJob;
-use engine::multijoin::{MultiJoinJob, StagePlan};
+use engine::coordinator::{Coordinator, QueryPlan, StagePlan};
 use engine::oltp::OltpJob;
-use engine::query::{ScanQueryJob, UpdateJob};
+use engine::query::UpdateJob;
 use engine::scan::{expected_scan_output, ScanAccess};
 use engine::{Job, PeId};
 use lb_core::costmodel::{AdmissionEstimate, CostModel, JoinProfile};
 use simkit::SimTime;
+use std::rc::Rc;
 use workload::queries::QueryKind;
 use workload::WorkloadSpec;
 
 /// Cached planner numbers per query class.
 #[derive(Debug, Clone)]
 pub enum ClassPlan {
-    Join {
-        inner: dbmodel::RelationId,
-        outer: dbmodel::RelationId,
-        selectivity: f64,
-        table_pages: f64,
-        psu_opt: u32,
-        psu_noio: u32,
-        inner_out: u64,
-        outer_out: u64,
-        skew: f64,
-    },
-    MultiJoin {
-        outer: dbmodel::RelationId,
-        selectivity: f64,
-        outer_out: u64,
-        stages: Vec<StagePlan>,
-    },
-    Scan {
-        relation: dbmodel::RelationId,
-        selectivity: f64,
-        access: ScanAccess,
-    },
+    /// A join, multi-way join, sort or scan query: one coordinator.
+    Query(QueryPlan),
     Update {
         relation: dbmodel::RelationId,
         tuples: u32,
         via_index: bool,
-    },
-    Sort {
-        relation: dbmodel::RelationId,
-        selectivity: f64,
-        table_pages: f64,
-        psu_opt: u32,
-        psu_noio: u32,
-        expected_out: u64,
     },
 }
 
@@ -73,13 +45,7 @@ impl Planner {
         let (plans, estimates) = workload
             .queries
             .iter()
-            .map(|q| {
-                let (mut plan, estimate) = plan_query(&q.kind, catalog, cost, n);
-                if let ClassPlan::Join { skew, .. } = &mut plan {
-                    *skew = q.redistribution_skew;
-                }
-                (plan, estimate)
-            })
+            .map(|q| plan_query(&q.kind, q.redistribution_skew, catalog, cost, n))
             .unzip();
         Planner { plans, estimates }
     }
@@ -104,68 +70,13 @@ impl Planner {
         now: SimTime,
         next_seed: &mut dyn FnMut() -> u64,
     ) -> Job {
-        match self.plans[i].clone() {
-            ClassPlan::Join {
-                inner,
-                outer,
-                selectivity,
-                table_pages,
-                psu_opt,
-                psu_noio,
-                inner_out,
-                outer_out,
-                skew,
-            } => {
-                let mut jj = JoinJob::new(
-                    class_idx,
-                    coord,
-                    inner,
-                    outer,
-                    selectivity,
-                    now,
-                    table_pages,
-                    psu_opt,
-                    psu_noio,
-                    inner_out,
-                    outer_out,
-                );
-                jj.skew = skew;
-                Job::Join(Box::new(jj))
-            }
-            ClassPlan::MultiJoin {
-                outer,
-                selectivity,
-                outer_out,
-                stages,
-            } => {
-                let s0 = stages[0];
-                let first = JoinJob::new(
-                    class_idx,
-                    coord,
-                    s0.inner,
-                    outer,
-                    selectivity,
-                    now,
-                    s0.table_pages,
-                    s0.psu_opt,
-                    s0.psu_noio,
-                    s0.inner_out,
-                    outer_out,
-                );
-                Job::MultiJoin(Box::new(MultiJoinJob::new(first, stages)))
-            }
-            ClassPlan::Scan {
-                relation,
-                selectivity,
-                access,
-            } => Job::ScanQ(ScanQueryJob::new(
+        match &self.plans[i] {
+            ClassPlan::Query(plan) => Job::Query(Box::new(Coordinator::new(
                 class_idx,
                 coord,
-                relation,
-                selectivity,
-                access,
                 now,
-            )),
+                plan.clone(),
+            ))),
             ClassPlan::Update {
                 relation,
                 tuples,
@@ -173,27 +84,9 @@ impl Planner {
             } => {
                 let seed = next_seed();
                 Job::UpdateQ(UpdateJob::new(
-                    class_idx, coord, relation, tuples, via_index, now, seed,
+                    class_idx, coord, *relation, *tuples, *via_index, now, seed,
                 ))
             }
-            ClassPlan::Sort {
-                relation,
-                selectivity,
-                table_pages,
-                psu_opt,
-                psu_noio,
-                expected_out,
-            } => Job::SortQ(Box::new(engine::sort::SortQueryJob::new(
-                class_idx,
-                coord,
-                relation,
-                selectivity,
-                now,
-                table_pages,
-                psu_opt,
-                psu_noio,
-                expected_out,
-            ))),
         }
     }
 
@@ -217,8 +110,11 @@ impl Planner {
     }
 }
 
+/// Plan one query class; `skew` is the redistribution skew of a two-way
+/// join class.
 fn plan_query(
     kind: &QueryKind,
+    skew: f64,
     catalog: &Catalog,
     cost: &CostModel,
     n: u32,
@@ -230,18 +126,14 @@ fn plan_query(
             selectivity,
         } => {
             let profile = profile_for(catalog, *inner, *outer, *selectivity, None);
-            let plan = ClassPlan::Join {
-                inner: *inner,
+            let plan = QueryPlan::Join {
                 outer: *outer,
                 selectivity: *selectivity,
-                table_pages: cost.table_pages(&profile),
-                psu_opt: cost.psu_opt(n, &profile),
-                psu_noio: cost.psu_noio(n, &profile),
-                inner_out: profile.inner_tuples,
                 outer_out: profile.outer_tuples,
-                skew: 0.0,
+                skew,
+                stages: Rc::from([stage_plan(*inner, cost, n, &profile)]),
             };
-            (plan, cost.admission_estimate(n, &profile))
+            (ClassPlan::Query(plan), cost.admission_estimate(n, &profile))
         }
         QueryKind::MultiWayJoin {
             relations,
@@ -262,13 +154,7 @@ fn plan_query(
                 .map(|(_, r)| *r)
             {
                 let profile = profile_for(catalog, rel, outer, *selectivity, Some(probe));
-                stages.push(StagePlan {
-                    inner: rel,
-                    table_pages: cost.table_pages(&profile),
-                    psu_opt: cost.psu_opt(n, &profile),
-                    psu_noio: cost.psu_noio(n, &profile),
-                    inner_out: profile.inner_tuples,
-                });
+                stages.push(stage_plan(rel, cost, n, &profile));
                 let stage_est = cost.admission_estimate(n, &profile);
                 estimate = Some(match estimate {
                     None => stage_est,
@@ -282,45 +168,46 @@ fn plan_query(
                 // Result of stage k has the build side's size.
                 probe = profile.inner_tuples;
             }
-            let plan = ClassPlan::MultiJoin {
+            let plan = QueryPlan::Join {
                 outer,
                 selectivity: *selectivity,
                 outer_out,
-                stages,
+                skew: 0.0,
+                stages: stages.into(),
             };
-            (plan, estimate.expect("≥ 1 stage"))
+            (ClassPlan::Query(plan), estimate.expect("≥ 1 stage"))
         }
         QueryKind::RelationScan {
             relation,
             selectivity,
         } => (
-            ClassPlan::Scan {
+            ClassPlan::Query(QueryPlan::Scan {
                 relation: *relation,
                 selectivity: *selectivity,
                 access: ScanAccess::Full,
-            },
+            }),
             AdmissionEstimate::trivial(0.0, 0.0),
         ),
         QueryKind::ClusteredIndexScan {
             relation,
             selectivity,
         } => (
-            ClassPlan::Scan {
+            ClassPlan::Query(QueryPlan::Scan {
                 relation: *relation,
                 selectivity: *selectivity,
                 access: ScanAccess::Clustered,
-            },
+            }),
             AdmissionEstimate::trivial(0.0, 0.0),
         ),
         QueryKind::NonClusteredIndexScan {
             relation,
             selectivity,
         } => (
-            ClassPlan::Scan {
+            ClassPlan::Query(QueryPlan::Scan {
                 relation: *relation,
                 selectivity: *selectivity,
                 access: ScanAccess::NonClustered,
-            },
+            }),
             AdmissionEstimate::trivial(0.0, 0.0),
         ),
         QueryKind::Update {
@@ -342,16 +229,28 @@ fn plan_query(
             // Sorts are planned like joins whose "table" is the sort
             // buffer for the selection output.
             let profile = profile_for(catalog, *relation, *relation, *selectivity, None);
-            let plan = ClassPlan::Sort {
-                relation: *relation,
+            let plan = QueryPlan::Sort {
                 selectivity: *selectivity,
-                table_pages: cost.table_pages(&profile),
-                psu_opt: cost.psu_opt(n, &profile),
-                psu_noio: cost.psu_noio(n, &profile),
-                expected_out: profile.inner_tuples,
+                stage: stage_plan(*relation, cost, n, &profile),
             };
-            (plan, cost.admission_estimate(n, &profile))
+            (ClassPlan::Query(plan), cost.admission_estimate(n, &profile))
         }
+    }
+}
+
+/// The placement inputs of one stage building on `inner`.
+fn stage_plan(
+    inner: dbmodel::RelationId,
+    cost: &CostModel,
+    n: u32,
+    profile: &JoinProfile,
+) -> StagePlan {
+    StagePlan {
+        inner,
+        table_pages: cost.table_pages(profile),
+        psu_opt: cost.psu_opt(n, profile),
+        psu_noio: cost.psu_noio(n, profile),
+        inner_out: profile.inner_tuples,
     }
 }
 
@@ -406,11 +305,9 @@ mod tests {
         let cost = CostModel::new(cfg.cost_params());
         let p = Planner::new(&cfg.workload, &catalog, &cost, cfg.n_pes);
         match p.plan(0) {
-            ClassPlan::Join {
-                psu_noio, psu_opt, ..
-            } => {
-                assert_eq!(*psu_noio, 3);
-                assert!((25..=35).contains(psu_opt));
+            ClassPlan::Query(QueryPlan::Join { stages, .. }) => {
+                assert_eq!(stages[0].psu_noio, 3);
+                assert!((25..=35).contains(&stages[0].psu_opt));
             }
             other => panic!("expected a join plan, got {other:?}"),
         }
@@ -459,7 +356,7 @@ mod tests {
             42
         };
         let scan = p.make_query_job(0, 0, 0, SimTime::ZERO, &mut seeder);
-        assert!(matches!(scan, Job::ScanQ(_)));
+        assert!(matches!(scan, Job::Query(_)));
         assert_eq!(draws.get(), 0, "scan jobs need no seed");
         let upd = p.make_query_job(1, 1, 0, SimTime::ZERO, &mut seeder);
         assert!(matches!(upd, Job::UpdateQ(_)));

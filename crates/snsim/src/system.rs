@@ -768,19 +768,10 @@ impl System {
                 (now - submitted).as_millis_f64(),
             );
         }
-        if let Job::Join(j) = &body {
-            let o = j.outcome();
-            self.metrics.record_join(
-                o.degree,
-                o.spill_pages,
-                o.temp_reads,
-                o.mem_waits,
-                o.result_tuples,
-                now,
-            );
-        }
-        if let Job::MultiJoin(m) = &body {
-            let o = m.join.outcome();
+        if let Some(o) = match &body {
+            Job::Query(q) => q.join_outcome(),
+            _ => None,
+        } {
             self.metrics.record_join(
                 o.degree,
                 o.spill_pages,

@@ -85,7 +85,10 @@ mod tests {
         let w = WorkloadSpec::homogeneous_join(0.01, 0.25);
         assert_eq!(w.queries.len(), 1);
         assert!(w.oltp.is_empty());
-        assert!(w.queries[0].kind.is_join());
+        assert!(matches!(
+            w.queries[0].kind,
+            crate::queries::QueryKind::TwoWayJoin { .. }
+        ));
     }
 
     #[test]

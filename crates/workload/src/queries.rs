@@ -60,23 +60,6 @@ pub enum QueryKind {
     },
 }
 
-impl QueryKind {
-    /// Is this an operator the load balancer places (joins and sorts)?
-    pub fn is_join(&self) -> bool {
-        matches!(
-            self,
-            QueryKind::TwoWayJoin { .. }
-                | QueryKind::MultiWayJoin { .. }
-                | QueryKind::ParallelSort { .. }
-        )
-    }
-
-    /// Does the query write (locks in exclusive mode, forces the log)?
-    pub fn is_update(&self) -> bool {
-        matches!(self, QueryKind::Update { .. })
-    }
-}
-
 /// One query class of the workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryClass {
@@ -124,29 +107,6 @@ impl QueryClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn join_classification() {
-        let j = QueryKind::TwoWayJoin {
-            inner: RelationId(0),
-            outer: RelationId(1),
-            selectivity: 0.01,
-        };
-        assert!(j.is_join());
-        assert!(!j.is_update());
-        let u = QueryKind::Update {
-            relation: RelationId(0),
-            tuples: 4,
-            via_index: true,
-        };
-        assert!(u.is_update());
-        assert!(!u.is_join());
-        let s = QueryKind::RelationScan {
-            relation: RelationId(0),
-            selectivity: 0.5,
-        };
-        assert!(!s.is_join() && !s.is_update());
-    }
 
     #[test]
     fn paper_join_profile() {
