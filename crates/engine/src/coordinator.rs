@@ -56,7 +56,7 @@ use std::rc::Rc;
 
 /// Planner data of one placed stage: a join's (or one multi-way stage's)
 /// build input, or a sort's input.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct StagePlan {
     /// Build-side relation of this stage (a sort's relation).
     pub inner: RelationId,
